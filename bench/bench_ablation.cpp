@@ -111,7 +111,7 @@ void ablate_row_layout(bench::BenchIo& io) {
         double(workload.num_vertices) * row_bytes / 1e12;
     // Rows touched per worker per iteration in update_phi.
     const double rows = double(workload.minibatch_vertices) / 64.0 * 33.0;
-    sim::NetworkModel net;
+    comm::NetworkModel net;
     const double load_ms =
         net.dkv_batch_time(
             static_cast<std::uint64_t>(rows),
@@ -129,7 +129,7 @@ void ablate_row_layout(bench::BenchIo& io) {
 void ablate_dkv_batching(bench::BenchIo& io) {
   // One RDMA request per row (the paper) vs batching all rows bound for
   // the same owner into one request.
-  sim::NetworkModel net;
+  comm::NetworkModel net;
   const std::uint64_t rows = 8448;  // per-worker rows at M=16384, n=32
   const std::uint64_t row_bytes = (12288 + 1) * 4;
   Table table({"granularity", "requests", "load_ms"});
@@ -159,7 +159,7 @@ void ablate_pi_caching(bench::BenchIo& io) {
                                             // capacity-ratio driven
   sim::ComputeModel node;
   dkv::SimRdmaDkv inner(kRows, kWidth, /*num_shards=*/16,
-                        sim::NetworkModel{}, node);
+                        comm::NetworkModel{}, node);
 
   Table table({"cache_fraction_of_pi", "hit_rate_pct", "read_ms_cached",
                "read_ms_uncached", "time_saved_pct"});

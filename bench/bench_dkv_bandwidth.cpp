@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  sim::NetworkModel net;
+  comm::NetworkModel net;
   net.congestion_strength = 0.0;  // single client/server, uncontended
 
   // The server exposes a rotating window of 32 values, so the touched
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         1048576ull}) {
     const double dkv_time = net.dkv_batch_time(
         /*requests=*/1, payload, payload * kValueWindow, /*cluster=*/1);
-    const double qperf_time = sim::qperf_transfer_time(net, payload);
+    const double qperf_time = comm::qperf_transfer_time(net, payload);
     const double dkv_bw = double(payload) / dkv_time;
     const double qperf_bw = double(payload) / qperf_time;
     fig5.add_row({std::int64_t(payload), dkv_bw / 1e6, qperf_bw / 1e6,

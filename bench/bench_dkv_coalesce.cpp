@@ -69,7 +69,7 @@ struct StageCost {
 /// remote rows each carry a request overhead — and, in the per-row model,
 /// a full message latency as well.
 void charge_uncoalesced(const dkv::SimRdmaDkv& store,
-                        const sim::NetworkModel& net,
+                        const comm::NetworkModel& net,
                         const sim::ComputeModel& node, unsigned shard,
                         std::span<const std::uint64_t> keys,
                         StageCost& cost) {
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const sim::NetworkModel net;
+  const comm::NetworkModel net;
   const sim::ComputeModel node = sim::das5_node();
 
   rng::Xoshiro256 gen_rng(2016);

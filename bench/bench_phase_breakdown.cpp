@@ -18,7 +18,7 @@
 #include "sim/cluster.h"
 
 using namespace scd;
-using sim::Phase;
+using comm::Phase;
 
 int main(int argc, char** argv) {
   std::int64_t k = 12288;

@@ -11,7 +11,7 @@
 #include "sim/cluster.h"
 
 using namespace scd;
-using sim::Phase;
+using comm::Phase;
 
 int main(int argc, char** argv) {
   std::int64_t report_iters = 2048;
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     const core::DistributedResult result = bench::run_cost_only(
         workers, static_cast<std::uint32_t>(k), workload,
         /*measured=*/64, static_cast<std::uint64_t>(report_iters));
-    const sim::PhaseStats& cp = result.critical_path;
+    const comm::PhaseStats& cp = result.critical_path;
     const double phi_pi = cp.get(Phase::kSampleNeighbors) +
                           cp.get(Phase::kLoadPi) +
                           cp.get(Phase::kUpdatePhi) +

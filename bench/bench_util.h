@@ -38,7 +38,7 @@ inline core::PhantomWorkload friendster_workload(
 inline sim::SimCluster::Config das5_cluster(unsigned workers) {
   sim::SimCluster::Config config;
   config.num_ranks = workers + 1;
-  config.network = sim::NetworkModel{};
+  config.network = comm::NetworkModel{};
   config.compute = sim::das5_node();
   return config;
 }

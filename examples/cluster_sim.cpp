@@ -25,7 +25,7 @@
 #include "util/units.h"
 
 using namespace scd;
-using sim::Phase;
+using comm::Phase;
 
 int main(int argc, char** argv) {
   std::uint64_t workers = 8;

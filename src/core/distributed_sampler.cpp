@@ -223,6 +223,16 @@ DistributedResult DistributedSampler::run(std::uint64_t iterations) {
 
   if (options_.fault_plan != nullptr) {
     SCD_REQUIRE(real(), "fault-tolerant mode needs a real-mode sampler");
+    for (const fault::CrashEvent& c : options_.fault_plan->crashes) {
+      // Workers reach the before-eval seam only on eval iterations;
+      // anchored anywhere else the crash would silently never fire.
+      SCD_REQUIRE(!c.iteration_triggered() ||
+                      c.at_point != fault::CrashPoint::kBeforeEval ||
+                      eval_due(c.at_iteration),
+                  "a kBeforeEval crash must be anchored at an iteration "
+                  "that ends with an eval round (at_iteration " +
+                      std::to_string(c.at_iteration) + " has none)");
+    }
     injector_ = std::make_unique<fault::FaultInjector>(*options_.fault_plan,
                                                        cluster_.num_ranks());
     cluster_.install_fault_hooks(injector_.get());
@@ -285,91 +295,510 @@ DistributedResult DistributedSampler::run(std::uint64_t iterations) {
 DistributedSampler::~DistributedSampler() = default;
 
 // ---------------------------------------------------------------------
-// Master
+// Stage helpers
+//
+// One SG-MCMC iteration, written once; the two protocols below only
+// decide how the ranks synchronize between stages. A stage's charges,
+// books, spans and sends run in the same order under either protocol,
+// so modeled virtual time does not depend on which one drives it.
+// ---------------------------------------------------------------------
+
+/// The master's state for one run: its workspace and the beta it ships.
+struct DistributedSampler::MasterRank {
+  comm::Context& ctx;
+  comm::Transport& net;
+  MasterWorkspace ws;
+  std::vector<float> beta_buf;
+
+  MasterRank(const DistributedSampler& s, comm::Context& c)
+      : ctx(c),
+        net(c.transport()),
+        ws(s.hyper_.num_communities, s.num_workers_),
+        beta_buf(s.global_.beta_all().begin(), s.global_.beta_all().end()) {
+    if (s.real()) ws.reserve_real(*s.graph_, *s.minibatch_);
+  }
+};
+
+/// One worker's state for one run: its workspace, beta and likelihood
+/// terms, and the size of the share it is working on.
+struct DistributedSampler::WorkerRank {
+  comm::Context& ctx;
+  comm::Transport& net;
+  dkv::ShardedDkv& store;
+  const unsigned wi;  // worker index == DKV shard (static even in FT)
+  const bool dedup;
+  const std::size_t vbytes;
+  // Largest neighbor set a vertex can draw (link-aware adds its links).
+  const std::size_t set_bound;
+  const double phantom_set_size;  // cost-only: mean neighbor set size
+  WorkerWorkspace ws;
+  std::vector<float> beta_buf;
+  LikelihoodTerms terms;
+  std::uint64_t n_local = 0;  // vertices of the current share
+  std::uint64_t p_local = 0;  // gradient pairs of the current share
+
+  /// `heldout_pairs` bounds the held-out pairs this rank may evaluate.
+  WorkerRank(const DistributedSampler& s, comm::Context& c,
+             std::size_t heldout_pairs)
+      : ctx(c),
+        net(c.transport()),
+        store(*s.store_),
+        wi(c.rank() - 1),
+        dedup(s.options_.dedup_reads),
+        vbytes(s.store_->value_bytes()),
+        set_bound(s.options_.base.num_neighbors +
+                  (s.real() ? s.graph_->max_degree() : 0)),
+        phantom_set_size(s.options_.base.num_neighbors +
+                         (s.options_.base.neighbor_mode ==
+                                  NeighborMode::kLinkAware
+                              ? s.phantom_.avg_degree
+                              : 0.0)),
+        ws(s.hyper_.num_communities),
+        beta_buf(s.hyper_.num_communities, 0.0f) {
+    if (!s.real()) return;
+    const unsigned w = s.num_workers_;
+    const std::size_t share_vertices =
+        s.minibatch_->max_vertices_bound() / w + 1;
+    const std::size_t share_adjacency = std::min<std::size_t>(
+        share_vertices * s.graph_->max_degree(), 2 * s.graph_->num_edges());
+    const std::size_t share_pairs = s.minibatch_->max_pairs_bound() / w + 1;
+    const std::size_t stage_refs_bound = std::max<std::size_t>(
+        {std::size_t{s.options_.chunk_vertices} * (1 + set_bound),
+         2 * share_pairs, 2 * heldout_pairs});
+    ws.reserve_real(share_vertices, share_adjacency, share_pairs,
+                    pi_row_width(s.hyper_.num_communities), vbytes,
+                    set_bound, stage_refs_bound,
+                    s.options_.base.num_neighbors);
+  }
+
+  /// Deduplicated stage read: fetch each distinct row of ws.keys once
+  /// (pi is read-only between the stage barriers, so one copy serves
+  /// every reference); row_of maps a reference index back to its row.
+  /// Rows stay in the wire codec — the enc kernels dequantize
+  /// in-register, so nothing is decoded into a float staging area here.
+  double load_stage_rows() {
+    if (dedup) {
+      ws.key_index.build(ws.keys);
+      const auto unique = ws.key_index.unique_keys();
+      ws.rows_enc.resize(unique.size() * vbytes);
+      return store.get_rows_encoded(wi, unique, ws.rows_enc);
+    }
+    ws.rows_enc.resize(ws.keys.size() * vbytes);
+    return store.get_rows_encoded(wi, ws.keys, ws.rows_enc);
+  }
+  std::span<const std::byte> row_of(std::size_t ref) const {
+    const std::size_t slot = dedup ? ws.key_index.remap()[ref] : ref;
+    return {ws.rows_enc.data() + slot * vbytes, vbytes};
+  }
+};
+
+// ---- master stages ---------------------------------------------------
+
+double DistributedSampler::draw_minibatch(MasterRank& m, std::uint64_t t) {
+  const auto sp = m.ctx.trace_span(comm::Phase::kDrawMinibatch, t);
+  std::uint64_t vertices = phantom_.minibatch_vertices;
+  if (real()) {
+    rng::Xoshiro256 mb_rng =
+        derive_rng(options_.base.seed, rng_label::kMinibatch, t);
+    minibatch_->draw_into(mb_rng, m.ws.mb, m.ws.mb_scratch);
+    vertices = m.ws.mb.vertices.size();
+  }
+  m.ctx.charge(comm::Phase::kDrawMinibatch,
+               draw_cost_per_vertex(m.ctx, options_) *
+                   static_cast<double>(vertices));
+  return real() ? m.ws.mb.scale : 1.0;
+}
+
+void DistributedSampler::send_share(MasterRank& m, unsigned slot,
+                                    unsigned parts, unsigned rank,
+                                    std::uint64_t t) {
+  if (!real()) {
+    // Cost-only: a phantom share of the right size.
+    const auto [vlo, vhi] =
+        ThreadPool::chunk_bounds(0, phantom_.minibatch_vertices, slot, parts);
+    const auto [plo, phi] =
+        ThreadPool::chunk_bounds(0, phantom_.minibatch_pairs, slot, parts);
+    const std::uint64_t vertices = vhi - vlo;
+    const auto adjacency = static_cast<std::uint64_t>(
+        static_cast<double>(vertices) * phantom_.avg_degree);
+    m.net.send_phantom(0, rank, kTagDeploy,
+                       phantom_share_bytes(vertices, adjacency, phi - plo));
+    return;
+  }
+  const graph::Minibatch& mb = m.ws.mb;
+  DeployShare& share = m.ws.shares[slot];
+  share.clear();
+  share.iteration = t;
+  const auto [vlo, vhi] =
+      ThreadPool::chunk_bounds(0, mb.vertices.size(), slot, parts);
+  for (std::uint64_t i = vlo; i < vhi; ++i) {
+    const graph::Vertex a = mb.vertices[i];
+    share.vertices.push_back(a);
+    const auto adj = graph_->neighbors(a);
+    share.degrees.push_back(static_cast<std::uint32_t>(adj.size()));
+    share.adjacency.insert(share.adjacency.end(), adj.begin(), adj.end());
+  }
+  const auto [plo, phi] =
+      ThreadPool::chunk_bounds(0, mb.pairs.size(), slot, parts);
+  for (std::uint64_t i = plo; i < phi; ++i) {
+    share.pair_a.push_back(mb.pairs[i].a);
+    share.pair_b.push_back(mb.pairs[i].b);
+    share.pair_y.push_back(mb.pairs[i].link ? 1 : 0);
+  }
+  // Serialize into a pooled payload buffer; the receiving worker
+  // recycles it after deserializing.
+  std::vector<std::byte> payload = m.net.acquire_buffer();
+  ByteWriter writer(payload);
+  serialize_share(share, writer);
+  m.net.send_bytes(0, rank, kTagDeploy, std::move(payload));
+}
+
+void DistributedSampler::step_theta(MasterRank& m, std::uint64_t t,
+                                    double scale) {
+  const std::uint32_t k = hyper_.num_communities;
+  if (real()) {
+    const std::vector<double>& ratios = m.ws.ratios;
+    std::vector<double>& grad = m.ws.grad;
+    grad.assign(std::size_t{k} * 2, 0.0);
+    theta_grad_from_ratios(std::span<const double>(ratios.data(), k),
+                           std::span<const double>(ratios.data() + k, k),
+                           global_.theta_flat(), grad);
+    for (double& g : grad) g *= scale;
+    update_theta(options_.base.seed, t, global_, grad,
+                 options_.base.step.eps(t), hyper_.eta0, hyper_.eta1,
+                 options_.base.noise_factor, options_.base.gradient_form);
+    std::copy(global_.beta_all().begin(), global_.beta_all().end(),
+              m.beta_buf.begin());
+  } else {
+    m.beta_buf.assign(k, 0.5f);
+  }
+  m.ctx.charge_serial(comm::Phase::kUpdateBetaTheta,
+                      static_cast<double>(k) * 2.0,
+                      m.ctx.compute().theta_unit_cycles);
+}
+
+// ---- worker stages ---------------------------------------------------
+
+void DistributedSampler::recv_share(WorkerRank& r, std::uint64_t t) {
+  comm::Context& ctx = r.ctx;
+  const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
+  const double before = ctx.now();
+  if (real()) {
+    std::vector<std::byte> payload =
+        r.net.recv_bytes(ctx.rank(), 0, kTagDeploy);
+    deserialize_share_into(payload, r.ws.share);
+    r.net.recycle_buffer(std::move(payload));
+    SCD_ASSERT(r.ws.share.iteration == t, "deploy out of order");
+    r.n_local = r.ws.share.vertices.size();
+    r.p_local = r.ws.share.pair_a.size();
+  } else {
+    r.net.recv_discard(ctx.rank(), 0, kTagDeploy);
+    const auto [vlo, vhi] = ThreadPool::chunk_bounds(
+        0, phantom_.minibatch_vertices, r.wi, num_workers_);
+    const auto [plo, phi] = ThreadPool::chunk_bounds(
+        0, phantom_.minibatch_pairs, r.wi, num_workers_);
+    r.n_local = vhi - vlo;
+    r.p_local = phi - plo;
+  }
+  ctx.book(comm::Phase::kDeployMinibatch, ctx.now() - before);
+}
+
+void DistributedSampler::sample_neighbors(WorkerRank& r, std::uint64_t t) {
+  // In link-aware mode the set additionally holds the vertex's links,
+  // which arrived with the deploy share.
+  double total_samples = static_cast<double>(r.n_local) * r.phantom_set_size;
+  if (real()) {
+    WorkerWorkspace& ws = r.ws;
+    const DeployShare& share = ws.share;
+    ws.ensure_neighbor_sets(r.n_local, r.set_bound);
+    total_samples = 0.0;
+    std::size_t adj_offset = 0;
+    for (std::size_t vi = 0; vi < r.n_local; ++vi) {
+      const graph::Vertex a = share.vertices[vi];
+      rng::Xoshiro256 nbr_rng =
+          derive_rng(options_.base.seed, rng_label::kNeighbors, t, a);
+      graph::draw_neighbor_set_into(
+          nbr_rng, options_.base.neighbor_mode,
+          static_cast<graph::Vertex>(num_vertices_), a,
+          share.adj_of(vi, adj_offset), options_.base.num_neighbors,
+          ws.neighbor_sets[vi], ws.nbr_scratch);
+      adj_offset += share.degrees[vi];
+      total_samples +=
+          static_cast<double>(ws.neighbor_sets[vi].samples.size());
+    }
+  }
+  const auto sp = r.ctx.trace_span(comm::Phase::kSampleNeighbors, t);
+  r.ctx.charge_kernel(comm::Phase::kSampleNeighbors, total_samples,
+                      r.ctx.compute().neighbor_unit_cycles);
+}
+
+void DistributedSampler::update_phi(WorkerRank& r, std::uint64_t t) {
+  comm::Context& ctx = r.ctx;
+  WorkerWorkspace& ws = r.ws;
+  const std::uint32_t k = hyper_.num_communities;
+  const std::uint32_t width = pi_row_width(k);
+  const quant::RowCodec codec = store_->codec();
+  const bool sparse = quant::is_sparse(codec);
+  // Chunked loads double-buffered with compute.
+  ws.staged.resize(r.n_local * width);
+  sim::PipelineCost pipe;
+  const std::uint64_t chunk = options_.chunk_vertices;
+  for (std::uint64_t lo = 0; lo < r.n_local; lo += chunk) {
+    const std::uint64_t hi = std::min<std::uint64_t>(lo + chunk, r.n_local);
+    double load_cost;
+    double chunk_samples;
+    double load_begin = 0.0;
+    double load_end = 0.0;
+    if (real()) {
+      ws.keys.clear();
+      chunk_samples = 0.0;
+      for (std::uint64_t vi = lo; vi < hi; ++vi) {
+        ws.keys.push_back(ws.share.vertices[vi]);
+        for (const graph::NeighborSample& nb : ws.neighbor_sets[vi].samples) {
+          ws.keys.push_back(nb.b);
+        }
+        chunk_samples +=
+            static_cast<double>(ws.neighbor_sets[vi].samples.size());
+      }
+      load_begin = ctx.now();
+      load_cost = r.load_stage_rows();
+      load_end = ctx.now();
+      // Compute phi* for the chunk from the freshly loaded rows. The
+      // vertex's own row decodes once into the staging slot; neighbor
+      // rows are read straight from the encoded buffer.
+      std::size_t ref_idx = 0;
+      for (std::uint64_t vi = lo; vi < hi; ++vi) {
+        const graph::Vertex a = ws.share.vertices[vi];
+        const graph::NeighborSet& set = ws.neighbor_sets[vi];
+        std::span<const std::byte> row_a = r.row_of(ref_idx);
+        const std::size_t first_nbr_ref = ref_idx + 1;
+        ref_idx += 1 + set.samples.size();
+        std::span<float> out(ws.staged.data() + vi * width, width);
+        staged_phi_update_enc(
+            codec, options_.base.seed, t, a, row_a, set,
+            [&](std::size_t i) { return r.row_of(first_nbr_ref + i); },
+            r.terms, options_.base.step.eps(t), hyper_.normalized_alpha(),
+            out, ws.scratch, options_.base.noise_factor,
+            options_.base.gradient_form);
+      }
+    } else {
+      // Expected distinct-row count of uniformly random references,
+      // split into the expected local/remote mix.
+      chunk_samples = static_cast<double>(hi - lo) * r.phantom_set_size;
+      load_cost =
+          phantom_read_cost(r, static_cast<double>(hi - lo) + chunk_samples);
+    }
+    // Sparse rows: each neighbor costs its O(nnz) support loop, and the
+    // per-vertex stage + epilogue + re-sparsify cost O(K) once.
+    const double phi_units =
+        sparse ? chunk_samples * store_->avg_row_nnz() +
+                     static_cast<double>(hi - lo) * k
+               : chunk_samples * k;
+    double compute_cost =
+        ctx.compute().kernel_time(phi_units, ctx.compute().phi_unit_cycles);
+    if (!ctx.simulated()) {
+      // Wall backend: replace the modeled split with the measured one —
+      // DKV wait vs. phi kernel time of this chunk.
+      load_cost = load_end - load_begin;
+      compute_cost = ctx.now() - load_end;
+    }
+    pipe.add_chunk(load_cost, compute_cost);
+  }
+  // Stats record the sub-stage views of Table III; the clock advances
+  // by the (possibly overlapped) critical path. One kUpdatePhi span
+  // covers the overlapped load+compute pipeline — the kLoadPi
+  // sub-stage view lives only in PhaseStats, since the two interleave
+  // within the same virtual interval. The pipeline total bypasses
+  // charge(), so an FT straggler's slowdown is applied here explicitly
+  // (without a fault plan the factor is 1.0, and x * 1.0 == x).
+  const auto sp = ctx.trace_span(comm::Phase::kUpdatePhi, t);
+  const double factor =
+      injector_ != nullptr ? injector_->compute_factor(ctx.rank(), ctx.now())
+                           : 1.0;
+  ctx.book(comm::Phase::kLoadPi, pipe.load_total() * factor);
+  ctx.book(comm::Phase::kUpdatePhi, pipe.compute_total() * factor);
+  ctx.advance(pipe.total(options_.pipeline) * factor);
+}
+
+void DistributedSampler::write_pi(WorkerRank& r, std::uint64_t t) {
+  // Normalization is folded into phi*; this is the DKV write-back.
+  comm::Context& ctx = r.ctx;
+  const auto sp = ctx.trace_span(comm::Phase::kUpdatePi, t);
+  ctx.charge_kernel(comm::Phase::kUpdatePi,
+                    static_cast<double>(r.n_local) * hyper_.num_communities,
+                    ctx.compute().pi_unit_cycles);
+  double write_cost;
+  if (real()) {
+    // Minibatch vertices are already unique — no dedup needed.
+    r.ws.keys.assign(r.ws.share.vertices.begin(), r.ws.share.vertices.end());
+    write_cost = store_->put_rows(r.wi, r.ws.keys, r.ws.staged);
+  } else {
+    const std::uint64_t local = r.n_local / num_workers_;
+    write_cost = store_->write_cost(r.wi, local, r.n_local - local);
+  }
+  ctx.charge(comm::Phase::kUpdatePi, write_cost);
+}
+
+void DistributedSampler::ratio_partials(WorkerRank& r) {
+  comm::Context& ctx = r.ctx;
+  WorkerWorkspace& ws = r.ws;
+  const std::uint32_t k = hyper_.num_communities;
+  const quant::RowCodec codec = store_->codec();
+  const bool sparse = quant::is_sparse(codec);
+  std::vector<double>& ratios = ws.ratios;
+  ratios.assign(std::size_t{k} * 2, 0.0);
+  double load_cost;
+  if (real()) {
+    const DeployShare& share = ws.share;
+    ws.keys.clear();
+    for (std::uint64_t i = 0; i < r.p_local; ++i) {
+      ws.keys.push_back(share.pair_a[i]);
+      ws.keys.push_back(share.pair_b[i]);
+    }
+    load_cost = r.load_stage_rows();
+    std::span<double> link(ratios.data(), k);
+    std::span<double> nonlink(ratios.data() + k, k);
+    if (sparse) {
+      // Support-driven scatters per pair; the dense eps_a*eps_b*bt_j/Z
+      // term folds once per stratum.
+      double eps_link = 0.0;
+      double eps_nonlink = 0.0;
+      for (std::uint64_t i = 0; i < r.p_local; ++i) {
+        const bool y = share.pair_y[i] != 0;
+        sparse_accumulate_theta_ratio_enc(
+            codec, r.row_of(2 * i), r.row_of(2 * i + 1), k, r.terms, y,
+            y ? link : nonlink, y ? eps_link : eps_nonlink);
+      }
+      sparse_theta_epilogue(eps_link, eps_nonlink, r.terms, link, nonlink);
+    } else {
+      for (std::uint64_t i = 0; i < r.p_local; ++i) {
+        const bool y = share.pair_y[i] != 0;
+        fast_accumulate_theta_ratio_enc(codec, r.row_of(2 * i),
+                                        r.row_of(2 * i + 1), k, r.terms, y,
+                                        y ? link : nonlink, ws.scratch.w);
+      }
+    }
+  } else {
+    load_cost = phantom_read_cost(r, static_cast<double>(2 * r.p_local));
+  }
+  ctx.charge(comm::Phase::kUpdateBetaTheta, load_cost);
+  // Sparse pairs cost their two supports (capped at K: a fallback side
+  // degrades to the dense pass) plus the 2K epilogue fold.
+  const double beta_units =
+      sparse ? static_cast<double>(r.p_local) *
+                       std::min<double>(k, 2.0 * store_->avg_row_nnz()) +
+                   2.0 * k
+             : static_cast<double>(r.p_local) * k;
+  ctx.charge_kernel(comm::Phase::kUpdateBetaTheta, beta_units,
+                    ctx.compute().beta_unit_cycles);
+}
+
+void DistributedSampler::eval_partial(WorkerRank& r,
+                                      PerplexityEvaluator* evaluator) {
+  comm::Context& ctx = r.ctx;
+  WorkerWorkspace& ws = r.ws;
+  const std::uint32_t k = hyper_.num_communities;
+  const quant::RowCodec codec = store_->codec();
+  std::vector<double>& acc = ws.eval_acc;
+  acc.assign(2, 0.0);  // [sum log avg, pair count]
+  std::uint64_t pairs;
+  if (real()) {
+    const auto slice = evaluator->slice();
+    ws.keys.clear();
+    for (const graph::HeldOutPair& p : slice) {
+      ws.keys.push_back(p.a);
+      ws.keys.push_back(p.b);
+    }
+    ctx.charge(comm::Phase::kPerplexity, r.load_stage_rows());
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      evaluator->add_sample_prob(
+          i, fast_pair_likelihood_enc(codec, r.row_of(2 * i),
+                                      r.row_of(2 * i + 1), k, r.terms,
+                                      slice[i].link));
+    }
+    evaluator->finish_sample();
+    acc[0] = evaluator->sum_log_avg();
+    acc[1] = static_cast<double>(slice.size());
+    pairs = evaluator->size();
+  } else {
+    const auto [lo, hi] =
+        ThreadPool::chunk_bounds(0, heldout_size_, r.wi, num_workers_);
+    pairs = hi - lo;
+    ctx.charge(comm::Phase::kPerplexity,
+               phantom_read_cost(r, static_cast<double>(2 * pairs)));
+  }
+  const double perp_pair_units =
+      quant::is_sparse(codec)
+          ? std::min<double>(k, 2.0 * store_->avg_row_nnz())
+          : static_cast<double>(k);
+  ctx.charge_kernel(comm::Phase::kPerplexity,
+                    static_cast<double>(pairs) * perp_pair_units,
+                    ctx.compute().perplexity_unit_cycles);
+}
+
+double DistributedSampler::phantom_read_cost(WorkerRank& r, double refs) {
+  // Cost-only twin of load_stage_rows for `refs` uniform references.
+  comm::Context& ctx = r.ctx;
+  const double n = static_cast<double>(num_vertices_);
+  const std::uint64_t rows =
+      r.dedup ? expected_distinct_rows(refs, n)
+              : static_cast<std::uint64_t>(std::llround(refs));
+  const std::uint64_t local = rows / num_workers_;
+  const std::uint64_t remote = rows - local;
+  // Modeled worker-side row cache: remote rows are served at the
+  // steady-state LRU hit rate — capacity over the remote row population
+  // this worker can request (every row not on its own shard). Uniform
+  // references make that the stationary occupancy of any
+  // capacity-bounded cache, so no replacement policy needs simulating.
+  const double cache_population = n - n / static_cast<double>(num_workers_);
+  const double cache_hit_rate =
+      options_.dkv_cache_rows == 0 || cache_population <= 0.0
+          ? 0.0
+          : std::min(1.0, static_cast<double>(options_.dkv_cache_rows) /
+                              cache_population);
+  if (cache_hit_rate == 0.0) return store_->read_cost(r.wi, local, remote);
+  const auto hits = static_cast<std::uint64_t>(
+      std::llround(static_cast<double>(remote) * cache_hit_rate));
+  const std::uint64_t misses = remote - hits;
+  if (trace::TraceRecorder* rec = ctx.trace()) {
+    rec->metrics().count(trace::Metric::kDkvHits, ctx.rank(), hits);
+    rec->metrics().count(trace::Metric::kDkvMisses, ctx.rank(), misses);
+  }
+  // Hits stream the cached rows from local memory; misses pay the
+  // remote read plus the cache's insert/evict bookkeeping. Rows are
+  // cached encoded, so hits stream the modeled wire bytes per row.
+  const double cache_s =
+      ctx.compute().local_bytes_time(static_cast<std::uint64_t>(
+          std::llround(static_cast<double>(hits) *
+                       store_->avg_row_wire_bytes()))) +
+      static_cast<double>(misses) * ctx.compute().dkv_cache_insert_s;
+  return cache_s + store_->read_cost(r.wi, local, misses);
+}
+
+// ---------------------------------------------------------------------
+// Legacy protocol: barriers and collectives
 // ---------------------------------------------------------------------
 
 void DistributedSampler::master_loop(comm::Context& ctx,
                                      std::uint64_t iterations) {
   const std::uint32_t k = hyper_.num_communities;
-  const unsigned w = num_workers_;
-  comm::Transport& net = ctx.transport();
-
-  MasterWorkspace ws(k, w);
-  if (real()) ws.reserve_real(*graph_, *minibatch_);
+  MasterRank m(*this, ctx);
+  comm::Transport& net = m.net;
 
   // Initial beta so workers can form likelihood terms.
-  std::vector<float> beta_buf(global_.beta_all().begin(),
-                              global_.beta_all().end());
   {
     const auto sp = ctx.trace_span(trace::Stage::kSetup);
-    net.broadcast(0, 0, std::span<float>(beta_buf), kChannelGlobal);
+    net.broadcast(0, 0, std::span<float>(m.beta_buf), kChannelGlobal);
   }
 
   // Draw + scatter one minibatch; returns its h(E_n) scale.
   auto deploy = [&](std::uint64_t t) -> double {
-    if (real()) {
-      {
-        const auto sp = ctx.trace_span(comm::Phase::kDrawMinibatch, t);
-        rng::Xoshiro256 mb_rng =
-            derive_rng(options_.base.seed, rng_label::kMinibatch, t);
-        minibatch_->draw_into(mb_rng, ws.mb, ws.mb_scratch);
-        ctx.charge(comm::Phase::kDrawMinibatch,
-                   draw_cost_per_vertex(ctx, options_) *
-                       static_cast<double>(ws.mb.vertices.size()));
-      }
-      const graph::Minibatch& mb = ws.mb;
-      const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
-      for (unsigned wi = 0; wi < w; ++wi) {
-        DeployShare& share = ws.shares[wi];
-        share.clear();
-        share.iteration = t;
-        const auto [vlo, vhi] =
-            ThreadPool::chunk_bounds(0, mb.vertices.size(), wi, w);
-        for (std::uint64_t i = vlo; i < vhi; ++i) {
-          const graph::Vertex a = mb.vertices[i];
-          share.vertices.push_back(a);
-          const auto adj = graph_->neighbors(a);
-          share.degrees.push_back(static_cast<std::uint32_t>(adj.size()));
-          share.adjacency.insert(share.adjacency.end(), adj.begin(),
-                                 adj.end());
-        }
-        const auto [plo, phi] =
-            ThreadPool::chunk_bounds(0, mb.pairs.size(), wi, w);
-        for (std::uint64_t i = plo; i < phi; ++i) {
-          share.pair_a.push_back(mb.pairs[i].a);
-          share.pair_b.push_back(mb.pairs[i].b);
-          share.pair_y.push_back(mb.pairs[i].link ? 1 : 0);
-        }
-        // Serialize into a pooled payload buffer; the receiving worker
-        // recycles it after deserializing.
-        std::vector<std::byte> payload = net.acquire_buffer();
-        ByteWriter writer(payload);
-        serialize_share(share, writer);
-        net.send_bytes(0, wi + 1, kTagDeploy, std::move(payload));
-      }
-      return mb.scale;
-    }
-    // Cost-only: charge the draw and ship phantom shares of the right
-    // size.
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kDrawMinibatch, t);
-      ctx.charge(comm::Phase::kDrawMinibatch,
-                 draw_cost_per_vertex(ctx, options_) *
-                     static_cast<double>(phantom_.minibatch_vertices));
-    }
+    const double scale = draw_minibatch(m, t);
     const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
-    for (unsigned wi = 0; wi < w; ++wi) {
-      const auto [vlo, vhi] =
-          ThreadPool::chunk_bounds(0, phantom_.minibatch_vertices, wi, w);
-      const auto [plo, phi] =
-          ThreadPool::chunk_bounds(0, phantom_.minibatch_pairs, wi, w);
-      const std::uint64_t vertices = vhi - vlo;
-      const auto adjacency = static_cast<std::uint64_t>(
-          static_cast<double>(vertices) * phantom_.avg_degree);
-      net.send_phantom(0, wi + 1, kTagDeploy,
-                       phantom_share_bytes(vertices, adjacency, phi - plo));
+    for (unsigned wi = 0; wi < num_workers_; ++wi) {
+      send_share(m, wi, num_workers_, wi + 1, t);
     }
-    return 1.0;
+    return scale;
   };
 
   double scale_current = deploy(0);
@@ -384,40 +813,19 @@ void DistributedSampler::master_loop(comm::Context& ctx,
     }
 
     // update_beta/theta: collect the workers' ratio partials.
-    std::vector<double>& ratios = ws.ratios;
-    ratios.assign(std::size_t{k} * 2, 0.0);
+    m.ws.ratios.assign(std::size_t{k} * 2, 0.0);
     {
       const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
       const double before = ctx.now();
-      net.reduce_sum(0, 0, ratios, kChannelGlobal);
-      ctx.book(comm::Phase::kBarrierWait,
-                      ctx.now() - before);
-    }
-    if (real()) {
-      std::vector<double>& grad = ws.grad;
-      grad.assign(std::size_t{k} * 2, 0.0);
-      theta_grad_from_ratios(std::span<const double>(ratios.data(), k),
-                             std::span<const double>(ratios.data() + k, k),
-                             global_.theta_flat(), grad);
-      for (double& g : grad) g *= scale_current;
-      update_theta(options_.base.seed, t, global_, grad,
-                   options_.base.step.eps(t), hyper_.eta0, hyper_.eta1,
-                   options_.base.noise_factor,
-                   options_.base.gradient_form);
-      std::copy(global_.beta_all().begin(), global_.beta_all().end(),
-                beta_buf.begin());
-    } else {
-      beta_buf.assign(k, 0.5f);
+      net.reduce_sum(0, 0, m.ws.ratios, kChannelGlobal);
+      ctx.book(comm::Phase::kBarrierWait, ctx.now() - before);
     }
     {
       const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
-      ctx.charge_serial(comm::Phase::kUpdateBetaTheta,
-                        static_cast<double>(k) * 2.0,
-                        ctx.compute().theta_unit_cycles);
+      step_theta(m, t, scale_current);
       const double before = ctx.now();
-      net.broadcast(0, 0, std::span<float>(beta_buf), kChannelGlobal);
-      ctx.book(comm::Phase::kUpdateBetaTheta,
-                      ctx.now() - before);
+      net.broadcast(0, 0, std::span<float>(m.beta_buf), kChannelGlobal);
+      ctx.book(comm::Phase::kUpdateBetaTheta, ctx.now() - before);
     }
 
     // Non-pipelined: the next draw serializes after this iteration.
@@ -426,13 +834,12 @@ void DistributedSampler::master_loop(comm::Context& ctx,
     }
 
     if (eval_due(t)) {
-      std::vector<double>& acc = ws.eval_acc;
+      std::vector<double>& acc = m.ws.eval_acc;
       acc.assign(2, 0.0);  // [sum log avg, pair count]
       const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
       const double before = ctx.now();
       net.reduce_sum(0, 0, acc, kChannelGlobal);
-      ctx.book(comm::Phase::kBarrierWait,
-                      ctx.now() - before);
+      ctx.book(comm::Phase::kBarrierWait, ctx.now() - before);
       if (real()) {
         const double perp = PerplexityEvaluator::perplexity(
             acc[0], static_cast<std::uint64_t>(acc[1]));
@@ -444,263 +851,34 @@ void DistributedSampler::master_loop(comm::Context& ctx,
   }
 }
 
-// ---------------------------------------------------------------------
-// Worker
-// ---------------------------------------------------------------------
-
 void DistributedSampler::worker_loop(comm::Context& ctx,
                                      std::uint64_t iterations) {
-  const std::uint32_t k = hyper_.num_communities;
-  const std::uint32_t width = pi_row_width(k);
   const unsigned w = num_workers_;
-  const unsigned wi = ctx.rank() - 1;  // worker index == DKV shard
-  const std::uint32_t n_nbr = options_.base.num_neighbors;
-  const bool dedup = options_.dedup_reads;
-  const quant::RowCodec codec = store_->codec();
-  const bool sparse = quant::is_sparse(codec);
-  const std::size_t vbytes = store_->value_bytes();
-  comm::Transport& net = ctx.transport();
-
-  WorkerWorkspace ws(k);
-  // Largest neighbor set a vertex can draw (link-aware adds its links).
-  const std::size_t set_bound =
-      n_nbr + (real() ? graph_->max_degree() : 0);
-  if (real()) {
-    const std::size_t share_vertices =
-        minibatch_->max_vertices_bound() / w + 1;
-    const std::size_t share_adjacency = std::min<std::size_t>(
-        share_vertices * graph_->max_degree(), 2 * graph_->num_edges());
-    const std::size_t share_pairs = minibatch_->max_pairs_bound() / w + 1;
-    const auto [eh_lo, eh_hi] =
-        ThreadPool::chunk_bounds(0, heldout_size_, wi, w);
-    const std::size_t stage_refs_bound = std::max<std::size_t>(
-        {std::size_t{options_.chunk_vertices} * (1 + set_bound),
-         2 * share_pairs, 2 * (eh_hi - eh_lo)});
-    ws.reserve_real(share_vertices, share_adjacency, share_pairs, width,
-                    vbytes, set_bound, stage_refs_bound, n_nbr);
-  }
-
-  // Deduplicated stage read: fetch each distinct row of ws.keys once
-  // (pi is read-only between the stage barriers, so one copy serves
-  // every reference); row_of maps a reference index back to its row.
-  // Rows stay in the wire codec — the enc kernels dequantize
-  // in-register, so nothing is decoded into a float staging area here.
-  auto load_stage_rows = [&]() -> double {
-    if (dedup) {
-      ws.key_index.build(ws.keys);
-      const auto unique = ws.key_index.unique_keys();
-      ws.rows_enc.resize(unique.size() * vbytes);
-      return store_->get_rows_encoded(wi, unique, ws.rows_enc);
-    }
-    ws.rows_enc.resize(ws.keys.size() * vbytes);
-    return store_->get_rows_encoded(wi, ws.keys, ws.rows_enc);
-  };
-  auto row_of = [&](std::size_t ref) -> std::span<const std::byte> {
-    const std::size_t slot = dedup ? ws.key_index.remap()[ref] : ref;
-    return {ws.rows_enc.data() + slot * vbytes, vbytes};
-  };
-  // Modeled worker-side row cache (cost-only): remote rows are served at
-  // the steady-state LRU hit rate — capacity over the remote row
-  // population this worker can request (every row not on its own shard).
-  // Uniform references make that the stationary occupancy of any
-  // capacity-bounded cache, so no replacement policy needs simulating.
-  const double cache_population =
-      static_cast<double>(num_vertices_) -
-      static_cast<double>(num_vertices_) / static_cast<double>(w);
-  const double cache_hit_rate =
-      options_.dkv_cache_rows == 0 || cache_population <= 0.0
-          ? 0.0
-          : std::min(1.0, static_cast<double>(options_.dkv_cache_rows) /
-                              cache_population);
-  // Cost-only twin of load_stage_rows for `refs` uniform references.
-  auto phantom_read_cost = [&](double refs) -> double {
-    const std::uint64_t rows =
-        dedup ? expected_distinct_rows(refs, static_cast<double>(
-                                                 num_vertices_))
-              : static_cast<std::uint64_t>(std::llround(refs));
-    const std::uint64_t local = rows / w;
-    const std::uint64_t remote = rows - local;
-    if (cache_hit_rate == 0.0) return store_->read_cost(wi, local, remote);
-    const auto hits = static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(remote) * cache_hit_rate));
-    const std::uint64_t misses = remote - hits;
-    if (trace::TraceRecorder* rec = ctx.trace()) {
-      rec->metrics().count(trace::Metric::kDkvHits, ctx.rank(), hits);
-      rec->metrics().count(trace::Metric::kDkvMisses, ctx.rank(), misses);
-    }
-    // Hits stream the cached rows from local memory; misses pay the
-    // remote read plus the cache's insert/evict bookkeeping. Rows are
-    // cached encoded, so hits stream the modeled wire bytes per row.
-    const double cache_s =
-        ctx.compute().local_bytes_time(static_cast<std::uint64_t>(
-            std::llround(static_cast<double>(hits) *
-                         store_->avg_row_wire_bytes()))) +
-        static_cast<double>(misses) * ctx.compute().dkv_cache_insert_s;
-    return cache_s + store_->read_cost(wi, local, misses);
-  };
+  const auto [eh_lo, eh_hi] =
+      ThreadPool::chunk_bounds(0, heldout_size_, ctx.rank() - 1, w);
+  WorkerRank r(*this, ctx, eh_hi - eh_lo);
+  comm::Transport& net = r.net;
 
   // Initial beta.
-  std::vector<float> beta_buf(k, 0.0f);
   {
     const auto sp = ctx.trace_span(trace::Stage::kSetup);
-    net.broadcast(ctx.rank(), 0, std::span<float>(beta_buf),
+    net.broadcast(ctx.rank(), 0, std::span<float>(r.beta_buf),
                   kChannelGlobal);
   }
-  LikelihoodTerms terms;
-  terms.refresh(beta_buf, hyper_.delta);
+  r.terms.refresh(r.beta_buf, hyper_.delta);
 
   // This worker's held-out slice and its persistent running averages.
   std::unique_ptr<PerplexityEvaluator> evaluator;
   if (real() && heldout_ != nullptr && heldout_size_ > 0) {
-    const auto [lo, hi] = ThreadPool::chunk_bounds(0, heldout_size_, wi, w);
     evaluator = std::make_unique<PerplexityEvaluator>(
-        std::span<const graph::HeldOutPair>(heldout_->pairs().data() + lo,
-                                            hi - lo));
+        std::span<const graph::HeldOutPair>(heldout_->pairs().data() + eh_lo,
+                                            eh_hi - eh_lo));
   }
-  // Phantom slice size for cost charges.
-  const auto [ph_lo, ph_hi] =
-      ThreadPool::chunk_bounds(0, heldout_size_, wi, w);
-  const std::uint64_t phantom_slice = ph_hi - ph_lo;
 
   for (std::uint64_t t = 0; t < iterations; ++t) {
-    // ---- receive this iteration's minibatch share ---------------------
-    DeployShare& share = ws.share;
-    std::uint64_t n_local;
-    std::uint64_t p_local;
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
-      const double before = ctx.now();
-      if (real()) {
-        std::vector<std::byte> payload =
-            net.recv_bytes(ctx.rank(), 0, kTagDeploy);
-        deserialize_share_into(payload, share);
-        net.recycle_buffer(std::move(payload));
-        SCD_ASSERT(share.iteration == t, "deploy out of order");
-        n_local = share.vertices.size();
-        p_local = share.pair_a.size();
-      } else {
-        net.recv_discard(ctx.rank(), 0, kTagDeploy);
-        const auto [vlo, vhi] =
-            ThreadPool::chunk_bounds(0, phantom_.minibatch_vertices, wi, w);
-        const auto [plo, phi] =
-            ThreadPool::chunk_bounds(0, phantom_.minibatch_pairs, wi, w);
-        n_local = vhi - vlo;
-        p_local = phi - plo;
-      }
-      ctx.book(comm::Phase::kDeployMinibatch,
-                      ctx.now() - before);
-    }
-
-    // ---- sample neighbor sets V_n -------------------------------------
-    // In link-aware mode the set additionally holds the vertex's links,
-    // which arrived with the deploy share.
-    const double phantom_set_size =
-        n_nbr + (options_.base.neighbor_mode == NeighborMode::kLinkAware
-                     ? phantom_.avg_degree
-                     : 0.0);
-    double total_samples = static_cast<double>(n_local) * phantom_set_size;
-    if (real()) {
-      ws.ensure_neighbor_sets(n_local, set_bound);
-      total_samples = 0.0;
-      std::size_t adj_offset = 0;
-      for (std::size_t vi = 0; vi < n_local; ++vi) {
-        const graph::Vertex a = share.vertices[vi];
-        rng::Xoshiro256 nbr_rng =
-            derive_rng(options_.base.seed, rng_label::kNeighbors, t, a);
-        graph::draw_neighbor_set_into(
-            nbr_rng, options_.base.neighbor_mode,
-            static_cast<graph::Vertex>(num_vertices_), a,
-            share.adj_of(vi, adj_offset), n_nbr, ws.neighbor_sets[vi],
-            ws.nbr_scratch);
-        adj_offset += share.degrees[vi];
-        total_samples +=
-            static_cast<double>(ws.neighbor_sets[vi].samples.size());
-      }
-    }
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kSampleNeighbors, t);
-      ctx.charge_kernel(comm::Phase::kSampleNeighbors, total_samples,
-                        ctx.compute().neighbor_unit_cycles);
-    }
-
-    // ---- update_phi: chunked loads double-buffered with compute --------
-    ws.staged.resize(n_local * width);
-    sim::PipelineCost pipe;
-    const std::uint64_t chunk = options_.chunk_vertices;
-    for (std::uint64_t lo = 0; lo < n_local; lo += chunk) {
-      const std::uint64_t hi = std::min<std::uint64_t>(lo + chunk, n_local);
-      double load_cost;
-      double chunk_samples;
-      double load_begin = 0.0;
-      double load_end = 0.0;
-      if (real()) {
-        ws.keys.clear();
-        chunk_samples = 0.0;
-        for (std::uint64_t vi = lo; vi < hi; ++vi) {
-          ws.keys.push_back(share.vertices[vi]);
-          for (const graph::NeighborSample& nb :
-               ws.neighbor_sets[vi].samples) {
-            ws.keys.push_back(nb.b);
-          }
-          chunk_samples +=
-              static_cast<double>(ws.neighbor_sets[vi].samples.size());
-        }
-        load_begin = ctx.now();
-        load_cost = load_stage_rows();
-        load_end = ctx.now();
-        // Compute phi* for the chunk from the freshly loaded rows. The
-        // vertex's own row decodes once into the staging slot; neighbor
-        // rows are read straight from the encoded buffer.
-        std::size_t ref_idx = 0;
-        for (std::uint64_t vi = lo; vi < hi; ++vi) {
-          const graph::Vertex a = share.vertices[vi];
-          const graph::NeighborSet& set = ws.neighbor_sets[vi];
-          std::span<const std::byte> row_a = row_of(ref_idx);
-          const std::size_t first_nbr_ref = ref_idx + 1;
-          ref_idx += 1 + set.samples.size();
-          std::span<float> out(ws.staged.data() + vi * width, width);
-          staged_phi_update_enc(
-              codec, options_.base.seed, t, a, row_a, set,
-              [&](std::size_t i) { return row_of(first_nbr_ref + i); },
-              terms, options_.base.step.eps(t),
-              hyper_.normalized_alpha(), out, ws.scratch,
-              options_.base.noise_factor, options_.base.gradient_form);
-        }
-      } else {
-        // Expected distinct-row count of uniformly random references,
-        // split into the expected local/remote mix.
-        chunk_samples =
-            static_cast<double>(hi - lo) * phantom_set_size;
-        load_cost = phantom_read_cost(
-            static_cast<double>(hi - lo) + chunk_samples);
-      }
-      // Sparse rows: each neighbor costs its O(nnz) support loop, and the
-      // per-vertex stage + epilogue + re-sparsify cost O(K) once.
-      const double phi_units =
-          sparse ? chunk_samples * store_->avg_row_nnz() +
-                       static_cast<double>(hi - lo) * k
-                 : chunk_samples * k;
-      double compute_cost = ctx.compute().kernel_time(
-          phi_units, ctx.compute().phi_unit_cycles);
-      if (!ctx.simulated()) {
-        // Wall backend: replace the modeled split with the measured one —
-        // DKV wait vs. phi kernel time of this chunk.
-        load_cost = load_end - load_begin;
-        compute_cost = ctx.now() - load_end;
-      }
-      pipe.add_chunk(load_cost, compute_cost);
-    }
-    // Stats record the sub-stage views of Table III; the clock advances
-    // by the (possibly overlapped) critical path. One kUpdatePhi span
-    // covers the overlapped load+compute pipeline — the kLoadPi
-    // sub-stage view lives only in PhaseStats, since the two interleave
-    // within the same virtual interval.
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kUpdatePhi, t);
-      ctx.book(comm::Phase::kLoadPi, pipe.load_total());
-      ctx.book(comm::Phase::kUpdatePhi, pipe.compute_total());
-      ctx.advance(pipe.total(options_.pipeline));
-    }
+    recv_share(r, t);
+    sample_neighbors(r, t);
+    update_phi(r, t);
 
     // phi must be fully read cluster-wide before anyone writes pi.
     {
@@ -708,23 +886,7 @@ void DistributedSampler::worker_loop(comm::Context& ctx,
       ctx.timed_barrier(kChannelWorkers, w);
     }
 
-    // ---- update_pi: normalize (folded in phi*) + DKV write-back --------
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kUpdatePi, t);
-      ctx.charge_kernel(comm::Phase::kUpdatePi,
-                        static_cast<double>(n_local) * k,
-                        ctx.compute().pi_unit_cycles);
-      double write_cost;
-      if (real()) {
-        // Minibatch vertices are already unique — no dedup needed.
-        ws.keys.assign(share.vertices.begin(), share.vertices.end());
-        write_cost = store_->put_rows(wi, ws.keys, ws.staged);
-      } else {
-        const std::uint64_t local = n_local / w;
-        write_cost = store_->write_cost(wi, local, n_local - local);
-      }
-      ctx.charge(comm::Phase::kUpdatePi, write_cost);
-    }
+    write_pi(r, t);
 
     // pi must be visible cluster-wide before update_beta reads it.
     {
@@ -732,109 +894,27 @@ void DistributedSampler::worker_loop(comm::Context& ctx,
       ctx.timed_barrier(kChannelWorkers, w);
     }
 
-    // ---- update_beta: ratio partials over this worker's pair slice -----
     {
       const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
-      std::vector<double>& ratios = ws.ratios;
-      ratios.assign(std::size_t{k} * 2, 0.0);
-      double load_cost;
-      if (real()) {
-        ws.keys.clear();
-        for (std::uint64_t i = 0; i < p_local; ++i) {
-          ws.keys.push_back(share.pair_a[i]);
-          ws.keys.push_back(share.pair_b[i]);
-        }
-        load_cost = load_stage_rows();
-        std::span<double> link(ratios.data(), k);
-        std::span<double> nonlink(ratios.data() + k, k);
-        if (sparse) {
-          // Support-driven scatters per pair; the dense
-          // eps_a*eps_b*bt_j/Z term folds once per stratum.
-          double eps_link = 0.0;
-          double eps_nonlink = 0.0;
-          for (std::uint64_t i = 0; i < p_local; ++i) {
-            const bool y = share.pair_y[i] != 0;
-            sparse_accumulate_theta_ratio_enc(
-                codec, row_of(2 * i), row_of(2 * i + 1), k, terms, y,
-                y ? link : nonlink, y ? eps_link : eps_nonlink);
-          }
-          sparse_theta_epilogue(eps_link, eps_nonlink, terms, link,
-                                nonlink);
-        } else {
-          for (std::uint64_t i = 0; i < p_local; ++i) {
-            fast_accumulate_theta_ratio_enc(
-                codec, row_of(2 * i), row_of(2 * i + 1), k, terms,
-                share.pair_y[i] != 0,
-                share.pair_y[i] != 0 ? link : nonlink, ws.scratch.w);
-          }
-        }
-      } else {
-        load_cost = phantom_read_cost(static_cast<double>(2 * p_local));
-      }
-      ctx.charge(comm::Phase::kUpdateBetaTheta, load_cost);
-      // Sparse pairs cost their two supports (capped at K: a fallback
-      // side degrades to the dense pass) plus the 2K epilogue fold.
-      const double beta_units =
-          sparse ? static_cast<double>(p_local) *
-                           std::min<double>(k, 2.0 * store_->avg_row_nnz()) +
-                       2.0 * k
-                 : static_cast<double>(p_local) * k;
-      ctx.charge_kernel(comm::Phase::kUpdateBetaTheta, beta_units,
-                        ctx.compute().beta_unit_cycles);
-
+      ratio_partials(r);
       const double before = ctx.now();
-      net.reduce_sum(ctx.rank(), 0, ratios, kChannelGlobal);
-      net.broadcast(ctx.rank(), 0, std::span<float>(beta_buf),
+      net.reduce_sum(ctx.rank(), 0, r.ws.ratios, kChannelGlobal);
+      net.broadcast(ctx.rank(), 0, std::span<float>(r.beta_buf),
                     kChannelGlobal);
-      ctx.book(comm::Phase::kUpdateBetaTheta,
-                      ctx.now() - before);
-      if (real()) terms.refresh(beta_buf, hyper_.delta);
+      ctx.book(comm::Phase::kUpdateBetaTheta, ctx.now() - before);
+      if (real()) r.terms.refresh(r.beta_buf, hyper_.delta);
     }
 
-    // ---- perplexity ----------------------------------------------------
     if (eval_due(t)) {
       const auto sp = ctx.trace_span(comm::Phase::kPerplexity, t);
-      std::vector<double>& acc = ws.eval_acc;
-      acc.assign(2, 0.0);
-      if (real() && evaluator) {
-        const auto slice = evaluator->slice();
-        ws.keys.clear();
-        for (const graph::HeldOutPair& p : slice) {
-          ws.keys.push_back(p.a);
-          ws.keys.push_back(p.b);
-        }
-        const double load_cost = load_stage_rows();
-        ctx.charge(comm::Phase::kPerplexity, load_cost);
-        for (std::size_t i = 0; i < slice.size(); ++i) {
-          evaluator->add_sample_prob(
-              i, fast_pair_likelihood_enc(codec, row_of(2 * i),
-                                          row_of(2 * i + 1), k, terms,
-                                          slice[i].link));
-        }
-        evaluator->finish_sample();
-        acc[0] = evaluator->sum_log_avg();
-        acc[1] = static_cast<double>(slice.size());
-      } else if (!real()) {
-        ctx.charge(
-            comm::Phase::kPerplexity,
-            phantom_read_cost(static_cast<double>(2 * phantom_slice)));
-      }
-      const double perp_pair_units =
-          sparse ? std::min<double>(k, 2.0 * store_->avg_row_nnz())
-                 : static_cast<double>(k);
-      ctx.charge_kernel(
-          comm::Phase::kPerplexity,
-          static_cast<double>(real() && evaluator ? evaluator->size()
-                                                  : phantom_slice) *
-              perp_pair_units,
-          ctx.compute().perplexity_unit_cycles);
-      net.reduce_sum(ctx.rank(), 0, acc, kChannelGlobal);
+      eval_partial(r, evaluator.get());
+      net.reduce_sum(ctx.rank(), 0, r.ws.eval_acc, kChannelGlobal);
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// Fault-tolerant twins (options_.fault_plan != nullptr)
+// Fault-tolerant protocol (options_.fault_plan != nullptr)
 //
 // The collectives of the legacy loops assume static membership, so FT
 // mode replaces them with master-coordinated point-to-point rounds: the
@@ -858,17 +938,14 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
                                         std::uint64_t iterations) {
   const std::uint32_t k = hyper_.num_communities;
   const unsigned w = num_workers_;
-  comm::Transport& net = ctx.transport();
+  MasterRank m(*this, ctx);
+  comm::Transport& net = m.net;
+  std::vector<float>& beta_buf = m.beta_buf;
   const double skew = ctx.network().collective_skew_s;
-
-  MasterWorkspace ws(k, w);
-  ws.reserve_real(*graph_, *minibatch_);
 
   std::vector<unsigned> live(w);
   for (unsigned wi = 0; wi < w; ++wi) live[wi] = wi + 1;
 
-  std::vector<float> beta_buf(global_.beta_all().begin(),
-                              global_.beta_all().end());
   auto send_beta = [&](unsigned rank) {
     net.send<float>(0, rank, kTagBeta, std::span<const float>(beta_buf));
   };
@@ -1004,47 +1081,14 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
     const bool ev = eval_due(t);
 
     // ---- deploy: ctrl (+ beta after rollback) + minibatch share --------
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kDrawMinibatch, t);
-      rng::Xoshiro256 mb_rng =
-          derive_rng(options_.base.seed, rng_label::kMinibatch, t);
-      minibatch_->draw_into(mb_rng, ws.mb, ws.mb_scratch);
-      ctx.charge(comm::Phase::kDrawMinibatch,
-                 draw_cost_per_vertex(ctx, options_) *
-                     static_cast<double>(ws.mb.vertices.size()));
-    }
-    const graph::Minibatch& mb = ws.mb;
-    const double scale = mb.scale;
+    const double scale = draw_minibatch(m, t);
     {
       const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
       for (unsigned li = 0; li < lw; ++li) {
         send_ctrl(live[li], {t, kFtDeploy, lw, li, ev ? 1u : 0u,
                              beta_follows ? 1u : 0u});
         if (beta_follows) send_beta(live[li]);
-        DeployShare& share = ws.shares[li];
-        share.clear();
-        share.iteration = t;
-        const auto [vlo, vhi] =
-            ThreadPool::chunk_bounds(0, mb.vertices.size(), li, lw);
-        for (std::uint64_t i = vlo; i < vhi; ++i) {
-          const graph::Vertex a = mb.vertices[i];
-          share.vertices.push_back(a);
-          const auto adj = graph_->neighbors(a);
-          share.degrees.push_back(static_cast<std::uint32_t>(adj.size()));
-          share.adjacency.insert(share.adjacency.end(), adj.begin(),
-                                 adj.end());
-        }
-        const auto [plo, phi] =
-            ThreadPool::chunk_bounds(0, mb.pairs.size(), li, lw);
-        for (std::uint64_t i = plo; i < phi; ++i) {
-          share.pair_a.push_back(mb.pairs[i].a);
-          share.pair_b.push_back(mb.pairs[i].b);
-          share.pair_y.push_back(mb.pairs[i].link ? 1 : 0);
-        }
-        std::vector<std::byte> payload = net.acquire_buffer();
-        ByteWriter writer(payload);
-        serialize_share(share, writer);
-        net.send_bytes(0, live[li], kTagDeploy, std::move(payload));
+        send_share(m, li, lw, live[li], t);
       }
       beta_follows = false;
     }
@@ -1083,7 +1127,7 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
     }
 
     // ---- gather ratio partials, step theta -----------------------------
-    std::vector<double>& ratios = ws.ratios;
+    std::vector<double>& ratios = m.ws.ratios;
     ratios.assign(std::size_t{k} * 2, 0.0);
     bool ratio_death;
     {
@@ -1107,20 +1151,7 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
     }
     {
       const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
-      std::vector<double>& grad = ws.grad;
-      grad.assign(std::size_t{k} * 2, 0.0);
-      theta_grad_from_ratios(std::span<const double>(ratios.data(), k),
-                             std::span<const double>(ratios.data() + k, k),
-                             global_.theta_flat(), grad);
-      for (double& g : grad) g *= scale;
-      update_theta(options_.base.seed, t, global_, grad,
-                   options_.base.step.eps(t), hyper_.eta0, hyper_.eta1,
-                   options_.base.noise_factor, options_.base.gradient_form);
-      std::copy(global_.beta_all().begin(), global_.beta_all().end(),
-                beta_buf.begin());
-      ctx.charge_serial(comm::Phase::kUpdateBetaTheta,
-                        static_cast<double>(k) * 2.0,
-                        ctx.compute().theta_unit_cycles);
+      step_theta(m, t, scale);
       for (unsigned rank : live) {
         send_ctrl(rank, {t, kFtBeta, lw, 0, 0, 0});
         send_beta(rank);
@@ -1130,7 +1161,7 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
 
     // ---- perplexity over the live ranks' held-out slices ---------------
     if (ev) {
-      std::vector<double>& acc = ws.eval_acc;
+      std::vector<double>& acc = m.ws.eval_acc;
       acc.assign(2, 0.0);
       bool eval_death;
       {
@@ -1174,57 +1205,16 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
 }
 
 void DistributedSampler::ft_worker_loop(comm::Context& ctx) {
-  const std::uint32_t k = hyper_.num_communities;
-  const std::uint32_t width = pi_row_width(k);
-  const unsigned w = num_workers_;
-  const unsigned wi = ctx.rank() - 1;  // DKV shard (static even in FT)
-  const std::uint32_t n_nbr = options_.base.num_neighbors;
-  const bool dedup = options_.dedup_reads;
-  const quant::RowCodec codec = store_->codec();
-  const bool sparse = quant::is_sparse(codec);
-  const std::size_t vbytes = store_->value_bytes();
-  comm::Transport& net = ctx.transport();
+  // Reserve for the full held-out set: a survivor's slice grows after a
+  // death (FT mode does not promise an allocation-free steady state).
+  WorkerRank r(*this, ctx, heldout_size_);
+  comm::Transport& net = r.net;
 
-  WorkerWorkspace ws(k);
-  const std::size_t set_bound = n_nbr + graph_->max_degree();
-  {
-    // Reserve for the static-membership slice; a survivor's slice grows
-    // after a death and the buffers simply grow with it (FT mode does not
-    // promise an allocation-free steady state).
-    const std::size_t share_vertices =
-        minibatch_->max_vertices_bound() / w + 1;
-    const std::size_t share_adjacency = std::min<std::size_t>(
-        share_vertices * graph_->max_degree(), 2 * graph_->num_edges());
-    const std::size_t share_pairs = minibatch_->max_pairs_bound() / w + 1;
-    const std::size_t stage_refs_bound = std::max<std::size_t>(
-        {std::size_t{options_.chunk_vertices} * (1 + set_bound),
-         2 * share_pairs, 2 * heldout_size_});
-    ws.reserve_real(share_vertices, share_adjacency, share_pairs, width,
-                    vbytes, set_bound, stage_refs_bound, n_nbr);
-  }
-
-  auto load_stage_rows = [&]() -> double {
-    if (dedup) {
-      ws.key_index.build(ws.keys);
-      const auto unique = ws.key_index.unique_keys();
-      ws.rows_enc.resize(unique.size() * vbytes);
-      return store_->get_rows_encoded(wi, unique, ws.rows_enc);
-    }
-    ws.rows_enc.resize(ws.keys.size() * vbytes);
-    return store_->get_rows_encoded(wi, ws.keys, ws.rows_enc);
-  };
-  auto row_of = [&](std::size_t ref) -> std::span<const std::byte> {
-    const std::size_t slot = dedup ? ws.key_index.remap()[ref] : ref;
-    return {ws.rows_enc.data() + slot * vbytes, vbytes};
-  };
-
-  std::vector<float> beta_buf(k, 0.0f);
-  LikelihoodTerms terms;
   auto recv_beta = [&]() {
     const std::vector<float> fresh = net.recv<float>(ctx.rank(), 0, kTagBeta);
-    SCD_ASSERT(fresh.size() == k, "malformed beta payload");
-    std::copy(fresh.begin(), fresh.end(), beta_buf.begin());
-    terms.refresh(beta_buf, hyper_.delta);
+    SCD_ASSERT(fresh.size() == r.beta_buf.size(), "malformed beta payload");
+    std::copy(fresh.begin(), fresh.end(), r.beta_buf.begin());
+    r.terms.refresh(r.beta_buf, hyper_.delta);
   };
   {
     const auto sp = ctx.trace_span(trace::Stage::kSetup);
@@ -1278,111 +1268,9 @@ void DistributedSampler::ft_worker_loop(comm::Context& ctx) {
       recv_beta();
     }
 
-    // ---- minibatch share ----------------------------------------------
-    DeployShare& share = ws.share;
-    std::uint64_t n_local;
-    std::uint64_t p_local;
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
-      const double before = ctx.now();
-      std::vector<std::byte> payload =
-          net.recv_bytes(ctx.rank(), 0, kTagDeploy);
-      deserialize_share_into(payload, share);
-      net.recycle_buffer(std::move(payload));
-      SCD_ASSERT(share.iteration == t, "deploy out of order");
-      n_local = share.vertices.size();
-      p_local = share.pair_a.size();
-      ctx.book(comm::Phase::kDeployMinibatch,
-                      ctx.now() - before);
-    }
-
-    // ---- sample neighbor sets V_n -------------------------------------
-    ws.ensure_neighbor_sets(n_local, set_bound);
-    double total_samples = 0.0;
-    {
-      std::size_t adj_offset = 0;
-      for (std::size_t vi = 0; vi < n_local; ++vi) {
-        const graph::Vertex a = share.vertices[vi];
-        rng::Xoshiro256 nbr_rng =
-            derive_rng(options_.base.seed, rng_label::kNeighbors, t, a);
-        graph::draw_neighbor_set_into(
-            nbr_rng, options_.base.neighbor_mode,
-            static_cast<graph::Vertex>(num_vertices_), a,
-            share.adj_of(vi, adj_offset), n_nbr, ws.neighbor_sets[vi],
-            ws.nbr_scratch);
-        adj_offset += share.degrees[vi];
-        total_samples +=
-            static_cast<double>(ws.neighbor_sets[vi].samples.size());
-      }
-    }
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kSampleNeighbors, t);
-      ctx.charge_kernel(comm::Phase::kSampleNeighbors, total_samples,
-                        ctx.compute().neighbor_unit_cycles);
-    }
-
-    // ---- update_phi ----------------------------------------------------
-    ws.staged.resize(n_local * width);
-    sim::PipelineCost pipe;
-    const std::uint64_t chunk = options_.chunk_vertices;
-    for (std::uint64_t lo = 0; lo < n_local; lo += chunk) {
-      const std::uint64_t hi = std::min<std::uint64_t>(lo + chunk, n_local);
-      ws.keys.clear();
-      double chunk_samples = 0.0;
-      for (std::uint64_t vi = lo; vi < hi; ++vi) {
-        ws.keys.push_back(share.vertices[vi]);
-        for (const graph::NeighborSample& nb :
-             ws.neighbor_sets[vi].samples) {
-          ws.keys.push_back(nb.b);
-        }
-        chunk_samples +=
-            static_cast<double>(ws.neighbor_sets[vi].samples.size());
-      }
-      const double load_begin = ctx.now();
-      double load_cost = load_stage_rows();
-      const double load_end = ctx.now();
-      std::size_t ref_idx = 0;
-      for (std::uint64_t vi = lo; vi < hi; ++vi) {
-        const graph::Vertex a = share.vertices[vi];
-        const graph::NeighborSet& set = ws.neighbor_sets[vi];
-        std::span<const std::byte> row_a = row_of(ref_idx);
-        const std::size_t first_nbr_ref = ref_idx + 1;
-        ref_idx += 1 + set.samples.size();
-        std::span<float> out(ws.staged.data() + vi * width, width);
-        staged_phi_update_enc(
-            codec, options_.base.seed, t, a, row_a, set,
-            [&](std::size_t i) { return row_of(first_nbr_ref + i); },
-            terms, options_.base.step.eps(t), hyper_.normalized_alpha(),
-            out, ws.scratch, options_.base.noise_factor,
-            options_.base.gradient_form);
-      }
-      // Sparse rows: each neighbor costs its O(nnz) support loop, and the
-      // per-vertex stage + epilogue + re-sparsify cost O(K) once.
-      const double phi_units =
-          sparse ? chunk_samples * store_->avg_row_nnz() +
-                       static_cast<double>(hi - lo) * k
-                 : chunk_samples * k;
-      double compute_cost = ctx.compute().kernel_time(
-          phi_units, ctx.compute().phi_unit_cycles);
-      if (!ctx.simulated()) {
-        // Wall backend: replace the modeled split with the measured one —
-        // DKV wait vs. phi kernel time of this chunk.
-        load_cost = load_end - load_begin;
-        compute_cost = ctx.now() - load_end;
-      }
-      pipe.add_chunk(load_cost, compute_cost);
-    }
-    // The pipeline total bypasses charge(), so the straggler slowdown is
-    // applied here explicitly.
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kUpdatePhi, t);
-      const double factor =
-          injector_->compute_factor(ctx.rank(), ctx.now());
-      ctx.book(comm::Phase::kLoadPi, pipe.load_total() * factor);
-      ctx.book(comm::Phase::kUpdatePhi,
-                      pipe.compute_total() * factor);
-      ctx.advance(pipe.total(options_.pipeline) * factor);
-    }
+    recv_share(r, t);
+    sample_neighbors(r, t);
+    update_phi(r, t);
 
     if (fail_stop(t, fault::CrashPoint::kAfterPhi)) return;
     send_beat(t);
@@ -1393,16 +1281,7 @@ void DistributedSampler::ft_worker_loop(comm::Context& ctx) {
                  "unexpected ctrl op at pi point");
     }
 
-    // ---- update_pi -----------------------------------------------------
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kUpdatePi, t);
-      ctx.charge_kernel(comm::Phase::kUpdatePi,
-                        static_cast<double>(n_local) * k,
-                        ctx.compute().pi_unit_cycles);
-      ws.keys.assign(share.vertices.begin(), share.vertices.end());
-      ctx.charge(comm::Phase::kUpdatePi,
-                 store_->put_rows(wi, ws.keys, ws.staged));
-    }
+    write_pi(r, t);
 
     if (fail_stop(t, fault::CrashPoint::kAfterPi)) return;
     send_beat(t);
@@ -1413,53 +1292,15 @@ void DistributedSampler::ft_worker_loop(comm::Context& ctx) {
                  "unexpected ctrl op at beta point");
     }
 
-    // ---- update_beta: ratio partials -----------------------------------
-    std::vector<double>& ratios = ws.ratios;
-    ratios.assign(std::size_t{k} * 2, 0.0);
     {
       const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
-      ws.keys.clear();
-      for (std::uint64_t i = 0; i < p_local; ++i) {
-        ws.keys.push_back(share.pair_a[i]);
-        ws.keys.push_back(share.pair_b[i]);
-      }
-      const double load_cost = load_stage_rows();
-      std::span<double> link(ratios.data(), k);
-      std::span<double> nonlink(ratios.data() + k, k);
-      if (sparse) {
-        double eps_link = 0.0;
-        double eps_nonlink = 0.0;
-        for (std::uint64_t i = 0; i < p_local; ++i) {
-          const bool y = share.pair_y[i] != 0;
-          sparse_accumulate_theta_ratio_enc(
-              codec, row_of(2 * i), row_of(2 * i + 1), k, terms, y,
-              y ? link : nonlink, y ? eps_link : eps_nonlink);
-        }
-        sparse_theta_epilogue(eps_link, eps_nonlink, terms, link, nonlink);
-      } else {
-        for (std::uint64_t i = 0; i < p_local; ++i) {
-          fast_accumulate_theta_ratio_enc(
-              codec, row_of(2 * i), row_of(2 * i + 1), k, terms,
-              share.pair_y[i] != 0,
-              share.pair_y[i] != 0 ? link : nonlink, ws.scratch.w);
-        }
-      }
-      ctx.charge(comm::Phase::kUpdateBetaTheta, load_cost);
-      // Sparse pairs cost their two supports (capped at K: a fallback
-      // side degrades to the dense pass) plus the 2K epilogue fold.
-      const double beta_units =
-          sparse ? static_cast<double>(p_local) *
-                           std::min<double>(k, 2.0 * store_->avg_row_nnz()) +
-                       2.0 * k
-                 : static_cast<double>(p_local) * k;
-      ctx.charge_kernel(comm::Phase::kUpdateBetaTheta, beta_units,
-                        ctx.compute().beta_unit_cycles);
+      ratio_partials(r);
     }
     if (fail_stop(t, fault::CrashPoint::kBeforeRatios)) return;
     {
       const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
       net.send<double>(ctx.rank(), 0, kTagRatios,
-                       std::span<const double>(ratios));
+                       std::span<const double>(r.ws.ratios));
     }
     {
       const FtCtrl go = recv_ctrl(comm::Phase::kUpdateBetaTheta);
@@ -1470,8 +1311,7 @@ void DistributedSampler::ft_worker_loop(comm::Context& ctx) {
       recv_beta();
     }
 
-    // ---- perplexity ----------------------------------------------------
-    if (c.eval != 0 && heldout_ != nullptr && heldout_size_ > 0) {
+    if (c.eval != 0) {  // eval_due(t) on the master
       const auto sp = ctx.trace_span(comm::Phase::kPerplexity, t);
       if (evaluator == nullptr || eval_live != lw || eval_member != li) {
         const auto [lo, hi] =
@@ -1482,37 +1322,14 @@ void DistributedSampler::ft_worker_loop(comm::Context& ctx) {
         eval_live = lw;
         eval_member = li;
       }
-      std::vector<double>& acc = ws.eval_acc;
-      acc.assign(2, 0.0);
-      const auto slice = evaluator->slice();
-      ws.keys.clear();
-      for (const graph::HeldOutPair& p : slice) {
-        ws.keys.push_back(p.a);
-        ws.keys.push_back(p.b);
-      }
-      ctx.charge(comm::Phase::kPerplexity, load_stage_rows());
-      for (std::size_t i = 0; i < slice.size(); ++i) {
-        evaluator->add_sample_prob(
-            i, fast_pair_likelihood_enc(codec, row_of(2 * i),
-                                        row_of(2 * i + 1), k, terms,
-                                        slice[i].link));
-      }
-      evaluator->finish_sample();
-      acc[0] = evaluator->sum_log_avg();
-      acc[1] = static_cast<double>(slice.size());
-      const double perp_pair_units =
-          sparse ? std::min<double>(k, 2.0 * store_->avg_row_nnz())
-                 : static_cast<double>(k);
-      ctx.charge_kernel(comm::Phase::kPerplexity,
-                        static_cast<double>(evaluator->size()) *
-                            perp_pair_units,
-                        ctx.compute().perplexity_unit_cycles);
+      eval_partial(r, evaluator.get());
       if (fail_stop(t, fault::CrashPoint::kBeforeEval)) return;
       net.send<double>(ctx.rank(), 0, kTagEval,
-                       std::span<const double>(acc));
+                       std::span<const double>(r.ws.eval_acc));
     }
   }
 }
+
 
 PiMatrix DistributedSampler::snapshot_pi() const {
   SCD_REQUIRE(real(), "no pi state in cost-only mode");

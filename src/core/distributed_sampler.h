@@ -191,14 +191,40 @@ class DistributedSampler {
   unsigned num_workers() const { return num_workers_; }
 
  private:
-  void master_loop(comm::Context& ctx, std::uint64_t iterations);
-  void worker_loop(comm::Context& ctx, std::uint64_t iterations);
-  /// Fault-tolerant twins, active when options_.fault_plan is set:
-  /// collectives are replaced by master-coordinated heartbeat rounds so
+  /// Per-rank state the stages of one run share (defined in the .cpp).
+  struct MasterRank;
+  struct WorkerRank;
+
+  /// The two protocols. Both drive the same stage helpers below and hold
+  /// only their synchronization: the legacy loops use barriers and
+  /// collectives (and alone run cost-only mode and pipelined deploys);
+  /// the fault-tolerant loops, active when options_.fault_plan is set,
+  /// replace the collectives with master-coordinated heartbeat rounds so
   /// membership can shrink mid-run. See "Fault model & recovery" in
   /// DESIGN.md.
+  void master_loop(comm::Context& ctx, std::uint64_t iterations);
+  void worker_loop(comm::Context& ctx, std::uint64_t iterations);
   void ft_master_loop(comm::Context& ctx, std::uint64_t iterations);
   void ft_worker_loop(comm::Context& ctx);
+
+  /// Master stages: draw E_n (returns its h(E_n) scale), build and send
+  /// one worker's share (slice `slot` of `parts`), step theta from the
+  /// reduced ratios into the beta to ship.
+  double draw_minibatch(MasterRank& m, std::uint64_t t);
+  void send_share(MasterRank& m, unsigned slot, unsigned parts,
+                  unsigned rank, std::uint64_t t);
+  void step_theta(MasterRank& m, std::uint64_t t, double scale);
+  /// Worker stages, in iteration order. `evaluator` is null in cost-only
+  /// mode.
+  void recv_share(WorkerRank& r, std::uint64_t t);
+  void sample_neighbors(WorkerRank& r, std::uint64_t t);
+  void update_phi(WorkerRank& r, std::uint64_t t);
+  void write_pi(WorkerRank& r, std::uint64_t t);
+  void ratio_partials(WorkerRank& r);
+  void eval_partial(WorkerRank& r, PerplexityEvaluator* evaluator);
+  /// Cost-only: modeled cost of a read stage of `refs` uniform references.
+  double phantom_read_cost(WorkerRank& r, double refs);
+
   bool real() const { return graph_ != nullptr; }
   bool eval_due(std::uint64_t t) const {
     const std::uint64_t every = options_.base.eval_interval;

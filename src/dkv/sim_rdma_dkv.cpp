@@ -9,7 +9,7 @@
 namespace scd::dkv {
 
 SimRdmaDkv::SimRdmaDkv(std::uint64_t num_rows, std::uint32_t row_width,
-                       unsigned num_shards, const sim::NetworkModel& net,
+                       unsigned num_shards, const comm::NetworkModel& net,
                        const sim::ComputeModel& node, bool phantom,
                        quant::RowCodec codec, float sparse_eps,
                        std::uint32_t sparse_modeled_nnz)
@@ -160,8 +160,8 @@ SimRdmaDkv::KeyTally SimRdmaDkv::tally_keys(
   return t;
 }
 
-void SimRdmaDkv::install_fault(const sim::FaultHooks* hooks,
-                               const std::vector<sim::SimClock>* clocks,
+void SimRdmaDkv::install_fault(const comm::FaultHooks* hooks,
+                               const std::vector<comm::VirtualClock>* clocks,
                                unsigned rank_offset) {
   SCD_REQUIRE(hooks == nullptr || clocks != nullptr,
               "fault hooks need the rank clocks");

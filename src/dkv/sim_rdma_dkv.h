@@ -51,13 +51,13 @@
 #include <atomic>
 #include <vector>
 
+#include "comm/clock.h"
+#include "comm/fault_hooks.h"
+#include "comm/network_model.h"
 #include "dkv/dkv.h"
 #include "dkv/partition.h"
 #include "dkv/sharded_dkv.h"
-#include "sim/clock.h"
 #include "sim/compute_model.h"
-#include "sim/fault_hooks.h"
-#include "sim/network_model.h"
 #include "trace/recorder.h"
 
 namespace scd::dkv {
@@ -65,7 +65,7 @@ namespace scd::dkv {
 class SimRdmaDkv final : public ShardedDkv {
  public:
   SimRdmaDkv(std::uint64_t num_rows, std::uint32_t row_width,
-             unsigned num_shards, const sim::NetworkModel& net,
+             unsigned num_shards, const comm::NetworkModel& net,
              const sim::ComputeModel& node, bool phantom = false,
              quant::RowCodec codec = quant::RowCodec::kFloat32,
              float sparse_eps = quant::kDefaultSparseEps,
@@ -208,7 +208,7 @@ class SimRdmaDkv final : public ShardedDkv {
 
   RowPartition partition_;
   std::uint32_t row_width_;
-  sim::NetworkModel net_;
+  comm::NetworkModel net_;
   sim::ComputeModel node_;
   bool phantom_;
   quant::RowCodec codec_;
@@ -225,8 +225,8 @@ class SimRdmaDkv final : public ShardedDkv {
   std::atomic<std::uint64_t> total_row_nnz_{0};
   std::vector<std::byte> data_;
   std::vector<unsigned> remap_;  // shard -> effective shard; empty = identity
-  const sim::FaultHooks* fault_ = nullptr;
-  const std::vector<sim::SimClock>* clocks_ = nullptr;
+  const comm::FaultHooks* fault_ = nullptr;
+  const std::vector<comm::VirtualClock>* clocks_ = nullptr;
   unsigned rank_offset_ = 1;
   trace::TraceRecorder* trace_ = nullptr;
   unsigned trace_rank_offset_ = 1;

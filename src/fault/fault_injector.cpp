@@ -41,9 +41,9 @@ FaultInjector::FaultInjector(const FaultPlan& plan, unsigned num_ranks)
   link_seq_.assign(std::size_t{num_ranks} * num_ranks, 0);
 }
 
-sim::SendFaults FaultInjector::on_send(unsigned from, unsigned to,
+comm::SendFaults FaultInjector::on_send(unsigned from, unsigned to,
                                        double now) {
-  sim::SendFaults out;
+  comm::SendFaults out;
   SCD_ASSERT(from < num_ranks_ && to < num_ranks_, "rank out of range");
   const std::uint64_t link = std::uint64_t{from} * num_ranks_ + to;
   const std::uint64_t seq = link_seq_[link]++;

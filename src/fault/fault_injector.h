@@ -1,4 +1,4 @@
-// Runtime replay of a FaultPlan: the concrete sim::FaultHooks.
+// Runtime replay of a FaultPlan: the concrete comm::FaultHooks.
 //
 // All probabilistic decisions (drop/duplicate draws) hash the plan seed
 // with the link identity and a per-link message sequence number, so they
@@ -12,17 +12,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "comm/fault_hooks.h"
 #include "fault/fault_plan.h"
-#include "sim/fault_hooks.h"
 
 namespace scd::fault {
 
-class FaultInjector final : public sim::FaultHooks {
+class FaultInjector final : public comm::FaultHooks {
  public:
   /// Validates the plan against the cluster size (throws on violation).
   FaultInjector(const FaultPlan& plan, unsigned num_ranks);
 
-  sim::SendFaults on_send(unsigned from, unsigned to, double now) override;
+  comm::SendFaults on_send(unsigned from, unsigned to, double now) override;
   double compute_factor(unsigned rank, double now) const override;
   double shard_stall_s(unsigned shard, double now) const override;
   double retry_backoff_s() const override { return plan_.retry_backoff_s; }

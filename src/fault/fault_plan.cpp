@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.h"
@@ -139,11 +140,17 @@ void parse_array(JsonCursor& cur, ItemFn&& item) {
   }
 }
 
-unsigned as_index(JsonCursor& cur, const char* what, double value) {
-  if (value < 0.0 || value != std::floor(value)) {
-    cur.fail(std::string(what) + " must be a non-negative integer");
+/// `value` as a T, or a parse error unless it is a non-negative integer
+/// that T holds exactly (no wrap, truncation or out-of-range cast).
+template <typename T = unsigned>
+T as_index(JsonCursor& cur, const char* what, double value) {
+  // 2^digits is exact in a double and is the first value T cannot hold.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(value >= 0.0 && value < limit) || value != std::floor(value)) {
+    cur.fail(std::string(what) +
+             " must be a non-negative integer its field can hold");
   }
-  return static_cast<unsigned>(value);
+  return static_cast<T>(value);
 }
 
 }  // namespace
@@ -181,7 +188,7 @@ void FaultPlan::validate(unsigned num_ranks) const {
     SCD_REQUIRE(s.start_s < s.end_s, "straggler window is empty");
   }
   for (const ShardStall& s : dkv_stalls) {
-    SCD_REQUIRE(s.shard + 1 < num_ranks, "stalled shard out of range");
+    SCD_REQUIRE(s.shard < num_ranks - 1, "stalled shard out of range");
     SCD_REQUIRE(s.stall_s >= 0.0, "shard stall must be >= 0");
     SCD_REQUIRE(s.start_s < s.end_s, "shard stall window is empty");
   }
@@ -196,7 +203,7 @@ FaultPlan FaultPlan::from_json(std::string_view text) {
       const std::string key = cur.parse_string();
       cur.expect(':');
       if (key == "seed") {
-        plan.seed = static_cast<std::uint64_t>(cur.parse_number());
+        plan.seed = as_index<std::uint64_t>(cur, "seed", cur.parse_number());
       } else if (key == "heartbeat_timeout_s") {
         plan.heartbeat_timeout_s = cur.parse_number();
       } else if (key == "retry_backoff_s") {
@@ -208,7 +215,8 @@ FaultPlan FaultPlan::from_json(std::string_view text) {
             if (f == "rank") e.rank = as_index(c, "rank", v);
             else if (f == "time_s") e.time_s = v;
             else if (f == "at_iteration")
-              e.at_iteration = as_index(c, "at_iteration", v);
+              e.at_iteration =
+                  as_index<std::uint64_t>(c, "at_iteration", v);
             else if (f == "at_point")
               e.at_point = static_cast<CrashPoint>(as_index(c, "at_point", v));
             else return false;

@@ -34,6 +34,7 @@ enum class CrashPoint : unsigned {
   kAfterPi = 1,      // pi written back, before the heartbeat
   kBeforeRatios = 2, // theta grads computed, before sending ratios
   kBeforeEval = 3,   // perplexity partials computed, before sending them
+                     // (eval iterations only; run() refuses other anchors)
 };
 inline constexpr unsigned kNumCrashPoints = 4;
 

@@ -15,25 +15,27 @@ RankContext::RankContext(unsigned rank, SimCluster& cluster)
 
 unsigned RankContext::num_ranks() const { return cluster_.num_ranks(); }
 SimTransport& RankContext::transport() { return cluster_.transport(); }
-SimClock& RankContext::clock() { return cluster_.clock(rank_); }
-const NetworkModel& RankContext::network() const {
+comm::VirtualClock& RankContext::clock() { return cluster_.clock(rank_); }
+const comm::NetworkModel& RankContext::network() const {
   return cluster_.network();
 }
 const ComputeModel& RankContext::compute() const {
   return cluster_.compute_model();
 }
-PhaseStats& RankContext::stats() { return cluster_.stats(rank_); }
+comm::PhaseStats& RankContext::stats() { return cluster_.stats(rank_); }
 
 double RankContext::now() const { return cluster_.clock(rank_).now(); }
 void RankContext::advance(double seconds) { clock().advance(seconds); }
 void RankContext::advance_to(double t) { clock().advance_to(t); }
 
-void RankContext::book(Phase p, double seconds) { stats().add(p, seconds); }
+void RankContext::book(comm::Phase p, double seconds) {
+  stats().add(p, seconds);
+}
 
-void RankContext::charge(Phase p, double seconds) {
+void RankContext::charge(comm::Phase p, double seconds) {
   // Straggler windows from an installed fault plan dilate this rank's
   // compute; the factor is 1 (and the branch never taken) otherwise.
-  if (const FaultHooks* hooks = cluster_.fault_hooks()) {
+  if (const comm::FaultHooks* hooks = cluster_.fault_hooks()) {
     seconds *= hooks->compute_factor(rank_, clock().now());
   }
   clock().advance(seconds);
@@ -43,7 +45,7 @@ void RankContext::charge(Phase p, double seconds) {
 void RankContext::timed_barrier(unsigned channel, unsigned participants) {
   const double before = clock().now();
   transport().barrier(rank_, channel, participants);
-  stats().add(Phase::kBarrierWait, clock().now() - before);
+  stats().add(comm::Phase::kBarrierWait, clock().now() - before);
 }
 
 SimCluster::SimCluster(const Config& config) : config_(config) {
@@ -102,19 +104,19 @@ std::unique_ptr<dkv::ShardedDkv> SimCluster::make_store(
 
 double SimCluster::max_clock() const {
   double best = 0.0;
-  for (const SimClock& c : clocks_) best = std::max(best, c.now());
+  for (const comm::VirtualClock& c : clocks_) best = std::max(best, c.now());
   return best;
 }
 
-PhaseStats SimCluster::max_stats() const {
-  PhaseStats out;
-  for (const PhaseStats& s : stats_) out.max_with(s);
+comm::PhaseStats SimCluster::max_stats() const {
+  comm::PhaseStats out;
+  for (const comm::PhaseStats& s : stats_) out.max_with(s);
   return out;
 }
 
 void SimCluster::reset() {
-  for (SimClock& c : clocks_) c.reset();
-  for (PhaseStats& s : stats_) s.clear();
+  for (comm::VirtualClock& c : clocks_) c.reset();
+  for (comm::PhaseStats& s : stats_) s.clear();
   // Transport NIC state is timing-only; rebuild for a clean slate.
   transport_ = std::make_unique<SimTransport>(config_.num_ranks,
                                               config_.network, clocks_);
@@ -122,7 +124,7 @@ void SimCluster::reset() {
   transport_->install_trace(trace_);
 }
 
-void SimCluster::install_fault_hooks(FaultHooks* hooks) {
+void SimCluster::install_fault_hooks(comm::FaultHooks* hooks) {
   fault_ = hooks;
   transport_->install_fault_hooks(hooks);
 }

@@ -11,14 +11,14 @@
 #include <functional>
 #include <vector>
 
+#include "comm/clock.h"
 #include "comm/cluster.h"
 #include "comm/context.h"
-#include "sim/clock.h"
+#include "comm/fault_hooks.h"
+#include "comm/network_model.h"
+#include "comm/phase_stats.h"
+#include "comm/trace_span.h"
 #include "sim/compute_model.h"
-#include "sim/fault_hooks.h"
-#include "sim/network_model.h"
-#include "sim/phase_stats.h"
-#include "sim/trace_span.h"
 #include "sim/transport.h"
 
 namespace scd::sim {
@@ -35,10 +35,10 @@ class RankContext final : public comm::Context {
   bool simulated() const override { return true; }
 
   SimTransport& transport() override;
-  SimClock& clock();
-  const NetworkModel& network() const override;
+  comm::VirtualClock& clock();
+  const comm::NetworkModel& network() const override;
   const ComputeModel& compute() const override;
-  PhaseStats& stats() override;
+  comm::PhaseStats& stats() override;
 
   double now() const override;
   void advance(double seconds) override;
@@ -46,10 +46,10 @@ class RankContext final : public comm::Context {
 
   /// Book already-elapsed virtual time without advancing the clock (the
   /// clock moved through the transport or an explicit advance).
-  void book(Phase p, double seconds) override;
+  void book(comm::Phase p, double seconds) override;
 
   /// Advance this rank's clock by `seconds` and book it to phase `p`.
-  void charge(Phase p, double seconds) override;
+  void charge(comm::Phase p, double seconds) override;
 
   /// Enter a barrier, separately booking productive arrival vs idle wait.
   void timed_barrier(unsigned channel = 0, unsigned participants = 0) override;
@@ -59,7 +59,8 @@ class RankContext final : public comm::Context {
 
   /// Open an RAII span on this rank's lane; a no-op scope when tracing
   /// is off. Defined after SimCluster below.
-  TraceSpan trace_span(trace::Stage s, std::uint64_t iteration = 0) override;
+  comm::TraceSpan trace_span(trace::Stage s,
+                             std::uint64_t iteration = 0) override;
   using comm::Context::trace_span;  // the Phase overload
 
  private:
@@ -71,7 +72,7 @@ class SimCluster final : public comm::Cluster {
  public:
   struct Config {
     unsigned num_ranks = 1;
-    NetworkModel network{};
+    comm::NetworkModel network{};
     ComputeModel compute{};
   };
 
@@ -89,24 +90,24 @@ class SimCluster final : public comm::Cluster {
   /// Largest clock across ranks — the wall-clock of the simulated run.
   double max_clock() const override;
 
-  const PhaseStats& stats(unsigned rank) const override {
+  const comm::PhaseStats& stats(unsigned rank) const override {
     return stats_[rank];
   }
-  PhaseStats& stats(unsigned rank) { return stats_[rank]; }
+  comm::PhaseStats& stats(unsigned rank) { return stats_[rank]; }
 
   /// Critical-path view: per-phase max over ranks.
-  PhaseStats max_stats() const override;
+  comm::PhaseStats max_stats() const override;
 
   /// Reset clocks and stats for a fresh measurement on the same cluster.
   void reset();
 
   SimTransport& transport() override { return *transport_; }
-  SimClock& clock(unsigned rank) { return clocks_[rank]; }
-  const std::vector<SimClock>& clocks() const { return clocks_; }
-  const std::vector<SimClock>* rank_clocks() const override {
+  comm::VirtualClock& clock(unsigned rank) { return clocks_[rank]; }
+  const std::vector<comm::VirtualClock>& clocks() const { return clocks_; }
+  const std::vector<comm::VirtualClock>* rank_clocks() const override {
     return &clocks_;
   }
-  const NetworkModel& network() const override { return config_.network; }
+  const comm::NetworkModel& network() const override { return config_.network; }
   const ComputeModel& compute_model() const override {
     return config_.compute;
   }
@@ -118,8 +119,8 @@ class SimCluster final : public comm::Cluster {
   /// Install (or clear, with nullptr) fault-injection hooks on the
   /// cluster and its transport. Survives reset(). The hooks must outlive
   /// the installation; pass nullptr before destroying them.
-  void install_fault_hooks(FaultHooks* hooks) override;
-  FaultHooks* fault_hooks() const { return fault_; }
+  void install_fault_hooks(comm::FaultHooks* hooks) override;
+  comm::FaultHooks* fault_hooks() const { return fault_; }
 
   /// Install (or clear, with nullptr) a trace recorder on the cluster
   /// and its transport. Survives reset(). The recorder must outlive the
@@ -129,10 +130,10 @@ class SimCluster final : public comm::Cluster {
 
  private:
   Config config_;
-  std::vector<SimClock> clocks_;
-  std::vector<PhaseStats> stats_;
+  std::vector<comm::VirtualClock> clocks_;
+  std::vector<comm::PhaseStats> stats_;
   std::unique_ptr<SimTransport> transport_;
-  FaultHooks* fault_ = nullptr;
+  comm::FaultHooks* fault_ = nullptr;
   trace::TraceRecorder* trace_ = nullptr;
 };
 
@@ -140,9 +141,9 @@ inline trace::TraceRecorder* RankContext::trace() const {
   return cluster_.trace_recorder();
 }
 
-inline TraceSpan RankContext::trace_span(trace::Stage s,
+inline comm::TraceSpan RankContext::trace_span(trace::Stage s,
                                          std::uint64_t iteration) {
-  return TraceSpan(cluster_.trace_recorder(), rank_, s,
+  return comm::TraceSpan(cluster_.trace_recorder(), rank_, s,
                    cluster_.clock(rank_), iteration);
 }
 

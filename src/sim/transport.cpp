@@ -4,8 +4,8 @@
 
 namespace scd::sim {
 
-SimTransport::SimTransport(unsigned num_ranks, const NetworkModel& net,
-                           std::vector<SimClock>& clocks)
+SimTransport::SimTransport(unsigned num_ranks, const comm::NetworkModel& net,
+                           std::vector<comm::VirtualClock>& clocks)
     : num_ranks_(num_ranks), net_(net), clocks_(clocks) {
   SCD_REQUIRE(num_ranks >= 1, "transport needs at least one rank");
   SCD_REQUIRE(clocks.size() >= num_ranks, "one clock per rank required");
@@ -78,7 +78,7 @@ void SimTransport::send_raw(unsigned from, unsigned to, int tag,
     clocks_[from].advance(net_.dkv_request_overhead_s);
     double extra_delay_s = 0.0;
     if (fault_ != nullptr) {
-      const SendFaults faults =
+      const comm::SendFaults faults =
           fault_->on_send(from, to, clocks_[from].now());
       // Each lost transmission occupies the NIC for the full payload,
       // then the sender waits out an exponential-backoff timeout and

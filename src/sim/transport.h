@@ -5,7 +5,7 @@
 // messages and the collectives the algorithm needs (barrier, reduce-sum,
 // broadcast) with two effects per operation: real data movement between
 // rank address spaces, and virtual-clock synchronization per the
-// NetworkModel.
+// comm::NetworkModel.
 //
 // Timing semantics:
 //  * send: the sender's NIC serializes its outgoing transfers (a scatter
@@ -42,10 +42,10 @@
 #include <span>
 #include <vector>
 
+#include "comm/clock.h"
+#include "comm/fault_hooks.h"
+#include "comm/network_model.h"
 #include "comm/transport.h"
-#include "sim/clock.h"
-#include "sim/fault_hooks.h"
-#include "sim/network_model.h"
 #include "trace/recorder.h"
 #include "util/error.h"
 
@@ -57,11 +57,11 @@ using TransportError = comm::TransportError;
 class SimTransport final : public comm::Transport {
  public:
   /// `clocks` must outlive the transport and have one entry per rank.
-  SimTransport(unsigned num_ranks, const NetworkModel& net,
-               std::vector<SimClock>& clocks);
+  SimTransport(unsigned num_ranks, const comm::NetworkModel& net,
+               std::vector<comm::VirtualClock>& clocks);
 
   unsigned num_ranks() const override { return num_ranks_; }
-  const NetworkModel& network() const { return net_; }
+  const comm::NetworkModel& network() const { return net_; }
 
   /// Point-to-point primitives (typed/zero-copy/phantom conveniences are
   /// inherited from comm::Transport and layer on these).
@@ -123,7 +123,7 @@ class SimTransport final : public comm::Transport {
   using comm::Transport::broadcast;  // the typed span<T> overload
 
   double clock_now(unsigned rank) const { return clocks_[rank].now(); }
-  SimClock& clock(unsigned rank) { return clocks_[rank]; }
+  comm::VirtualClock& clock(unsigned rank) { return clocks_[rank]; }
 
   /// Wake every blocked rank with an error — called when any rank's code
   /// throws, so a failure surfaces instead of deadlocking the cluster.
@@ -133,7 +133,7 @@ class SimTransport final : public comm::Transport {
   /// hooks the messaging path is the unmodified happy path behind a
   /// single null check. on_send is invoked under the transport lock, in
   /// the sender's program order.
-  void install_fault_hooks(FaultHooks* hooks) { fault_ = hooks; }
+  void install_fault_hooks(comm::FaultHooks* hooks) { fault_ = hooks; }
 
   /// Install (or clear, with nullptr) a trace recorder. Sends count
   /// bytes/messages on the sender's lane; receives record the message
@@ -238,8 +238,8 @@ class SimTransport final : public comm::Transport {
                       std::span<std::byte> bcast_inout);
 
   unsigned num_ranks_;
-  NetworkModel net_;
-  std::vector<SimClock>& clocks_;
+  comm::NetworkModel net_;
+  std::vector<comm::VirtualClock>& clocks_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -249,7 +249,7 @@ class SimTransport final : public comm::Transport {
   std::vector<std::shared_ptr<CollSlot>> free_slots_;
   std::vector<std::vector<std::byte>> buffer_pool_;
   std::vector<std::uint8_t> dead_;  // per-rank fail-stop flags
-  FaultHooks* fault_ = nullptr;
+  comm::FaultHooks* fault_ = nullptr;
   trace::TraceRecorder* trace_ = nullptr;
   bool aborted_ = false;
 };

@@ -143,7 +143,7 @@ class TraceRecorder {
   MetricsRegistry::HistogramId message_bytes_hist_;
 };
 
-/// RAII span scope. ClockT needs `double now() const` — sim::SimClock
+/// RAII span scope. ClockT needs `double now() const` — comm::VirtualClock
 /// fits; the template keeps trace/ independent of sim/. Null recorder:
 /// both constructor and destructor reduce to a branch.
 template <typename ClockT>

@@ -1,8 +1,8 @@
 // Stage taxonomy for trace spans.
 //
-// The first entries mirror sim::Phase one-to-one (same order, same
+// The first entries mirror comm::Phase one-to-one (same order, same
 // indices) so instrumentation can book a span to the same stage it
-// charges to PhaseStats; sim/trace_span.h static-asserts the alignment.
+// charges to PhaseStats; comm/trace_span.h static-asserts the alignment.
 // The extra entries cover activity that PhaseStats has no bucket for:
 // setup, fault recovery, and the attribution buckets the critical-path
 // analyzer uses for cross-rank edges (network, collective) and
@@ -14,7 +14,7 @@
 namespace scd::trace {
 
 enum class Stage : std::size_t {
-  // -- mirrors sim::Phase ------------------------------------------------
+  // -- mirrors comm::Phase ------------------------------------------------
   kDrawMinibatch = 0,  // master: sampling E_n and gathering adjacency
   kDeployMinibatch,    // scatter transfer + worker wait for its share
   kSampleNeighbors,    // worker: drawing V_n per minibatch vertex

@@ -81,8 +81,8 @@ ProbeResult run_probe(const TuneWorkload& workload,
   // two overlap under double buffering, so no span can separate them);
   // PhaseStats still books the un-overlapped load and compute totals, so
   // their ratio splits the on-path share.
-  const double load = run.critical_path.get(sim::Phase::kLoadPi);
-  const double comp = run.critical_path.get(sim::Phase::kUpdatePhi);
+  const double load = run.critical_path.get(comm::Phase::kLoadPi);
+  const double comp = run.critical_path.get(comm::Phase::kUpdatePhi);
   const double phi_on_path = r.on_path(trace::Stage::kUpdatePhi) +
                              r.on_path(trace::Stage::kLoadPi);
   const double load_frac = load + comp > 0.0 ? load / (load + comp) : 0.0;

@@ -14,8 +14,8 @@
 #include <cstdint>
 #include <string>
 
+#include "comm/network_model.h"
 #include "sim/compute_model.h"
-#include "sim/network_model.h"
 #include "trace/stage.h"
 #include "tune/search_space.h"
 
@@ -35,7 +35,7 @@ struct TuneWorkload {
   /// Statistical saturation scale for the objective (below). Half of the
   /// per-iteration progress credit is reached at M = sat_vertices.
   double sat_vertices = 8192.0;
-  sim::NetworkModel network{};
+  comm::NetworkModel network{};
   sim::ComputeModel compute{};
 
   void validate() const;

@@ -44,7 +44,7 @@ TEST(CachedDkvTest, MissThenHitReturnsSameData) {
 TEST(CachedDkvTest, HitsCostLessThanRemoteMisses) {
   // Wrap a sharded store so misses pay network cost: a hit (local memcpy)
   // must be strictly cheaper than re-fetching the row remotely.
-  SimRdmaDkv inner(100, 3, 4, sim::NetworkModel{}, node());
+  SimRdmaDkv inner(100, 3, 4, comm::NetworkModel{}, node());
   for (std::uint64_t v = 0; v < 100; ++v) {
     const auto f = static_cast<float>(v);
     inner.init_row(v, std::vector<float>{f, f + 0.5f, f + 0.25f});
@@ -167,7 +167,7 @@ TEST(CachedDkvTest, TraceCostSplitHitsLocalMissesForwarded) {
   // The accounting contract behind the counters: a batch of H hits and
   // M misses costs exactly hit_cost(H) (local memcpy of the cached
   // rows) plus the inner store's price for the M missed keys.
-  SimRdmaDkv inner(100, 3, 4, sim::NetworkModel{}, node());
+  SimRdmaDkv inner(100, 3, 4, comm::NetworkModel{}, node());
   for (std::uint64_t v = 0; v < 100; ++v) {
     const auto f = static_cast<float>(v);
     inner.init_row(v, std::vector<float>{f, f + 0.5f, f + 0.25f});

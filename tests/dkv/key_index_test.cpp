@@ -55,7 +55,7 @@ TEST(KeyIndexTest, DedupedGatherIsByteIdenticalOnDuplicateHeavyList) {
   // through the remap reproduces byte-for-byte what per-reference
   // get_rows returns on a duplicate-heavy key list.
   const std::uint32_t width = 5;
-  SimRdmaDkv store(200, width, 4, sim::NetworkModel{}, sim::ComputeModel{});
+  SimRdmaDkv store(200, width, 4, comm::NetworkModel{}, sim::ComputeModel{});
   rng::Xoshiro256 init_rng(3);
   std::vector<float> row(width);
   for (std::uint64_t v = 0; v < 200; ++v) {
@@ -88,7 +88,7 @@ TEST(KeyIndexTest, DedupedGatherIsByteIdenticalOnDuplicateHeavyList) {
 }
 
 TEST(KeyIndexTest, DedupedFetchCostsLessOnDuplicateHeavyList) {
-  SimRdmaDkv store(200, 64, 8, sim::NetworkModel{}, sim::ComputeModel{},
+  SimRdmaDkv store(200, 64, 8, comm::NetworkModel{}, sim::ComputeModel{},
                    /*phantom=*/true);
   rng::Xoshiro256 rng(23);
   std::vector<std::uint64_t> keys;

@@ -8,8 +8,8 @@
 namespace scd::dkv {
 namespace {
 
-sim::NetworkModel net() {
-  sim::NetworkModel n;
+comm::NetworkModel net() {
+  comm::NetworkModel n;
   n.collective_skew_s = 0.0;
   return n;
 }
@@ -114,7 +114,7 @@ TEST(RdmaDkvTest, CoalescedCostAtMostPerRowCost) {
   // The keyed (per-shard-coalesced) cost can never exceed the seed's
   // one-request-per-row cost for the same key multiset.
   SimRdmaDkv store(1000, 65, 8, net(), node());
-  const sim::NetworkModel n = net();
+  const comm::NetworkModel n = net();
   rng::Xoshiro256 rng(7);
   const std::uint64_t row_bytes = 65 * sizeof(float);
   for (int trial = 0; trial < 20; ++trial) {

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/distributed_sampler.h"
 #include "fault/fault_plan.h"
+#include "quant/row_codec.h"
 #include "sim/cluster.h"
 #include "tests/core/test_fixtures.h"
 
@@ -28,10 +30,11 @@ sim::SimCluster::Config cluster_config() {
   return config;
 }
 
-DistributedResult run_sampler(const fault::FaultPlan* plan,
-                              std::uint64_t rollback_interval,
-                              PiMatrix* pi_out = nullptr,
-                              std::vector<float>* beta_out = nullptr) {
+DistributedResult run_sampler(
+    const fault::FaultPlan* plan, std::uint64_t rollback_interval,
+    PiMatrix* pi_out = nullptr, std::vector<float>* beta_out = nullptr,
+    quant::RowCodec pi_codec = quant::RowCodec::kFloat32,
+    bool dedup_reads = true) {
   auto f = small_planted_fixture(1618, 150, 4, 80);
   f.options.eval_interval = 20;
   sim::SimCluster cluster(cluster_config());
@@ -41,6 +44,8 @@ DistributedResult run_sampler(const fault::FaultPlan* plan,
   options.chunk_vertices = 8;
   options.fault_plan = plan;
   options.rollback_interval = rollback_interval;
+  options.pi_codec = pi_codec;
+  options.dedup_reads = dedup_reads;
   DistributedSampler dist(cluster, f.split->training(), f.split.get(),
                           f.hyper, options);
   DistributedResult result = dist.run(kIterations);
@@ -69,38 +74,49 @@ void expect_identical(const DistributedResult& a,
 
 // The FT protocol with an *empty* plan must reproduce the legacy
 // collectives path bit-for-bit in numbers, at <= 2% virtual-time
-// overhead (the heartbeats replace the collectives, skew for skew).
+// overhead (the heartbeats replace the collectives, skew for skew). Swept
+// over every pi codec, with and without deduplicated reads, so the dense
+// and sparse ratio paths and both row-loader modes run under both
+// protocols.
 TEST(ChaosTest, EmptyPlanMatchesLegacyNumbersBitExact) {
-  PiMatrix legacy_pi(1, 1);
-  std::vector<float> legacy_beta;
-  const DistributedResult legacy =
-      run_sampler(nullptr, 0, &legacy_pi, &legacy_beta);
-
   const fault::FaultPlan empty;
-  PiMatrix ft_pi(1, 1);
-  std::vector<float> ft_beta;
-  const DistributedResult ft = run_sampler(&empty, 0, &ft_pi, &ft_beta);
+  for (std::size_t c = 0; c < quant::kNumCodecs; ++c) {
+    const auto codec = static_cast<quant::RowCodec>(c);
+    for (const bool dedup : {true, false}) {
+      SCOPED_TRACE(std::string(quant::codec_name(codec)) +
+                   (dedup ? " dedup" : " no-dedup"));
+      PiMatrix legacy_pi(1, 1);
+      std::vector<float> legacy_beta;
+      const DistributedResult legacy =
+          run_sampler(nullptr, 0, &legacy_pi, &legacy_beta, codec, dedup);
 
-  EXPECT_TRUE(ft.crashed_ranks.empty());
-  EXPECT_EQ(ft.redone_iterations, 0u);
-  ASSERT_EQ(ft.history.size(), legacy.history.size());
-  for (std::size_t i = 0; i < ft.history.size(); ++i) {
-    EXPECT_EQ(ft.history[i].iteration, legacy.history[i].iteration);
-    EXPECT_EQ(ft.history[i].perplexity, legacy.history[i].perplexity)
-        << "eval point " << i;
-  }
-  ASSERT_EQ(legacy_beta.size(), ft_beta.size());
-  for (std::size_t i = 0; i < ft_beta.size(); ++i) {
-    EXPECT_EQ(ft_beta[i], legacy_beta[i]) << "beta " << i;
-  }
-  ASSERT_EQ(ft_pi.num_vertices(), legacy_pi.num_vertices());
-  for (std::uint32_t v = 0; v < ft_pi.num_vertices(); ++v) {
-    for (std::uint32_t k = 0; k < ft_pi.num_communities(); ++k) {
-      ASSERT_EQ(ft_pi.pi(v, k), legacy_pi.pi(v, k)) << "v=" << v;
+      PiMatrix ft_pi(1, 1);
+      std::vector<float> ft_beta;
+      const DistributedResult ft =
+          run_sampler(&empty, 0, &ft_pi, &ft_beta, codec, dedup);
+
+      EXPECT_TRUE(ft.crashed_ranks.empty());
+      EXPECT_EQ(ft.redone_iterations, 0u);
+      ASSERT_EQ(ft.history.size(), legacy.history.size());
+      for (std::size_t i = 0; i < ft.history.size(); ++i) {
+        EXPECT_EQ(ft.history[i].iteration, legacy.history[i].iteration);
+        EXPECT_EQ(ft.history[i].perplexity, legacy.history[i].perplexity)
+            << "eval point " << i;
+      }
+      ASSERT_EQ(legacy_beta.size(), ft_beta.size());
+      for (std::size_t i = 0; i < ft_beta.size(); ++i) {
+        EXPECT_EQ(ft_beta[i], legacy_beta[i]) << "beta " << i;
+      }
+      ASSERT_EQ(ft_pi.num_vertices(), legacy_pi.num_vertices());
+      for (std::uint32_t v = 0; v < ft_pi.num_vertices(); ++v) {
+        for (std::uint32_t k = 0; k < ft_pi.num_communities(); ++k) {
+          ASSERT_EQ(ft_pi.pi(v, k), legacy_pi.pi(v, k)) << "v=" << v;
+        }
+      }
+      EXPECT_LE(ft.virtual_seconds, legacy.virtual_seconds * 1.02)
+          << "FT no-fault overhead above 2%";
     }
   }
-  EXPECT_LE(ft.virtual_seconds, legacy.virtual_seconds * 1.02)
-      << "FT no-fault overhead above 2%";
 }
 
 // Transient link faults (drops, duplicates, delays) cost virtual time
@@ -184,6 +200,17 @@ TEST(ChaosTest, WorkerCrashIsDetectedAndRecovered) {
   const double final_faulted = faulted.history.back().perplexity;
   EXPECT_NEAR(final_faulted, final_clean, 0.15 * final_clean)
       << "post-recovery perplexity diverged";
+}
+
+// Workers reach the before-eval seam only on eval iterations (every
+// 20th here), so a kBeforeEval crash anchored anywhere else would never
+// fire and the "faulted" run would silently have no fault: refused.
+TEST(ChaosTest, BeforeEvalCrashOffAnEvalIterationIsRefused) {
+  fault::FaultPlan plan;
+  plan.crashes.push_back({.rank = 1,
+                          .at_iteration = 10,
+                          .at_point = fault::CrashPoint::kBeforeEval});
+  EXPECT_THROW(run_sampler(&plan, 0), scd::UsageError);
 }
 
 // Same plan + same seed => bit-identical faulted trajectory, including

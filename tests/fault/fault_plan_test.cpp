@@ -72,6 +72,25 @@ TEST(FaultPlanTest, MalformedJsonThrows) {
   EXPECT_THROW(FaultPlan::from_json(R"({"seed": })"), DataError);
   EXPECT_THROW(FaultPlan::from_json(R"({"crashes": {}})"), DataError);
   EXPECT_THROW(FaultPlan::from_json(R"({"seed": true})"), DataError);
+  // Integers must be non-negative and fit their field: no wrap (-1 would
+  // become 2^64-1), no saturation (1e30), no 32-bit truncation
+  // (2^32 + 1 would become rank 1), no out-of-range cast (1e999 is inf).
+  EXPECT_THROW(FaultPlan::from_json(R"({"seed": -1})"), DataError);
+  EXPECT_THROW(FaultPlan::from_json(R"({"seed": 1e30})"), DataError);
+  EXPECT_THROW(FaultPlan::from_json(
+                   R"({"crashes": [{"rank": 4294967297, "time_s": 1.0}]})"),
+               DataError);
+  EXPECT_THROW(FaultPlan::from_json(
+                   R"({"crashes": [{"rank": 1e999, "time_s": 1.0}]})"),
+               DataError);
+  EXPECT_THROW(FaultPlan::from_json(
+                   R"({"crashes": [{"rank": 1, "at_iteration": 2e19}]})"),
+               DataError);
+  // at_iteration is a 64-bit field: values past 2^32 parse exactly.
+  const FaultPlan late = FaultPlan::from_json(
+      R"({"crashes": [{"rank": 1, "at_iteration": 5e9}]})");
+  ASSERT_EQ(late.crashes.size(), 1u);
+  EXPECT_EQ(late.crashes[0].at_iteration, 5'000'000'000u);
 }
 
 TEST(FaultPlanTest, UnknownKeysAreErrorsNotSilentNoOps) {
@@ -127,6 +146,10 @@ TEST(FaultPlanTest, ValidationRejectsBadPlans) {
                  p.heartbeat_timeout_s = 0.0;
                }).validate(4),
                UsageError);
+  // The largest shard index must not wrap the range check around.
+  const FaultPlan last_shard = FaultPlan::from_json(
+      R"({"dkv_stalls": [{"shard": 4294967295, "stall_s": 1e-3}]})");
+  EXPECT_THROW(last_shard.validate(3), UsageError);
 }
 
 TEST(FaultPlanTest, FromFileRoundTrips) {
@@ -169,11 +192,11 @@ TEST(FaultInjectorTest, QuietLinksInjectNothing) {
   FaultInjector inj(plan, 4);
   for (int i = 0; i < 50; ++i) {
     // Other link, and same link outside its window: clean.
-    const sim::SendFaults other = inj.on_send(0, 2, 0.5);
+    const comm::SendFaults other = inj.on_send(0, 2, 0.5);
     EXPECT_EQ(other.dropped_attempts, 0u);
     EXPECT_EQ(other.duplicates, 0u);
     EXPECT_DOUBLE_EQ(other.extra_delay_s, 0.0);
-    const sim::SendFaults late = inj.on_send(0, 1, 2.0);
+    const comm::SendFaults late = inj.on_send(0, 1, 2.0);
     EXPECT_EQ(late.dropped_attempts, 0u);
     EXPECT_DOUBLE_EQ(late.extra_delay_s, 0.0);
   }
@@ -188,8 +211,8 @@ TEST(FaultInjectorTest, DrawsAreDeterministicPerMessageSequence) {
   unsigned drops = 0;
   unsigned dups = 0;
   for (int i = 0; i < 200; ++i) {
-    const sim::SendFaults fa = a.on_send(0, 1, 1.0);
-    const sim::SendFaults fb = b.on_send(0, 1, 1.0);
+    const comm::SendFaults fa = a.on_send(0, 1, 1.0);
+    const comm::SendFaults fb = b.on_send(0, 1, 1.0);
     EXPECT_EQ(fa.dropped_attempts, fb.dropped_attempts);
     EXPECT_EQ(fa.duplicates, fb.duplicates);
     EXPECT_DOUBLE_EQ(fa.extra_delay_s, 2e-3);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -99,35 +100,53 @@ TEST(ProcDistributedTest, CrashPlanMatchesSimulatorRecoveryBitExact) {
   // One worker fail-stops at a protocol point of a fixed iteration (the
   // cross-backend crash anchor); both backends must detect it at the
   // same seam, re-home the same shard, roll back to the same snapshot,
-  // and land on identical numbers.
+  // and land on identical numbers. Swept over every crash point, early
+  // and mid-run anchors, and two rollback intervals. A before-eval crash
+  // can only fire on an eval iteration (9, with eval_interval 10); run()
+  // refuses it at any other anchor (ChaosTest covers the refusal).
   constexpr unsigned kWorkers = 3;
   constexpr std::uint64_t kIterations = 15;
 
-  fault::FaultPlan plan;
-  plan.seed = 5;
-  plan.crashes.push_back({.rank = 2,
-                          .at_iteration = 6,
-                          .at_point = fault::CrashPoint::kAfterPhi});
+  for (unsigned point = 0; point < fault::kNumCrashPoints; ++point) {
+    for (const std::uint64_t anchor : {0, 6, 9}) {
+      if (point == static_cast<unsigned>(fault::CrashPoint::kBeforeEval) &&
+          anchor != 9) {
+        continue;
+      }
+      for (const std::uint64_t rollback_interval : {1, 3}) {
+        SCOPED_TRACE("point " + std::to_string(point) + " at iteration " +
+                     std::to_string(anchor) + ", rollback every " +
+                     std::to_string(rollback_interval));
+        fault::FaultPlan plan;
+        plan.seed = 5;
+        plan.crashes.push_back(
+            {.rank = 2,
+             .at_iteration = anchor,
+             .at_point = static_cast<fault::CrashPoint>(point)});
 
-  sim::SimCluster::Config sim_config;
-  sim_config.num_ranks = kWorkers + 1;
-  sim::SimCluster sim_cluster(sim_config);
-  const Trajectory sim =
-      run_on(sim_cluster, kIterations, &plan, /*rollback_interval=*/3);
+        sim::SimCluster::Config sim_config;
+        sim_config.num_ranks = kWorkers + 1;
+        sim::SimCluster sim_cluster(sim_config);
+        const Trajectory sim =
+            run_on(sim_cluster, kIterations, &plan, rollback_interval);
 
-  proc::ProcCluster::Config proc_config;
-  proc_config.num_ranks = kWorkers + 1;
-  proc_config.recv_timeout_s = 60.0;
-  proc::ProcCluster proc_cluster(proc_config);
-  const Trajectory proc =
-      run_on(proc_cluster, kIterations, &plan, /*rollback_interval=*/3);
+        proc::ProcCluster::Config proc_config;
+        proc_config.num_ranks = kWorkers + 1;
+        proc_config.recv_timeout_s = 60.0;
+        proc::ProcCluster proc_cluster(proc_config);
+        const Trajectory proc =
+            run_on(proc_cluster, kIterations, &plan, rollback_interval);
 
-  EXPECT_EQ(sim.result.crashed_ranks, std::vector<unsigned>{2});
-  EXPECT_EQ(proc.result.crashed_ranks, sim.result.crashed_ranks);
-  EXPECT_EQ(proc.result.redone_iterations, sim.result.redone_iterations);
-  EXPECT_GE(sim.result.redone_iterations, 1u);
-  EXPECT_EQ(proc.result.iterations, sim.result.iterations);
-  expect_bit_identical(sim, proc);
+        EXPECT_EQ(sim.result.crashed_ranks, std::vector<unsigned>{2});
+        EXPECT_EQ(proc.result.crashed_ranks, sim.result.crashed_ranks);
+        EXPECT_EQ(proc.result.redone_iterations,
+                  sim.result.redone_iterations);
+        EXPECT_GE(sim.result.redone_iterations, 1u);
+        EXPECT_EQ(proc.result.iterations, sim.result.iterations);
+        expect_bit_identical(sim, proc);
+      }
+    }
+  }
 }
 
 TEST(ProcDistributedTest, WallBackendRejectsSimOnlyFeatures) {

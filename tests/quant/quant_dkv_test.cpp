@@ -44,7 +44,7 @@ TEST(QuantDkvTest, ValueBytesFollowsCodec) {
   for (const RowCodec codec :
        {RowCodec::kFloat32, RowCodec::kFp16, RowCodec::kInt8}) {
     LocalDkv local(10, kWidth, node(), codec);
-    SimRdmaDkv shard(10, kWidth, 4, sim::NetworkModel{}, node(), false,
+    SimRdmaDkv shard(10, kWidth, 4, comm::NetworkModel{}, node(), false,
                      codec);
     EXPECT_EQ(local.codec(), codec);
     EXPECT_EQ(local.value_bytes(), quant::encoded_bytes(codec, kWidth));
@@ -55,7 +55,7 @@ TEST(QuantDkvTest, ValueBytesFollowsCodec) {
 TEST(QuantDkvTest, GetRowsDecodesWithinCodecBounds) {
   for (const RowCodec codec :
        {RowCodec::kFloat32, RowCodec::kFp16, RowCodec::kInt8}) {
-    SimRdmaDkv store(20, kWidth, 4, sim::NetworkModel{}, node(), false,
+    SimRdmaDkv store(20, kWidth, 4, comm::NetworkModel{}, node(), false,
                      codec);
     fill(store, 20, 71);
     rng::Xoshiro256 rng(71);
@@ -84,7 +84,7 @@ TEST(QuantDkvTest, GetRowsDecodesWithinCodecBounds) {
 }
 
 TEST(QuantDkvTest, EncodedAndDecodedBatchesChargeTheSameTime) {
-  SimRdmaDkv store(64, kWidth, 4, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv store(64, kWidth, 4, comm::NetworkModel{}, node(), false,
                    RowCodec::kInt8);
   fill(store, 64, 73);
   const std::vector<std::uint64_t> keys = {1, 40, 63, 2};
@@ -115,7 +115,7 @@ TEST(QuantDkvTest, LossyCodecsCostLessOnTheModeledNetwork) {
   double cost[3] = {};
   for (const RowCodec codec :
        {RowCodec::kFloat32, RowCodec::kFp16, RowCodec::kInt8}) {
-    SimRdmaDkv store(64, kWidth, 4, sim::NetworkModel{}, node(), false,
+    SimRdmaDkv store(64, kWidth, 4, comm::NetworkModel{}, node(), false,
                      codec);
     fill(store, 64, 75);
     cost[static_cast<int>(codec)] = store.read_cost_keys(0, keys);
@@ -127,7 +127,7 @@ TEST(QuantDkvTest, LossyCodecsCostLessOnTheModeledNetwork) {
 TEST(QuantDkvTest, KeyIndexDedupWithEncodedRows) {
   // The worker loop fetches unique keys encoded and expands refs through
   // remap(); duplicate references must see the identical encoded row.
-  SimRdmaDkv store(32, kWidth, 4, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv store(32, kWidth, 4, comm::NetworkModel{}, node(), false,
                    RowCodec::kFp16);
   fill(store, 32, 77);
   const std::vector<std::uint64_t> refs = {9, 4, 9, 30, 4, 9};
@@ -152,7 +152,7 @@ TEST(QuantDkvTest, KeyIndexDedupWithEncodedRows) {
 }
 
 TEST(QuantDkvTest, CachedDkvAccountsHitsOnEncodedRows) {
-  SimRdmaDkv inner(64, kWidth, 4, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv inner(64, kWidth, 4, comm::NetworkModel{}, node(), false,
                    RowCodec::kInt8);
   fill(inner, 64, 79);
   CachedDkv cache(inner, 16, node());
@@ -169,13 +169,13 @@ TEST(QuantDkvTest, CachedDkvAccountsHitsOnEncodedRows) {
 
   // A hit moves value_bytes(), so the int8 cache is cheaper to hit than
   // an fp32 cache of the same shape.
-  SimRdmaDkv inner32(64, kWidth, 4, sim::NetworkModel{}, node());
+  SimRdmaDkv inner32(64, kWidth, 4, comm::NetworkModel{}, node());
   CachedDkv cache32(inner32, 16, node());
   EXPECT_LT(cache.hit_cost(1), cache32.hit_cost(1));
 }
 
 TEST(QuantDkvTest, ReadRowMatchesGetRows) {
-  SimRdmaDkv store(16, kWidth, 2, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv store(16, kWidth, 2, comm::NetworkModel{}, node(), false,
                    RowCodec::kInt8);
   fill(store, 16, 81);
   std::vector<float> via_get(kWidth);

@@ -1,14 +1,14 @@
-#include "sim/clock.h"
+#include "comm/clock.h"
 
 #include <gtest/gtest.h>
 
 #include "util/error.h"
 
-namespace scd::sim {
+namespace scd::comm {
 namespace {
 
 TEST(ClockTest, StartsAtZeroAndAdvances) {
-  SimClock c;
+  VirtualClock c;
   EXPECT_DOUBLE_EQ(c.now(), 0.0);
   c.advance(1.5);
   c.advance(0.25);
@@ -16,7 +16,7 @@ TEST(ClockTest, StartsAtZeroAndAdvances) {
 }
 
 TEST(ClockTest, AdvanceToOnlyMovesForward) {
-  SimClock c;
+  VirtualClock c;
   c.advance(2.0);
   c.advance_to(1.0);  // in the past: ignored
   EXPECT_DOUBLE_EQ(c.now(), 2.0);
@@ -25,16 +25,16 @@ TEST(ClockTest, AdvanceToOnlyMovesForward) {
 }
 
 TEST(ClockTest, NegativeAdvanceThrows) {
-  SimClock c;
+  VirtualClock c;
   EXPECT_THROW(c.advance(-0.1), scd::UsageError);
 }
 
 TEST(ClockTest, ResetReturnsToZero) {
-  SimClock c;
+  VirtualClock c;
   c.advance(5.0);
   c.reset();
   EXPECT_DOUBLE_EQ(c.now(), 0.0);
 }
 
 }  // namespace
-}  // namespace scd::sim
+}  // namespace scd::comm

@@ -30,14 +30,14 @@ TEST(ClusterTest, ChargeAdvancesClockAndStats) {
   SimCluster cluster(small_config(2));
   cluster.run([&](RankContext& ctx) {
     if (ctx.rank() == 0) {
-      ctx.charge(Phase::kUpdatePhi, 0.25);
-      ctx.charge(Phase::kUpdatePhi, 0.25);
-      ctx.charge(Phase::kLoadPi, 1.0);
+      ctx.charge(comm::Phase::kUpdatePhi, 0.25);
+      ctx.charge(comm::Phase::kUpdatePhi, 0.25);
+      ctx.charge(comm::Phase::kLoadPi, 1.0);
     }
   });
   EXPECT_DOUBLE_EQ(cluster.clock(0).now(), 1.5);
-  EXPECT_DOUBLE_EQ(cluster.stats(0).get(Phase::kUpdatePhi), 0.5);
-  EXPECT_DOUBLE_EQ(cluster.stats(0).get(Phase::kLoadPi), 1.0);
+  EXPECT_DOUBLE_EQ(cluster.stats(0).get(comm::Phase::kUpdatePhi), 0.5);
+  EXPECT_DOUBLE_EQ(cluster.stats(0).get(comm::Phase::kLoadPi), 1.0);
   EXPECT_DOUBLE_EQ(cluster.max_clock(), 1.5);
 }
 
@@ -48,22 +48,23 @@ TEST(ClusterTest, ChargeKernelScalesWithThreadModel) {
   config.compute.thread_efficiency = 1.0;
   SimCluster cluster(config);
   cluster.run([&](RankContext& ctx) {
-    ctx.charge_kernel(Phase::kUpdatePhi, 4e9, 1.0);  // 4e9 cycles / 4 GHz eff
-    ctx.charge_serial(Phase::kUpdateBetaTheta, 1e9, 1.0);
+    // 4e9 cycles / 4 GHz eff
+    ctx.charge_kernel(comm::Phase::kUpdatePhi, 4e9, 1.0);
+    ctx.charge_serial(comm::Phase::kUpdateBetaTheta, 1e9, 1.0);
   });
-  EXPECT_DOUBLE_EQ(cluster.stats(0).get(Phase::kUpdatePhi), 1.0);
-  EXPECT_DOUBLE_EQ(cluster.stats(0).get(Phase::kUpdateBetaTheta), 1.0);
+  EXPECT_DOUBLE_EQ(cluster.stats(0).get(comm::Phase::kUpdatePhi), 1.0);
+  EXPECT_DOUBLE_EQ(cluster.stats(0).get(comm::Phase::kUpdateBetaTheta), 1.0);
 }
 
 TEST(ClusterTest, TimedBarrierBooksWaitTime) {
   SimCluster cluster(small_config(2));
   cluster.run([&](RankContext& ctx) {
-    if (ctx.rank() == 1) ctx.charge(Phase::kUpdatePhi, 2.0);
+    if (ctx.rank() == 1) ctx.charge(comm::Phase::kUpdatePhi, 2.0);
     ctx.timed_barrier();
   });
   // Rank 0 waited ~2 s for rank 1.
-  EXPECT_NEAR(cluster.stats(0).get(Phase::kBarrierWait), 2.0, 1e-3);
-  EXPECT_NEAR(cluster.stats(1).get(Phase::kBarrierWait), 0.0, 1e-3);
+  EXPECT_NEAR(cluster.stats(0).get(comm::Phase::kBarrierWait), 2.0, 1e-3);
+  EXPECT_NEAR(cluster.stats(1).get(comm::Phase::kBarrierWait), 0.0, 1e-3);
   EXPECT_NEAR(cluster.max_clock(), cluster.clock(0).now(), 1e-12);
 }
 
@@ -71,16 +72,16 @@ TEST(ClusterTest, MaxStatsTakesPerPhaseMaximum) {
   SimCluster cluster(small_config(2));
   cluster.run([&](RankContext& ctx) {
     if (ctx.rank() == 0) {
-      ctx.charge(Phase::kLoadPi, 3.0);
-      ctx.charge(Phase::kUpdatePhi, 1.0);
+      ctx.charge(comm::Phase::kLoadPi, 3.0);
+      ctx.charge(comm::Phase::kUpdatePhi, 1.0);
     } else {
-      ctx.charge(Phase::kLoadPi, 1.0);
-      ctx.charge(Phase::kUpdatePhi, 2.0);
+      ctx.charge(comm::Phase::kLoadPi, 1.0);
+      ctx.charge(comm::Phase::kUpdatePhi, 2.0);
     }
   });
-  const PhaseStats stats = cluster.max_stats();
-  EXPECT_DOUBLE_EQ(stats.get(Phase::kLoadPi), 3.0);
-  EXPECT_DOUBLE_EQ(stats.get(Phase::kUpdatePhi), 2.0);
+  const comm::PhaseStats stats = cluster.max_stats();
+  EXPECT_DOUBLE_EQ(stats.get(comm::Phase::kLoadPi), 3.0);
+  EXPECT_DOUBLE_EQ(stats.get(comm::Phase::kUpdatePhi), 2.0);
 }
 
 TEST(ClusterTest, ExceptionInOneRankPropagatesWithoutDeadlock) {
@@ -94,10 +95,10 @@ TEST(ClusterTest, ExceptionInOneRankPropagatesWithoutDeadlock) {
 
 TEST(ClusterTest, ResetClearsClocksAndStats) {
   SimCluster cluster(small_config(2));
-  cluster.run([&](RankContext& ctx) { ctx.charge(Phase::kLoadPi, 1.0); });
+  cluster.run([&](RankContext& ctx) { ctx.charge(comm::Phase::kLoadPi, 1.0); });
   cluster.reset();
   EXPECT_DOUBLE_EQ(cluster.max_clock(), 0.0);
-  EXPECT_DOUBLE_EQ(cluster.stats(0).get(Phase::kLoadPi), 0.0);
+  EXPECT_DOUBLE_EQ(cluster.stats(0).get(comm::Phase::kLoadPi), 0.0);
   // Cluster remains usable after reset.
   cluster.run([&](RankContext& ctx) {
     ctx.transport().barrier(ctx.rank());
@@ -116,23 +117,23 @@ TEST(ClusterTest, SingleRankRunsInline) {
 
 TEST(PhaseStatsTest, NamesAreDistinct) {
   std::set<std::string> names;
-  for (std::size_t i = 0; i < kNumPhases; ++i) {
-    names.insert(phase_name(static_cast<Phase>(i)));
+  for (std::size_t i = 0; i < comm::kNumPhases; ++i) {
+    names.insert(comm::phase_name(static_cast<comm::Phase>(i)));
   }
-  EXPECT_EQ(names.size(), kNumPhases);
+  EXPECT_EQ(names.size(), comm::kNumPhases);
 }
 
 TEST(PhaseStatsTest, ArithmeticHelpers) {
-  PhaseStats a;
-  a.add(Phase::kLoadPi, 1.0);
-  PhaseStats b;
-  b.add(Phase::kLoadPi, 2.0);
-  b.add(Phase::kUpdatePi, 0.5);
+  comm::PhaseStats a;
+  a.add(comm::Phase::kLoadPi, 1.0);
+  comm::PhaseStats b;
+  b.add(comm::Phase::kLoadPi, 2.0);
+  b.add(comm::Phase::kUpdatePi, 0.5);
   a += b;
-  EXPECT_DOUBLE_EQ(a.get(Phase::kLoadPi), 3.0);
+  EXPECT_DOUBLE_EQ(a.get(comm::Phase::kLoadPi), 3.0);
   EXPECT_DOUBLE_EQ(a.total(), 3.5);
   a.scale(2.0);
-  EXPECT_DOUBLE_EQ(a.get(Phase::kUpdatePi), 1.0);
+  EXPECT_DOUBLE_EQ(a.get(comm::Phase::kUpdatePi), 1.0);
   a.clear();
   EXPECT_DOUBLE_EQ(a.total(), 0.0);
 }

@@ -1,10 +1,10 @@
-#include "sim/network_model.h"
+#include "comm/network_model.h"
 
 #include <gtest/gtest.h>
 
 #include "util/error.h"
 
-namespace scd::sim {
+namespace scd::comm {
 namespace {
 
 TEST(NetworkModelTest, TransferTimeIsLatencyPlusWire) {
@@ -143,4 +143,4 @@ TEST(NetworkModelTest, ValidationCatchesNonsense) {
 }
 
 }  // namespace
-}  // namespace scd::sim
+}  // namespace scd::comm

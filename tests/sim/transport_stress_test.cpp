@@ -12,8 +12,8 @@
 namespace scd::sim {
 namespace {
 
-NetworkModel quiet_net() {
-  NetworkModel net;
+comm::NetworkModel quiet_net() {
+  comm::NetworkModel net;
   net.collective_skew_s = 0.0;
   return net;
 }
@@ -72,7 +72,7 @@ TEST_P(TransportStressTest, BarrierRoundsSynchronizeToRunningMax) {
 
   cluster.run([&](RankContext& ctx) {
     for (int round = 0; round < kRounds; ++round) {
-      ctx.charge(Phase::kUpdatePhi, work[ctx.rank()][round]);
+      ctx.charge(comm::Phase::kUpdatePhi, work[ctx.rank()][round]);
       ctx.transport().barrier(ctx.rank());
     }
   });

@@ -10,14 +10,14 @@
 namespace scd::sim {
 namespace {
 
-NetworkModel fast_net() {
-  NetworkModel net;
+comm::NetworkModel fast_net() {
+  comm::NetworkModel net;
   net.collective_skew_s = 0.0;
   return net;
 }
 
 TEST(TransportTest, SendRecvMovesDataAndTime) {
-  std::vector<SimClock> clocks(2);
+  std::vector<comm::VirtualClock> clocks(2);
   SimTransport tp(2, fast_net(), clocks);
   const std::vector<double> payload = {1.0, 2.0, 3.0};
 
@@ -30,7 +30,7 @@ TEST(TransportTest, SendRecvMovesDataAndTime) {
 }
 
 TEST(TransportTest, ReceiverAheadKeepsItsClock) {
-  std::vector<SimClock> clocks(2);
+  std::vector<comm::VirtualClock> clocks(2);
   SimTransport tp(2, fast_net(), clocks);
   tp.send(0, 1, 1, std::span<const double>(std::vector<double>{1.0}));
   clocks[1].advance(5.0);  // receiver was busy long past arrival
@@ -39,7 +39,7 @@ TEST(TransportTest, ReceiverAheadKeepsItsClock) {
 }
 
 TEST(TransportTest, MessagesWithSameTagStayOrdered) {
-  std::vector<SimClock> clocks(2);
+  std::vector<comm::VirtualClock> clocks(2);
   SimTransport tp(2, fast_net(), clocks);
   for (double v : {1.0, 2.0, 3.0}) {
     tp.send(0, 1, 2, std::span<const double>(std::vector<double>{v}));
@@ -52,8 +52,8 @@ TEST(TransportTest, MessagesWithSameTagStayOrdered) {
 TEST(TransportTest, NicSerializesBackToBackSends) {
   // Two large sends from rank 0: the second arrives roughly one wire
   // time after the first, not simultaneously.
-  std::vector<SimClock> clocks(3);
-  NetworkModel net = fast_net();
+  std::vector<comm::VirtualClock> clocks(3);
+  comm::NetworkModel net = fast_net();
   net.bandwidth_Bps = 1e9;  // 1 GB/s -> 1 MB takes 1 ms
   SimTransport tp(3, net, clocks);
   const std::vector<std::byte> mb(1 << 20);
@@ -66,7 +66,7 @@ TEST(TransportTest, NicSerializesBackToBackSends) {
 }
 
 TEST(TransportTest, PhantomSendChargesTimeWithoutData) {
-  std::vector<SimClock> clocks(2);
+  std::vector<comm::VirtualClock> clocks(2);
   SimTransport tp(2, fast_net(), clocks);
   tp.send_phantom(0, 1, 3, 1 << 20);
   tp.recv_discard(1, 0, 3);
@@ -74,8 +74,8 @@ TEST(TransportTest, PhantomSendChargesTimeWithoutData) {
 }
 
 TEST(TransportTest, BarrierAlignsClocksToMax) {
-  std::vector<SimClock> clocks(4);
-  NetworkModel net = fast_net();
+  std::vector<comm::VirtualClock> clocks(4);
+  comm::NetworkModel net = fast_net();
   SimTransport tp(4, net, clocks);
   std::vector<std::thread> threads;
   for (unsigned r = 0; r < 4; ++r) {
@@ -86,13 +86,13 @@ TEST(TransportTest, BarrierAlignsClocksToMax) {
   }
   for (auto& t : threads) t.join();
   const double expected = 3.0 + net.collective_time(4, 0);
-  for (const SimClock& c : clocks) {
+  for (const comm::VirtualClock& c : clocks) {
     EXPECT_DOUBLE_EQ(c.now(), expected);
   }
 }
 
 TEST(TransportTest, ReduceSumsDeterministicallyAtRoot) {
-  std::vector<SimClock> clocks(3);
+  std::vector<comm::VirtualClock> clocks(3);
   SimTransport tp(3, fast_net(), clocks);
   std::vector<std::vector<double>> data = {
       {1.0, 10.0}, {2.0, 20.0}, {3.0, 30.0}};
@@ -108,7 +108,7 @@ TEST(TransportTest, ReduceSumsDeterministicallyAtRoot) {
 }
 
 TEST(TransportTest, BroadcastDeliversRootData) {
-  std::vector<SimClock> clocks(3);
+  std::vector<comm::VirtualClock> clocks(3);
   SimTransport tp(3, fast_net(), clocks);
   std::vector<std::vector<float>> data(3, std::vector<float>(4, 0.0f));
   data[1] = {1.0f, 2.0f, 3.0f, 4.0f};  // root = 1
@@ -126,7 +126,7 @@ TEST(TransportTest, BroadcastDeliversRootData) {
 TEST(TransportTest, ChannelsAllowConcurrentGroups) {
   // Ranks 1..2 barrier on channel 1 while rank 0 joins only the global
   // reduce; no deadlock, no mismatched-collective error.
-  std::vector<SimClock> clocks(3);
+  std::vector<comm::VirtualClock> clocks(3);
   SimTransport tp(3, fast_net(), clocks);
   std::vector<double> master_acc = {0.0};
   std::vector<std::thread> threads;
@@ -143,14 +143,17 @@ TEST(TransportTest, ChannelsAllowConcurrentGroups) {
 }
 
 TEST(TransportTest, MismatchedCollectiveThrows) {
-  std::vector<SimClock> clocks(2);
+  std::vector<comm::VirtualClock> clocks(2);
   SimTransport tp(2, fast_net(), clocks);
   std::exception_ptr error;
   std::thread t0([&] {
     try {
       tp.barrier(0);
     } catch (...) {
-      // Aborted while waiting — expected collateral of the mismatch.
+      // Whichever rank arrives second detects the mismatch; when it is
+      // this one, abort so the reduce on rank 1 does not wait forever.
+      // Otherwise this is the abort — collateral of the mismatch.
+      tp.abort_all();
     }
   });
   std::thread t1([&] {
@@ -168,7 +171,7 @@ TEST(TransportTest, MismatchedCollectiveThrows) {
 }
 
 TEST(TransportTest, AbortUnblocksReceivers) {
-  std::vector<SimClock> clocks(2);
+  std::vector<comm::VirtualClock> clocks(2);
   SimTransport tp(2, fast_net(), clocks);
   std::exception_ptr error;
   std::thread blocked([&] {

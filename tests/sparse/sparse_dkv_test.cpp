@@ -66,7 +66,7 @@ TEST(SparseDkvTest, WireBytesTrackActualSparsity) {
   for (const RowCodec codec :
        {RowCodec::kSparseTopR, RowCodec::kSparseTopRFp16,
         RowCodec::kSparseTopRInt8}) {
-    SimRdmaDkv store(32, kWidth, 4, sim::NetworkModel{}, node(), false,
+    SimRdmaDkv store(32, kWidth, 4, comm::NetworkModel{}, node(), false,
                      codec);
     fill_concentrated(store, 32, 301);
     // Concentrated rows keep a handful of entries, so the tracked wire
@@ -87,7 +87,7 @@ TEST(SparseDkvTest, WireBytesTrackActualSparsity) {
 }
 
 TEST(SparseDkvTest, DenseCodecsKeepFixedWireBytes) {
-  SimRdmaDkv store(16, kWidth, 4, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv store(16, kWidth, 4, comm::NetworkModel{}, node(), false,
                    RowCodec::kFp16);
   fill_concentrated(store, 16, 303);
   EXPECT_DOUBLE_EQ(store.avg_row_wire_bytes(),
@@ -97,9 +97,9 @@ TEST(SparseDkvTest, DenseCodecsKeepFixedWireBytes) {
 
 TEST(SparseDkvTest, SparseReadsCostLessOnTheModeledNetwork) {
   const std::vector<std::uint64_t> keys = {20, 21, 28, 30};  // all remote
-  SimRdmaDkv dense(32, kWidth, 4, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv dense(32, kWidth, 4, comm::NetworkModel{}, node(), false,
                    RowCodec::kFloat32);
-  SimRdmaDkv sparse(32, kWidth, 4, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv sparse(32, kWidth, 4, comm::NetworkModel{}, node(), false,
                     RowCodec::kSparseTopR);
   fill_concentrated(dense, 32, 305);
   fill_concentrated(sparse, 32, 305);
@@ -109,7 +109,7 @@ TEST(SparseDkvTest, SparseReadsCostLessOnTheModeledNetwork) {
 }
 
 TEST(SparseDkvTest, RewritesRetrackRowBytes) {
-  SimRdmaDkv store(8, kWidth, 2, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv store(8, kWidth, 2, comm::NetworkModel{}, node(), false,
                    RowCodec::kSparseTopR);
   fill_concentrated(store, 8, 307, /*support=*/12);
   const double before = store.avg_row_wire_bytes();
@@ -125,7 +125,7 @@ TEST(SparseDkvTest, RewritesRetrackRowBytes) {
 }
 
 TEST(SparseDkvTest, GetRowsDecodesLikeTheCodec) {
-  SimRdmaDkv store(12, kWidth, 3, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv store(12, kWidth, 3, comm::NetworkModel{}, node(), false,
                    RowCodec::kSparseTopRFp16);
   fill_concentrated(store, 12, 311);
   rng::Xoshiro256 ref_rng(311);
@@ -146,7 +146,7 @@ TEST(SparseDkvTest, GetRowsDecodesLikeTheCodec) {
 TEST(SparseDkvTest, PhantomModelsRowBytesFromModeledNnz) {
   // Explicit modeled nnz: the phantom prices rows as header + indices +
   // values + tail for exactly that many kept entries.
-  SimRdmaDkv phantom(1u << 20, kWidth, 8, sim::NetworkModel{}, node(),
+  SimRdmaDkv phantom(1u << 20, kWidth, 8, comm::NetworkModel{}, node(),
                      /*phantom=*/true, RowCodec::kSparseTopR,
                      quant::kDefaultSparseEps, /*sparse_modeled_nnz=*/4);
   EXPECT_EQ(phantom.modeled_row_bytes(),
@@ -157,12 +157,12 @@ TEST(SparseDkvTest, PhantomModelsRowBytesFromModeledNnz) {
   EXPECT_DOUBLE_EQ(phantom.avg_row_nnz(), 4.0);
 
   // Auto nnz: clamp(K/16, 8, K).
-  SimRdmaDkv auto_phantom(1u << 20, kWidth, 8, sim::NetworkModel{}, node(),
+  SimRdmaDkv auto_phantom(1u << 20, kWidth, 8, comm::NetworkModel{}, node(),
                           true, RowCodec::kSparseTopR);
   EXPECT_DOUBLE_EQ(auto_phantom.avg_row_nnz(), 8.0);  // K=128 -> max(8, 8)
 
   // A phantom dense store is untouched by the sparse modeling.
-  SimRdmaDkv dense_phantom(1u << 20, kWidth, 8, sim::NetworkModel{},
+  SimRdmaDkv dense_phantom(1u << 20, kWidth, 8, comm::NetworkModel{},
                            node(), true, RowCodec::kInt8);
   EXPECT_DOUBLE_EQ(dense_phantom.avg_row_wire_bytes(),
                    static_cast<double>(dense_phantom.value_bytes()));
@@ -173,7 +173,7 @@ TEST(SparseDkvTest, PhantomCostMatchesRealStoreWithSameNnz) {
   // same keyed costs as a phantom modeling that nnz — cost-only runs
   // stay in lockstep with real ones up to the nnz input.
   constexpr std::uint32_t kNnz = 4;
-  SimRdmaDkv real(32, kWidth, 4, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv real(32, kWidth, 4, comm::NetworkModel{}, node(), false,
                   RowCodec::kSparseTopR);
   rng::Xoshiro256 rng(313);
   for (std::uint64_t v = 0; v < 32; ++v) {
@@ -187,7 +187,7 @@ TEST(SparseDkvTest, PhantomCostMatchesRealStoreWithSameNnz) {
     real.init_row(v, row);
   }
   ASSERT_DOUBLE_EQ(real.avg_row_nnz(), static_cast<double>(kNnz));
-  SimRdmaDkv phantom(32, kWidth, 4, sim::NetworkModel{}, node(), true,
+  SimRdmaDkv phantom(32, kWidth, 4, comm::NetworkModel{}, node(), true,
                      RowCodec::kSparseTopR, quant::kDefaultSparseEps,
                      kNnz);
   const std::vector<std::uint64_t> keys = {1, 9, 17, 25, 26};
@@ -198,7 +198,7 @@ TEST(SparseDkvTest, PhantomCostMatchesRealStoreWithSameNnz) {
 }
 
 TEST(SparseDkvTest, CachedDkvCountsEvictionsAndReportsMetric) {
-  SimRdmaDkv inner(64, kWidth, 4, sim::NetworkModel{}, node(), false,
+  SimRdmaDkv inner(64, kWidth, 4, comm::NetworkModel{}, node(), false,
                    RowCodec::kSparseTopR);
   fill_concentrated(inner, 64, 315);
   CachedDkv cache(inner, /*capacity_rows=*/2, node());
@@ -223,11 +223,11 @@ TEST(SparseDkvTest, CachedDkvCountsEvictionsAndReportsMetric) {
 }
 
 TEST(SparseDkvTest, CacheHitStreamsActualSparseBytes) {
-  SimRdmaDkv sparse_inner(64, kWidth, 4, sim::NetworkModel{}, node(),
+  SimRdmaDkv sparse_inner(64, kWidth, 4, comm::NetworkModel{}, node(),
                           false, RowCodec::kSparseTopR);
   fill_concentrated(sparse_inner, 64, 317);
   CachedDkv sparse_cache(sparse_inner, 16, node());
-  SimRdmaDkv dense_inner(64, kWidth, 4, sim::NetworkModel{}, node());
+  SimRdmaDkv dense_inner(64, kWidth, 4, comm::NetworkModel{}, node());
   CachedDkv dense_cache(dense_inner, 16, node());
   // Hits price avg_row_wire_bytes, so a sparse cache is cheaper to hit
   // than an fp32 cache of the same shape.

@@ -3,7 +3,7 @@
 
 Usage:
     check_bench.py --bench <binary> --baseline <committed.json> \
-        [--tolerance 0.20] [--tolerance-override metric=pct ...]
+        [--tolerance 0] [--tolerance-override metric=pct ...]
 
 Runs `<binary> --json <tmpfile>`, then recursively compares every numeric
 field against the committed baseline. Exits 1 if any value drifts by more
@@ -11,11 +11,11 @@ than `tolerance` relative to the baseline (or if the document structure
 changed). Non-numeric fields must match exactly. Each failure names the
 metric that drifted and by how much.
 
-`--tolerance-override metric=pct` (repeatable) widens or tightens the
-bound for individual metrics: `metric` matches a field's leaf key or a
-substring of its dotted path, `pct` is the relative drift fraction (e.g.
-`--tolerance-override perplexity=0.02` holds perplexity to 2% while the
-timing fields keep the global tolerance).
+`--tolerance-override metric=pct` (repeatable) widens the bound for
+individual metrics: `metric` matches a field's leaf key or a substring
+of its dotted path, `pct` is the relative drift fraction (e.g.
+`--tolerance-override qps=20.0` lets a wall-clock field drift 20x while
+the modeled fields keep the exact default).
 
 The modeled benches are deterministic (fixed seeds, virtual time), so any
 drift means a code change altered the cost model or the replayed traffic
@@ -92,8 +92,9 @@ def main():
                         help="bench binary to run with --json")
     parser.add_argument("--baseline", required=True,
                         help="committed JSON baseline to diff against")
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="max allowed relative drift (default 0.20)")
+    parser.add_argument("--tolerance", type=float, default=0.0,
+                        help="max allowed relative drift (default 0: the "
+                             "modeled benches must reproduce exactly)")
     parser.add_argument("--tolerance-override", action="append", default=[],
                         metavar="METRIC=PCT",
                         help="per-metric drift bound, e.g. perplexity=0.02; "

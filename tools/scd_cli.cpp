@@ -417,9 +417,9 @@ int cmd_simulate(int argc, const char* const* argv) {
   std::printf("  virtual time/iteration: %s\n",
               format_duration(result.avg_iteration_seconds).c_str());
   Table table({"stage", "ms_per_iteration"});
-  for (std::size_t i = 0; i < sim::kNumPhases; ++i) {
-    const auto phase = static_cast<sim::Phase>(i);
-    table.add_row({std::string(sim::phase_name(phase)),
+  for (std::size_t i = 0; i < comm::kNumPhases; ++i) {
+    const auto phase = static_cast<comm::Phase>(i);
+    table.add_row({std::string(comm::phase_name(phase)),
                    result.critical_path.get(phase) /
                        double(iterations) * 1e3});
   }
