@@ -4,10 +4,9 @@
 // cycle counts calibrate sim::ComputeModel.
 //
 // The headline BM_PairLikelihood / BM_PhiGradient / BM_ThetaRatio /
-// BM_UpdatePhiRow series go through the fast_* dispatch — i.e. they
-// measure what the samplers actually run (fused path by default). The
-// BM_*Scalar series pins the scalar reference kernels for the
-// fused-vs-scalar speedup comparison.
+// BM_UpdatePhiRow series call the fast_* kernels — what the samplers
+// actually run. The BM_*Scalar series measures the grads.cpp reference
+// kernels for the fused-vs-scalar speedup comparison.
 //
 // Refresh the committed baseline with:
 //   ./build/bench/bench_kernels \

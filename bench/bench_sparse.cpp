@@ -352,8 +352,8 @@ int main(int argc, char** argv) {
         double sink = 0.0;
         const auto start = std::chrono::steady_clock::now();
         for (int r = 0; r < kReps; ++r) {
-          sink += core::fused_pair_likelihood_enc(codec, ea, eb, k, terms,
-                                                  (r & 1) != 0);
+          sink += core::fast_pair_likelihood_enc(codec, ea, eb, k, terms,
+                                                 (r & 1) != 0);
         }
         const double ns = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)

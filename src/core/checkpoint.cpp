@@ -210,6 +210,7 @@ Checkpoint load_checkpoint(std::istream& in) {
       in.read(reinterpret_cast<char*>(buf.data()),
               static_cast<std::streamsize>(rbytes));
       if (!in) throw DataError("checkpoint truncated");
+      quant::check_sparse_row(codec, width, buf, rbytes);
       quant::decode_row(codec, buf, checkpoint.pi.row(v));
     }
   } else if (version == kVersionCodec) {

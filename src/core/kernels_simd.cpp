@@ -1,14 +1,12 @@
-// Fused kernel definitions. This translation unit is compiled with
+// Kernel definitions. This translation unit is compiled with
 // vectorization-friendly flags (see src/core/CMakeLists.txt) so the lane
 // loops below turn into packed SSE/AVX arithmetic regardless of the
-// global build type; the scalar reference kernels in grads.cpp keep the
-// default flags and serve as the equivalence baseline.
+// global build type; the reference kernels in grads.cpp keep the default
+// flags and serve as the equivalence baseline in the tests.
 #include "core/kernels_simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "random/distributions.h"
@@ -21,17 +19,6 @@
 namespace scd::core {
 
 namespace {
-
-std::atomic<KernelPath>& path_state() {
-  static std::atomic<KernelPath> state = [] {
-    const char* env = std::getenv("SCD_KERNELS");
-    if (env != nullptr && std::strcmp(env, "scalar") == 0) {
-      return KernelPath::kScalar;
-    }
-    return KernelPath::kFused;
-  }();
-  return state;
-}
 
 inline std::size_t k_of(std::span<const float> row) {
   return row.size() - 1;  // last slot is phi_sum
@@ -48,149 +35,19 @@ inline double lane_sum(const float (&lanes)[kFusedLanes]) {
 
 }  // namespace
 
-KernelPath kernel_path() {
-  return path_state().load(std::memory_order_relaxed);
-}
-
-void set_kernel_path(KernelPath path) {
-  path_state().store(path, std::memory_order_relaxed);
-}
-
-double fused_pair_likelihood(std::span<const float> row_a,
-                             std::span<const float> row_b,
-                             const LikelihoodTerms& terms, bool y) {
-  const std::size_t k = k_of(row_a);
-  SCD_ASSERT(k_of(row_b) == k, "row width mismatch");
-  const float* SCD_RESTRICT pa = row_a.data();
-  const float* SCD_RESTRICT pb = row_b.data();
-  const float* SCD_RESTRICT d = terms.btd(y).data();
-  const float dtf = static_cast<float>(terms.dt(y));
-  double z = 0.0;
-  std::size_t i = 0;
-  for (; i + kFusedBlock <= k; i += kFusedBlock) {
-    float lanes[kFusedLanes] = {0.0f};
-    for (std::size_t j = 0; j < kFusedBlock; j += kFusedLanes) {
-      for (std::size_t l = 0; l < kFusedLanes; ++l) {
-        const std::size_t idx = i + j + l;
-        lanes[l] += pa[idx] * (dtf + pb[idx] * d[idx]);
-      }
-    }
-    z += lane_sum(lanes);
-  }
-  for (; i < k; ++i) {
-    z += static_cast<double>(pa[i]) * (dtf + pb[i] * d[i]);
-  }
-  return std::max(z, kMinZ);
-}
-
-double fused_accumulate_phi_grad(std::span<const float> row_a,
-                                 std::span<const float> row_b,
-                                 const LikelihoodTerms& terms, bool y,
-                                 std::span<double> grad,
-                                 std::span<float> w_scratch) {
-  const std::size_t k = k_of(row_a);
-  SCD_ASSERT(grad.size() == k, "gradient size mismatch");
-  SCD_ASSERT(w_scratch.size() >= k, "w scratch too small");
-  const float* SCD_RESTRICT pa = row_a.data();
-  const float* SCD_RESTRICT pb = row_b.data();
-  const float* SCD_RESTRICT d = terms.btd(y).data();
-  float* SCD_RESTRICT w = w_scratch.data();
-  const float dtf = static_cast<float>(terms.dt(y));
-  const double phi_sum = row_a[k];
-  SCD_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
-
-  // Pass over the inputs: stage w_k and accumulate Z simultaneously.
-  double z = 0.0;
-  std::size_t i = 0;
-  for (; i + kFusedBlock <= k; i += kFusedBlock) {
-    float lanes[kFusedLanes] = {0.0f};
-    for (std::size_t j = 0; j < kFusedBlock; j += kFusedLanes) {
-      for (std::size_t l = 0; l < kFusedLanes; ++l) {
-        const std::size_t idx = i + j + l;
-        const float wi = dtf + pb[idx] * d[idx];
-        w[idx] = wi;
-        lanes[l] += pa[idx] * wi;
-      }
-    }
-    z += lane_sum(lanes);
-  }
-  for (; i < k; ++i) {
-    const float wi = dtf + pb[i] * d[i];
-    w[i] = wi;
-    z += static_cast<double>(pa[i]) * wi;
-  }
-  z = std::max(z, kMinZ);
-
-  // Gradient from the staged w — touches only the scratch, not the rows.
-  const double inv_z = 1.0 / z;
-  const double inv_phi_sum = 1.0 / phi_sum;
-  double* SCD_RESTRICT g = grad.data();
-  for (std::size_t j = 0; j < k; ++j) {
-    g[j] += (static_cast<double>(w[j]) * inv_z - 1.0) * inv_phi_sum;
-  }
-  return z;
-}
-
-double fused_accumulate_theta_ratio(std::span<const float> row_a,
-                                    std::span<const float> row_b,
-                                    const LikelihoodTerms& terms, bool y,
-                                    std::span<double> ratio,
-                                    std::span<float> f_scratch) {
-  const std::size_t k = k_of(row_a);
-  SCD_ASSERT(ratio.size() == k, "ratio size mismatch");
-  SCD_ASSERT(f_scratch.size() >= k, "f scratch too small");
-  const float* SCD_RESTRICT pa = row_a.data();
-  const float* SCD_RESTRICT pb = row_b.data();
-  const float* SCD_RESTRICT bt = terms.bt(y).data();
-  const float* SCD_RESTRICT d = terms.btd(y).data();
-  float* SCD_RESTRICT f = f_scratch.data();
-  const float dtf = static_cast<float>(terms.dt(y));
-
-  // pa * w = dt * pa + (pa * pb) * (bt - dt), and the ratio numerator is
-  // f = (pa * pb) * bt — both come from the one pa * pb product.
-  double z = 0.0;
-  std::size_t i = 0;
-  for (; i + kFusedBlock <= k; i += kFusedBlock) {
-    float lanes[kFusedLanes] = {0.0f};
-    for (std::size_t j = 0; j < kFusedBlock; j += kFusedLanes) {
-      for (std::size_t l = 0; l < kFusedLanes; ++l) {
-        const std::size_t idx = i + j + l;
-        const float prod = pa[idx] * pb[idx];
-        f[idx] = prod * bt[idx];
-        lanes[l] += dtf * pa[idx] + prod * d[idx];
-      }
-    }
-    z += lane_sum(lanes);
-  }
-  for (; i < k; ++i) {
-    const float prod = pa[i] * pb[i];
-    f[i] = prod * bt[i];
-    z += static_cast<double>(dtf * pa[i]) + static_cast<double>(prod * d[i]);
-  }
-  z = std::max(z, kMinZ);
-
-  const double inv_z = 1.0 / z;
-  double* SCD_RESTRICT r = ratio.data();
-  for (std::size_t j = 0; j < k; ++j) {
-    r[j] += static_cast<double>(f[j]) * inv_z;
-  }
-  return z;
-}
-
-void fused_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
-                          std::uint32_t vertex, std::span<float> row,
-                          std::span<const double> grad, double scale,
-                          double eps, double alpha, double noise_factor,
-                          GradientForm form,
-                          std::span<double> noise_scratch) {
+void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
+                         std::uint32_t vertex, std::span<float> row,
+                         std::span<const double> grad, double scale,
+                         double eps, double alpha, double noise_factor,
+                         GradientForm form, std::span<double> noise_scratch) {
   const std::size_t k = k_of(row);
   SCD_ASSERT(grad.size() == k, "gradient size mismatch");
   SCD_ASSERT(noise_scratch.size() >= k, "noise scratch too small");
 
   // Stage the Langevin noise first: the polar-rejection draws are
   // inherently serial, and splitting them out leaves the SGRLD step below
-  // as a pure elementwise pass. Same stream, same order as the scalar
-  // path, so the drawn values are identical.
+  // as a pure elementwise pass. Same stream, same order as the reference
+  // update_phi_row, so the drawn values are identical.
   rng::Xoshiro256 noise_rng =
       derive_rng(seed, rng_label::kPhiNoise, iteration, vertex);
   const double noise_scale = noise_factor * std::sqrt(eps);
@@ -206,8 +63,8 @@ void fused_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
   const double* SCD_RESTRICT g = grad.data();
 
   // Elementwise SGRLD step; new_sum accumulates in independent double
-  // lanes (same values per element as the scalar path — only the sum's
-  // association differs).
+  // lanes (same values per element as the reference update_phi_row —
+  // only the sum's association differs).
   double new_sum = 0.0;
   std::size_t i = 0;
   constexpr std::size_t kSumLanes = 4;
@@ -246,25 +103,24 @@ void fused_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
   r[k] = static_cast<float>(new_sum);
 }
 
-// --- dequant-fused kernels ---------------------------------------------
-// The enc variants are the same lane/block skeletons as above, templated
-// over a per-codec element reader so dequantization happens in-register
-// inside the loop. The fp32 reader is a raw float load, which makes the
-// kFloat32 instantiations replicate the float-span kernels' arithmetic
-// operation for operation — same order, same intermediate types — and
-// therefore bit-identically.
+// --- fused kernel bodies -----------------------------------------------
+// Each formula has one lane/block body, templated over a per-row element
+// reader so dequantization happens in-register inside the loop. The
+// float-span entry points read through plain `const float*`; the enc
+// entry points through the codec readers below. The fp32 reader is a raw
+// float load, so the kFloat32 instantiations perform the float-span
+// arithmetic operation for operation — same order, same intermediate
+// types — and therefore bit-identically.
 
 namespace {
 
-/// Plain little-endian float load: kFloat32 rows and decoded caller
-/// rows. Goes through memcpy because a sparse row's value block sits
+/// Plain little-endian float load: kFloat32 rows and fp32 sparse value
+/// blocks. Goes through memcpy because a sparse row's value block sits
 /// right after the u16 index section, which leaves it only 2-byte
 /// aligned when nnz is odd.
 struct Fp32Reader {
   const std::byte* p;
   explicit Fp32Reader(const std::byte* row) : p(row) {}
-  explicit Fp32Reader(const float* row)
-      : p(reinterpret_cast<const std::byte*>(row)) {}
   float operator[](std::size_t i) const {
     float v;
     std::memcpy(&v, p + i * sizeof(v), sizeof(v));
@@ -325,20 +181,6 @@ double fused_pair_likelihood_t(RowA pa, RowB pb, std::size_t k,
   return std::max(z, kMinZ);
 }
 
-template <typename RowA, typename RowB>
-double pair_likelihood_t(RowA ra, RowB rb, std::size_t k,
-                         const LikelihoodTerms& terms, bool y) {
-  const std::span<const float> bt = terms.bt(y);
-  const double dt = terms.dt(y);
-  double z = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double pa = ra[i];
-    const double pb = rb[i];
-    z += pa * (pb * static_cast<double>(bt[i]) + dt * (1.0 - pb));
-  }
-  return std::max(z, kMinZ);
-}
-
 template <typename RowB>
 double fused_accumulate_phi_grad_t(const float* SCD_RESTRICT pa,
                                    double phi_sum, RowB pb, std::size_t k,
@@ -382,33 +224,6 @@ double fused_accumulate_phi_grad_t(const float* SCD_RESTRICT pa,
   return z;
 }
 
-template <typename RowB>
-double accumulate_phi_grad_t(std::span<const float> row_a, RowB rb,
-                             std::size_t k, const LikelihoodTerms& terms,
-                             bool y, std::span<double> grad) {
-  SCD_ASSERT(grad.size() == k, "gradient size mismatch");
-  const std::span<const float> bt = terms.bt(y);
-  const double dt = terms.dt(y);
-  const double phi_sum = row_a[k];
-  SCD_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
-
-  double z = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double pb = rb[i];
-    const double w = pb * static_cast<double>(bt[i]) + dt * (1.0 - pb);
-    z += static_cast<double>(row_a[i]) * w;
-  }
-  z = std::max(z, kMinZ);
-  const double inv_z = 1.0 / z;
-  const double inv_phi_sum = 1.0 / phi_sum;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double pb = rb[i];
-    const double w = pb * static_cast<double>(bt[i]) + dt * (1.0 - pb);
-    grad[i] += (w * inv_z - 1.0) * inv_phi_sum;
-  }
-  return z;
-}
-
 template <typename RowA, typename RowB>
 double fused_accumulate_theta_ratio_t(RowA pa, RowB pb, std::size_t k,
                                       const LikelihoodTerms& terms, bool y,
@@ -446,23 +261,6 @@ double fused_accumulate_theta_ratio_t(RowA pa, RowB pb, std::size_t k,
   double* SCD_RESTRICT r = ratio.data();
   for (std::size_t j = 0; j < k; ++j) {
     r[j] += static_cast<double>(f[j]) * inv_z;
-  }
-  return z;
-}
-
-template <typename RowA, typename RowB>
-double accumulate_theta_ratio_t(RowA ra, RowB rb, std::size_t k,
-                                const LikelihoodTerms& terms, bool y,
-                                std::span<double> ratio) {
-  SCD_ASSERT(ratio.size() == k, "ratio size mismatch");
-  const std::span<const float> bt = terms.bt(y);
-  const double z = pair_likelihood_t(ra, rb, k, terms, y);
-  const double inv_z = 1.0 / z;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double f = static_cast<double>(ra[i]) *
-                     static_cast<double>(rb[i]) *
-                     static_cast<double>(bt[i]);
-    ratio[i] += f * inv_z;
   }
   return z;
 }
@@ -541,8 +339,7 @@ struct SparseView {
   }
 };
 
-SparseView parse_sparse(quant::RowCodec codec,
-                        std::span<const std::byte> row, std::uint32_t k) {
+SparseView parse_sparse(std::span<const std::byte> row, std::uint32_t k) {
   SparseView v;
   v.k = k;
   v.idx16 = quant::sparse_index_bytes(k) == sizeof(std::uint16_t);
@@ -561,7 +358,6 @@ SparseView parse_sparse(quant::RowCodec codec,
     v.payload =
         v.indices + std::size_t{v.nnz} * quant::sparse_index_bytes(k);
   }
-  (void)codec;
   return v;
 }
 
@@ -697,22 +493,20 @@ double dense_sparse_pair_z(RA pa, const SparseView& b, VB vb,
   return std::max(dt * ma + static_cast<double>(b.eps) * sad + s, kMinZ);
 }
 
-/// Shared sparse pair likelihood; `fused_dense` picks the dense template
-/// for fallback x fallback pairs.
-double sparse_pair_likelihood_impl(quant::RowCodec codec,
-                                   std::span<const std::byte> row_a,
-                                   std::span<const std::byte> row_b,
-                                   std::uint32_t k,
-                                   const LikelihoodTerms& terms, bool y,
-                                   bool fused_dense) {
+/// Sparse pair likelihood; a fallback x fallback pair takes the fused
+/// dense body.
+double sparse_pair_likelihood(quant::RowCodec codec,
+                              std::span<const std::byte> row_a,
+                              std::span<const std::byte> row_b,
+                              std::uint32_t k, const LikelihoodTerms& terms,
+                              bool y) {
   const quant::RowCodec value = quant::value_codec(codec);
-  const SparseView a = parse_sparse(codec, row_a, k);
-  const SparseView b = parse_sparse(codec, row_b, k);
+  const SparseView a = parse_sparse(row_a, k);
+  const SparseView b = parse_sparse(row_b, k);
   if (a.fallback && b.fallback) {
     return with_two_value_readers(
         value, a.payload, b.payload, [&](auto ra, auto rb) {
-          return fused_dense ? fused_pair_likelihood_t(ra, rb, k, terms, y)
-                             : pair_likelihood_t(ra, rb, k, terms, y);
+          return fused_pair_likelihood_t(ra, rb, k, terms, y);
         });
   }
   if (a.fallback) {
@@ -731,6 +525,60 @@ double sparse_pair_likelihood_impl(quant::RowCodec codec,
       value, a.payload, b.payload, [&](auto va, auto vb) {
         return sparse_pair_z(a, va, b, vb, terms, y);
       });
+}
+
+/// Phi gradient against a dense-fallback sparse neighbor, in double: the
+/// batched sparse path has no w scratch to stage into, so w is formed
+/// twice (once for Z, once for the gradient). O(K).
+template <typename RowB>
+double fallback_phi_grad_t(std::span<const float> row_a, RowB rb,
+                           std::size_t k, const LikelihoodTerms& terms, bool y,
+                           std::span<double> grad) {
+  const std::span<const float> bt = terms.bt(y);
+  const double dt = terms.dt(y);
+  const double phi_sum = row_a[k];
+  SCD_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
+
+  double z = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double pb = rb[i];
+    const double w = pb * static_cast<double>(bt[i]) + dt * (1.0 - pb);
+    z += static_cast<double>(row_a[i]) * w;
+  }
+  z = std::max(z, kMinZ);
+  const double inv_z = 1.0 / z;
+  const double inv_phi_sum = 1.0 / phi_sum;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double pb = rb[i];
+    const double w = pb * static_cast<double>(bt[i]) + dt * (1.0 - pb);
+    grad[i] += (w * inv_z - 1.0) * inv_phi_sum;
+  }
+  return z;
+}
+
+/// Theta ratio for a pair whose two sides are both dense-fallback rows,
+/// in double (no f scratch on the sparse path). O(K).
+template <typename RowA, typename RowB>
+double fallback_theta_ratio_t(RowA ra, RowB rb, std::size_t k,
+                              const LikelihoodTerms& terms, bool y,
+                              std::span<double> ratio) {
+  const std::span<const float> bt = terms.bt(y);
+  const double dt = terms.dt(y);
+  double z = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double pa = ra[i];
+    const double pb = rb[i];
+    z += pa * (pb * static_cast<double>(bt[i]) + dt * (1.0 - pb));
+  }
+  z = std::max(z, kMinZ);
+  const double inv_z = 1.0 / z;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double f = static_cast<double>(ra[i]) *
+                     static_cast<double>(rb[i]) *
+                     static_cast<double>(bt[i]);
+    ratio[i] += f * inv_z;
+  }
+  return z;
 }
 
 /// Mixed theta ratio: one dense reader side, one sparse-form side.
@@ -836,14 +684,13 @@ double sparse_accumulate_phi_grad_enc(quant::RowCodec codec,
   SCD_ASSERT(grad.size() == k, "gradient size mismatch");
   check_encoded(codec, row_b, static_cast<std::uint32_t>(k));
   const quant::RowCodec value = quant::value_codec(codec);
-  const SparseView b =
-      parse_sparse(codec, row_b, static_cast<std::uint32_t>(k));
+  const SparseView b = parse_sparse(row_b, static_cast<std::uint32_t>(k));
   if (b.fallback) {
     // Dense-fallback neighbor: the full O(K) dense kernel writes the
     // complete gradient directly; nothing lands in the accumulator, so
     // the epilogue stays correct.
     return with_value_reader(value, b.payload, [&](auto rb) {
-      return accumulate_phi_grad_t(row_a, rb, k, terms, y, grad);
+      return fallback_phi_grad_t(row_a, rb, k, terms, y, grad);
     });
   }
   const double phi_sum = row_a[k];
@@ -899,12 +746,12 @@ double sparse_accumulate_theta_ratio_enc(quant::RowCodec codec,
   check_encoded(codec, row_a, k);
   check_encoded(codec, row_b, k);
   const quant::RowCodec value = quant::value_codec(codec);
-  const SparseView a = parse_sparse(codec, row_a, k);
-  const SparseView b = parse_sparse(codec, row_b, k);
+  const SparseView a = parse_sparse(row_a, k);
+  const SparseView b = parse_sparse(row_b, k);
   if (a.fallback && b.fallback) {
     return with_two_value_readers(
         value, a.payload, b.payload, [&](auto ra, auto rb) {
-          return accumulate_theta_ratio_t(ra, rb, k, terms, y, ratio);
+          return fallback_theta_ratio_t(ra, rb, k, terms, y, ratio);
         });
   }
   if (a.fallback) {
@@ -988,43 +835,57 @@ double sparse_phi_grad_single(quant::RowCodec codec,
 
 }  // namespace
 
-double fused_pair_likelihood_enc(quant::RowCodec codec,
-                                 std::span<const std::byte> row_a,
-                                 std::span<const std::byte> row_b,
-                                 std::uint32_t k,
-                                 const LikelihoodTerms& terms, bool y) {
+// --- entry points ------------------------------------------------------
+
+double fast_pair_likelihood(std::span<const float> row_a,
+                            std::span<const float> row_b,
+                            const LikelihoodTerms& terms, bool y) {
+  const std::size_t k = k_of(row_a);
+  SCD_ASSERT(k_of(row_b) == k, "row width mismatch");
+  return fused_pair_likelihood_t(row_a.data(), row_b.data(), k, terms, y);
+}
+
+double fast_accumulate_phi_grad(std::span<const float> row_a,
+                                std::span<const float> row_b,
+                                const LikelihoodTerms& terms, bool y,
+                                std::span<double> grad,
+                                std::span<float> w_scratch) {
+  const std::size_t k = k_of(row_a);
+  return fused_accumulate_phi_grad_t(row_a.data(), row_a[k], row_b.data(), k,
+                                     terms, y, grad, w_scratch);
+}
+
+double fast_accumulate_theta_ratio(std::span<const float> row_a,
+                                   std::span<const float> row_b,
+                                   const LikelihoodTerms& terms, bool y,
+                                   std::span<double> ratio,
+                                   std::span<float> f_scratch) {
+  return fused_accumulate_theta_ratio_t(row_a.data(), row_b.data(),
+                                        k_of(row_a), terms, y, ratio,
+                                        f_scratch);
+}
+
+double fast_pair_likelihood_enc(quant::RowCodec codec,
+                                std::span<const std::byte> row_a,
+                                std::span<const std::byte> row_b,
+                                std::uint32_t k,
+                                const LikelihoodTerms& terms, bool y) {
   check_encoded(codec, row_a, k);
   check_encoded(codec, row_b, k);
   if (quant::is_sparse(codec)) {
-    return sparse_pair_likelihood_impl(codec, row_a, row_b, k, terms, y,
-                                       /*fused_dense=*/true);
+    return sparse_pair_likelihood(codec, row_a, row_b, k, terms, y);
   }
   return with_readers(codec, row_a, row_b, [&](auto ra, auto rb) {
     return fused_pair_likelihood_t(ra, rb, k, terms, y);
   });
 }
 
-double pair_likelihood_enc(quant::RowCodec codec,
-                           std::span<const std::byte> row_a,
-                           std::span<const std::byte> row_b, std::uint32_t k,
-                           const LikelihoodTerms& terms, bool y) {
-  check_encoded(codec, row_a, k);
-  check_encoded(codec, row_b, k);
-  if (quant::is_sparse(codec)) {
-    return sparse_pair_likelihood_impl(codec, row_a, row_b, k, terms, y,
-                                       /*fused_dense=*/false);
-  }
-  return with_readers(codec, row_a, row_b, [&](auto ra, auto rb) {
-    return pair_likelihood_t(ra, rb, k, terms, y);
-  });
-}
-
-double fused_accumulate_phi_grad_enc(quant::RowCodec codec,
-                                     std::span<const float> row_a,
-                                     std::span<const std::byte> row_b,
-                                     const LikelihoodTerms& terms, bool y,
-                                     std::span<double> grad,
-                                     std::span<float> w_scratch) {
+double fast_accumulate_phi_grad_enc(quant::RowCodec codec,
+                                    std::span<const float> row_a,
+                                    std::span<const std::byte> row_b,
+                                    const LikelihoodTerms& terms, bool y,
+                                    std::span<double> grad,
+                                    std::span<float> w_scratch) {
   const std::size_t k = k_of(row_a);
   check_encoded(codec, row_b, static_cast<std::uint32_t>(k));
   if (quant::is_sparse(codec)) {
@@ -1036,28 +897,13 @@ double fused_accumulate_phi_grad_enc(quant::RowCodec codec,
   });
 }
 
-double accumulate_phi_grad_enc(quant::RowCodec codec,
-                               std::span<const float> row_a,
-                               std::span<const std::byte> row_b,
-                               const LikelihoodTerms& terms, bool y,
-                               std::span<double> grad) {
-  const std::size_t k = k_of(row_a);
-  check_encoded(codec, row_b, static_cast<std::uint32_t>(k));
-  if (quant::is_sparse(codec)) {
-    return sparse_phi_grad_single(codec, row_a, row_b, terms, y, grad);
-  }
-  return with_reader(codec, row_b, [&](auto rb) {
-    return accumulate_phi_grad_t(row_a, rb, k, terms, y, grad);
-  });
-}
-
-double fused_accumulate_theta_ratio_enc(quant::RowCodec codec,
-                                        std::span<const std::byte> row_a,
-                                        std::span<const std::byte> row_b,
-                                        std::uint32_t k,
-                                        const LikelihoodTerms& terms, bool y,
-                                        std::span<double> ratio,
-                                        std::span<float> f_scratch) {
+double fast_accumulate_theta_ratio_enc(quant::RowCodec codec,
+                                       std::span<const std::byte> row_a,
+                                       std::span<const std::byte> row_b,
+                                       std::uint32_t k,
+                                       const LikelihoodTerms& terms, bool y,
+                                       std::span<double> ratio,
+                                       std::span<float> f_scratch) {
   check_encoded(codec, row_a, k);
   check_encoded(codec, row_b, k);
   if (quant::is_sparse(codec)) {
@@ -1066,22 +912,6 @@ double fused_accumulate_theta_ratio_enc(quant::RowCodec codec,
   return with_readers(codec, row_a, row_b, [&](auto ra, auto rb) {
     return fused_accumulate_theta_ratio_t(ra, rb, k, terms, y, ratio,
                                           f_scratch);
-  });
-}
-
-double accumulate_theta_ratio_enc(quant::RowCodec codec,
-                                  std::span<const std::byte> row_a,
-                                  std::span<const std::byte> row_b,
-                                  std::uint32_t k,
-                                  const LikelihoodTerms& terms, bool y,
-                                  std::span<double> ratio) {
-  check_encoded(codec, row_a, k);
-  check_encoded(codec, row_b, k);
-  if (quant::is_sparse(codec)) {
-    return sparse_theta_single(codec, row_a, row_b, k, terms, y, ratio);
-  }
-  return with_readers(codec, row_a, row_b, [&](auto ra, auto rb) {
-    return accumulate_theta_ratio_t(ra, rb, k, terms, y, ratio);
   });
 }
 

@@ -1,10 +1,14 @@
-// Lane-friendly fused variants of the three hot kernels plus the SGRLD
-// row update, and the runtime dispatch every sampler routes through.
+// The hot kernels every sampler runs: the three SG-MCMC formulas (the
+// Z_ab pair likelihood, the phi gradient of Eqn 6 and the theta ratio of
+// Eqn 4) plus the SGRLD row update, each with one lane-friendly body.
+// The float-span entry points and the codec-encoded `_enc` entry points
+// instantiate the same per-formula template with different row readers,
+// so at quant::RowCodec::kFloat32 the two agree bit-for-bit.
 //
 // Why these are faster than the scalar forms in grads.cpp:
 //   * fused single pass — the scalar phi gradient walks the row twice and
 //     recomputes w_k = pi_bk * bt_k + dt * (1 - pi_bk) in both passes.
-//     The fused variant forms w_k = dt + pi_bk * (bt_k - dt) once (the
+//     The fused body forms w_k = dt + pi_bk * (bt_k - dt) once (the
 //     bt_k - dt table is staged by LikelihoodTerms::refresh), stores it
 //     in a scratch buffer, and derives both Z and the gradient from that
 //     one pass over the inputs.
@@ -19,12 +23,8 @@
 //     double path (~1e-6 relative; see kFusedRelTolerance and
 //     tests/core/kernels_simd_test.cpp).
 //
-// The dispatched fast_* entry points pick the fused path by default; the
-// scalar path remains selectable for A/B testing and debugging via
-// set_kernel_path() or the SCD_KERNELS=scalar environment variable.
-// Every sampler (sequential / parallel / distributed) calls the same
-// fast_* functions, so the cross-sampler equivalence tests stay
-// meaningful under either path.
+// The grads.cpp kernels are the double-precision reference the tests
+// compare these against; no sampler selects between the two at run time.
 #pragma once
 
 #include <cstddef>
@@ -43,61 +43,53 @@ inline constexpr std::size_t kFusedLanes = 8;
 /// Elements accumulated in float lanes between double-carry folds.
 inline constexpr std::size_t kFusedBlock = 64;
 
-/// Documented agreement bound between the scalar and fused paths for
-/// Z-like positive sums: the fused path stages w_k in float (~1e-7
-/// relative per term) and folds blocks of kFusedBlock float partial sums
-/// into a double carry, so relative error grows like a few float ulps
-/// per block, far below this bound for any realistic K.
+/// Documented agreement bound between the grads.cpp reference and these
+/// kernels for Z-like positive sums: the fused bodies stage w_k in float
+/// (~1e-7 relative per term) and fold blocks of kFusedBlock float partial
+/// sums into a double carry, so relative error grows like a few float
+/// ulps per block, far below this bound for any realistic K.
 inline constexpr double kFusedRelTolerance = 1e-5;
 
-/// Which kernel implementation the fast_* dispatchers use.
-enum class KernelPath { kScalar, kFused };
-
-/// Current path: kFused unless overridden by set_kernel_path() or the
-/// environment variable SCD_KERNELS=scalar (read once, at first use).
-KernelPath kernel_path();
-void set_kernel_path(KernelPath path);
-
-// --- fused kernels ------------------------------------------------------
-// Signatures mirror the scalar forms in grads.h; the extra scratch spans
-// must be at least K wide and are clobbered. All are defined in
+// --- float kernels ------------------------------------------------------
+// Signatures mirror the reference forms in grads.h; the extra scratch
+// spans must be at least K wide and are clobbered. All are defined in
 // kernels_simd.cpp, which is compiled with vectorization-friendly flags
 // independent of the global build type.
 
 /// Z_ab^(y) with a fused single-pass, lane-accumulated sum.
-double fused_pair_likelihood(std::span<const float> row_a,
-                             std::span<const float> row_b,
-                             const LikelihoodTerms& terms, bool y);
+double fast_pair_likelihood(std::span<const float> row_a,
+                            std::span<const float> row_b,
+                            const LikelihoodTerms& terms, bool y);
 
 /// Phi gradient (Eqn 6): w_k staged into `w_scratch` while Z accumulates,
 /// then the gradient is read back from the scratch — one pass over the
 /// input rows instead of two. Returns Z.
-double fused_accumulate_phi_grad(std::span<const float> row_a,
-                                 std::span<const float> row_b,
-                                 const LikelihoodTerms& terms, bool y,
-                                 std::span<double> grad,
-                                 std::span<float> w_scratch);
+double fast_accumulate_phi_grad(std::span<const float> row_a,
+                                std::span<const float> row_b,
+                                const LikelihoodTerms& terms, bool y,
+                                std::span<double> grad,
+                                std::span<float> w_scratch);
 
 /// Theta ratio (factored Eqn 4 form): f_ab(k,k) staged into `f_scratch`
 /// while Z accumulates from the same products. Returns Z.
-double fused_accumulate_theta_ratio(std::span<const float> row_a,
-                                    std::span<const float> row_b,
-                                    const LikelihoodTerms& terms, bool y,
-                                    std::span<double> ratio,
-                                    std::span<float> f_scratch);
+double fast_accumulate_theta_ratio(std::span<const float> row_a,
+                                   std::span<const float> row_b,
+                                   const LikelihoodTerms& terms, bool y,
+                                   std::span<double> ratio,
+                                   std::span<float> f_scratch);
 
 /// SGRLD row update (Eqn 5): the serial Langevin noise draws are staged
-/// into `noise_scratch` first (identical stream and order to the scalar
-/// path), then the elementwise update runs as a vectorizable pass with a
-/// lane-accumulated new_sum. Per-element row values match the scalar
-/// path bit-for-bit; only the new_sum reduction (and hence the final
-/// normalization) differs by float-level reassociation.
-void fused_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
-                          std::uint32_t vertex, std::span<float> row,
-                          std::span<const double> grad, double scale,
-                          double eps, double alpha, double noise_factor,
-                          GradientForm form,
-                          std::span<double> noise_scratch);
+/// into `noise_scratch` first (identical stream and order to the
+/// reference update_phi_row), then the elementwise update runs as a
+/// vectorizable pass with a lane-accumulated new_sum. Per-element row
+/// values match the reference bit-for-bit; only the new_sum reduction
+/// (and hence the final normalization) differs by float-level
+/// reassociation.
+void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
+                         std::uint32_t vertex, std::span<float> row,
+                         std::span<const double> grad, double scale,
+                         double eps, double alpha, double noise_factor,
+                         GradientForm form, std::span<double> noise_scratch);
 
 // --- dequant-fused kernels ---------------------------------------------
 // Variants that read codec-encoded rows (quant/row_codec.h layouts)
@@ -107,8 +99,7 @@ void fused_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
 // reader is a raw float load and the arithmetic is bit-identical to the
 // float-span kernels above. `k` is the community count (decoded width
 // minus the trailing phi_sum slot); encoded spans must be exactly
-// quant::encoded_bytes(codec, k + 1) long. Scalar counterparts replicate
-// the grads.cpp reference semantics on the same readers.
+// quant::encoded_bytes(codec, k + 1) long.
 //
 // The sparse top-R codecs are accepted by every enc entry point below:
 // pair likelihood becomes a sorted-index merge-intersect over the two
@@ -116,50 +107,34 @@ void fused_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
 // LikelihoodTerms::btd_sum, and the gradient/ratio kernels fall back to
 // a correct O(K)-per-call form (the O(nnz) amortized forms live in the
 // sparse kernel section below and need per-vertex/per-stratum batching
-// the single-pair signatures cannot express). Dense-fallback rows route
-// to the dense reader templates.
+// the single-pair signatures cannot express).
 
 /// Z_ab^(y) from two encoded rows.
-double fused_pair_likelihood_enc(quant::RowCodec codec,
-                                 std::span<const std::byte> row_a,
-                                 std::span<const std::byte> row_b,
-                                 std::uint32_t k,
-                                 const LikelihoodTerms& terms, bool y);
-double pair_likelihood_enc(quant::RowCodec codec,
-                           std::span<const std::byte> row_a,
-                           std::span<const std::byte> row_b, std::uint32_t k,
-                           const LikelihoodTerms& terms, bool y);
+double fast_pair_likelihood_enc(quant::RowCodec codec,
+                                std::span<const std::byte> row_a,
+                                std::span<const std::byte> row_b,
+                                std::uint32_t k,
+                                const LikelihoodTerms& terms, bool y);
 
 /// Phi gradient with an encoded neighbor row. `row_a` is the updating
 /// vertex's *decoded* row ([pi | phi_sum], k+1 floats) — the caller
 /// already holds it in float to stage the SGRLD update, and decoding it
 /// once per vertex is off the per-neighbor hot path.
-double fused_accumulate_phi_grad_enc(quant::RowCodec codec,
-                                     std::span<const float> row_a,
-                                     std::span<const std::byte> row_b,
-                                     const LikelihoodTerms& terms, bool y,
-                                     std::span<double> grad,
-                                     std::span<float> w_scratch);
-double accumulate_phi_grad_enc(quant::RowCodec codec,
-                               std::span<const float> row_a,
-                               std::span<const std::byte> row_b,
-                               const LikelihoodTerms& terms, bool y,
-                               std::span<double> grad);
+double fast_accumulate_phi_grad_enc(quant::RowCodec codec,
+                                    std::span<const float> row_a,
+                                    std::span<const std::byte> row_b,
+                                    const LikelihoodTerms& terms, bool y,
+                                    std::span<double> grad,
+                                    std::span<float> w_scratch);
 
 /// Theta ratio from two encoded rows.
-double fused_accumulate_theta_ratio_enc(quant::RowCodec codec,
-                                        std::span<const std::byte> row_a,
-                                        std::span<const std::byte> row_b,
-                                        std::uint32_t k,
-                                        const LikelihoodTerms& terms, bool y,
-                                        std::span<double> ratio,
-                                        std::span<float> f_scratch);
-double accumulate_theta_ratio_enc(quant::RowCodec codec,
-                                  std::span<const std::byte> row_a,
-                                  std::span<const std::byte> row_b,
-                                  std::uint32_t k,
-                                  const LikelihoodTerms& terms, bool y,
-                                  std::span<double> ratio);
+double fast_accumulate_theta_ratio_enc(quant::RowCodec codec,
+                                       std::span<const std::byte> row_a,
+                                       std::span<const std::byte> row_b,
+                                       std::uint32_t k,
+                                       const LikelihoodTerms& terms, bool y,
+                                       std::span<double> ratio,
+                                       std::span<float> f_scratch);
 
 // --- sparse kernels -----------------------------------------------------
 // O(nnz) kernels for the quant::RowCodec sparse top-R codecs. A sparse
@@ -168,10 +143,10 @@ double accumulate_theta_ratio_enc(quant::RowCodec codec,
 // scattered immediately) and a j-independent part that only depends on
 // per-pair scalars — the latter is accumulated across a batch and folded
 // with one O(K) epilogue, which is what makes the amortized per-neighbor
-// cost O(nnz) instead of O(K). One implementation serves both
-// KernelPath variants: the merges are serial and accumulate in double,
-// so there is no lane parallelism to exploit; only dense-fallback rows
-// route through the fused/scalar dense reader templates.
+// cost O(nnz) instead of O(K). The merges are serial and accumulate in
+// double, so there is no lane parallelism to exploit. A pair with a
+// dense-fallback side takes an O(K) double-precision form instead; a
+// fallback x fallback pair likelihood uses the fused dense body.
 
 /// Per-vertex staging for the batched sparse phi path: mass = sum_j pi_aj
 /// and sa[y] = sum_j pi_aj * btd[y][j], computed once per updating vertex
@@ -231,89 +206,5 @@ void sparse_theta_epilogue(double eps_coef_link, double eps_coef_nonlink,
                            const LikelihoodTerms& terms,
                            std::span<double> ratio_link,
                            std::span<double> ratio_nonlink);
-
-// --- dispatched entry points -------------------------------------------
-// The samplers call these; scratch spans are only touched on the fused
-// path. The kernel_path() load is a relaxed atomic — negligible next to
-// the O(K) loop it guards.
-
-inline double fast_pair_likelihood(std::span<const float> row_a,
-                                   std::span<const float> row_b,
-                                   const LikelihoodTerms& terms, bool y) {
-  return kernel_path() == KernelPath::kFused
-             ? fused_pair_likelihood(row_a, row_b, terms, y)
-             : pair_likelihood(row_a, row_b, terms, y);
-}
-
-inline double fast_accumulate_phi_grad(std::span<const float> row_a,
-                                       std::span<const float> row_b,
-                                       const LikelihoodTerms& terms, bool y,
-                                       std::span<double> grad,
-                                       std::span<float> w_scratch) {
-  return kernel_path() == KernelPath::kFused
-             ? fused_accumulate_phi_grad(row_a, row_b, terms, y, grad,
-                                         w_scratch)
-             : accumulate_phi_grad(row_a, row_b, terms, y, grad);
-}
-
-inline double fast_accumulate_theta_ratio(std::span<const float> row_a,
-                                          std::span<const float> row_b,
-                                          const LikelihoodTerms& terms,
-                                          bool y, std::span<double> ratio,
-                                          std::span<float> f_scratch) {
-  return kernel_path() == KernelPath::kFused
-             ? fused_accumulate_theta_ratio(row_a, row_b, terms, y, ratio,
-                                            f_scratch)
-             : accumulate_theta_ratio(row_a, row_b, terms, y, ratio);
-}
-
-inline double fast_pair_likelihood_enc(quant::RowCodec codec,
-                                       std::span<const std::byte> row_a,
-                                       std::span<const std::byte> row_b,
-                                       std::uint32_t k,
-                                       const LikelihoodTerms& terms, bool y) {
-  return kernel_path() == KernelPath::kFused
-             ? fused_pair_likelihood_enc(codec, row_a, row_b, k, terms, y)
-             : pair_likelihood_enc(codec, row_a, row_b, k, terms, y);
-}
-
-inline double fast_accumulate_phi_grad_enc(quant::RowCodec codec,
-                                           std::span<const float> row_a,
-                                           std::span<const std::byte> row_b,
-                                           const LikelihoodTerms& terms,
-                                           bool y, std::span<double> grad,
-                                           std::span<float> w_scratch) {
-  return kernel_path() == KernelPath::kFused
-             ? fused_accumulate_phi_grad_enc(codec, row_a, row_b, terms, y,
-                                             grad, w_scratch)
-             : accumulate_phi_grad_enc(codec, row_a, row_b, terms, y, grad);
-}
-
-inline double fast_accumulate_theta_ratio_enc(
-    quant::RowCodec codec, std::span<const std::byte> row_a,
-    std::span<const std::byte> row_b, std::uint32_t k,
-    const LikelihoodTerms& terms, bool y, std::span<double> ratio,
-    std::span<float> f_scratch) {
-  return kernel_path() == KernelPath::kFused
-             ? fused_accumulate_theta_ratio_enc(codec, row_a, row_b, k,
-                                                terms, y, ratio, f_scratch)
-             : accumulate_theta_ratio_enc(codec, row_a, row_b, k, terms, y,
-                                          ratio);
-}
-
-inline void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
-                                std::uint32_t vertex, std::span<float> row,
-                                std::span<const double> grad, double scale,
-                                double eps, double alpha,
-                                double noise_factor, GradientForm form,
-                                std::span<double> noise_scratch) {
-  if (kernel_path() == KernelPath::kFused) {
-    fused_update_phi_row(seed, iteration, vertex, row, grad, scale, eps,
-                         alpha, noise_factor, form, noise_scratch);
-  } else {
-    update_phi_row(seed, iteration, vertex, row, grad, scale, eps, alpha,
-                   noise_factor, form);
-  }
-}
 
 }  // namespace scd::core

@@ -6,9 +6,8 @@
 // Keeping this in one place is what makes the cross-sampler equivalence
 // tests meaningful: every execution mode runs literally the same
 // arithmetic for a given (seed, iteration, vertex, neighbor set). The
-// arithmetic itself is routed through the fast_* dispatch of
-// core/kernels_simd.h, so all samplers pick the same (fused by default)
-// kernel path.
+// arithmetic itself is the fast_* kernels of core/kernels_simd.h, which
+// have one body per formula.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +28,7 @@ struct PhiScratch {
   std::vector<double> exact;
   std::vector<double> sampled;
   /// Staged w_k (phi gradient) or f_ab(k,k) (theta ratio) for the fused
-  /// kernels; ignored on the scalar path.
+  /// kernels.
   std::vector<float> w;
   /// Staged Langevin noise for the fused SGRLD row update.
   std::vector<double> noise;

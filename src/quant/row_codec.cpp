@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -402,6 +403,49 @@ void decode_row(RowCodec codec, std::span<const std::byte> encoded,
       return;
   }
   SCD_ASSERT(false, "unknown RowCodec value");
+}
+
+void check_sparse_row(RowCodec codec, std::uint32_t width,
+                      std::span<const std::byte> encoded,
+                      std::size_t stored) {
+  SCD_REQUIRE(is_sparse(codec), "check_sparse_row needs a sparse codec");
+  SCD_REQUIRE(encoded.size() == encoded_bytes(codec, width),
+              "encoded buffer size mismatch");
+  const std::uint32_t k = width - 1;
+  SparseHeader header;
+  std::memcpy(&header, encoded.data(), kSparseHeaderBytes);
+  const bool fallback = header.nnz >= k;
+  if (!fallback && header.nnz > k / 2) {
+    throw DataError("sparse row keeps " + std::to_string(header.nnz) +
+                    " of " + std::to_string(k) +
+                    " entries (the sparse form holds at most K/2)");
+  }
+  const std::size_t expected = row_bytes(codec, width, encoded);
+  if (stored != expected) {
+    throw DataError("sparse row length " + std::to_string(stored) +
+                    " does not match its header (" +
+                    std::to_string(expected) + " bytes)");
+  }
+  if (fallback) return;
+  const std::byte* indices = encoded.data() + kSparseHeaderBytes;
+  std::uint32_t prev = 0;
+  for (std::uint32_t i = 0; i < header.nnz; ++i) {
+    std::uint32_t idx;
+    if (sparse_index_bytes(k) == sizeof(std::uint16_t)) {
+      std::uint16_t idx16;
+      std::memcpy(&idx16, indices + i * sizeof(idx16), sizeof(idx16));
+      idx = idx16;
+    } else {
+      std::memcpy(&idx, indices + i * sizeof(idx), sizeof(idx));
+    }
+    if (idx >= k || (i > 0 && idx <= prev)) {
+      throw DataError("sparse row index " + std::to_string(idx) +
+                      " at position " + std::to_string(i) +
+                      " is out of range or not strictly ascending (K = " +
+                      std::to_string(k) + ")");
+    }
+    prev = idx;
+  }
 }
 
 }  // namespace scd::quant

@@ -154,6 +154,15 @@ void encode_row(RowCodec codec, std::span<const float> row,
 void decode_row(RowCodec codec, std::span<const std::byte> encoded,
                 std::span<float> row);
 
+/// Throws scd::DataError unless `encoded` — a sparse-codec capacity slot
+/// holding `stored` bytes read from outside the program, zero-padded
+/// beyond them — is a row encode_row could have written: the
+/// dense-fallback sentinel (nnz >= K) or nnz <= K/2 strictly ascending
+/// indices below K, with `stored` equal to row_bytes() in both cases.
+/// decode_row trusts the header, so untrusted rows go through this first.
+void check_sparse_row(RowCodec codec, std::uint32_t width,
+                      std::span<const std::byte> encoded, std::size_t stored);
+
 // ---------------------------------------------------------------------------
 // Portable IEEE 754 binary16 conversion (round-to-nearest-even), used by
 // the kFp16 codec and by the dequant-fused kernel readers. Bit-twiddling

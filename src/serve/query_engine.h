@@ -6,8 +6,8 @@
 // built index) never blocks a query and never tears one: a query sees
 // entirely the old snapshot or entirely the new one.
 //
-// link_probability routes through the same dispatched pair-likelihood
-// kernel (core::fast_pair_likelihood) on the same dense [pi | phi_sum]
+// link_probability routes through the same pair-likelihood kernel
+// (core::fast_pair_likelihood) on the same dense [pi | phi_sum]
 // rows and LikelihoodTerms training used, so a served probability is
 // bit-identical to the training-side perplexity term for the same
 // checkpoint (asserted by tests/serve/query_engine_test.cpp).

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -62,10 +63,12 @@ std::vector<ScriptedQuery> parse_query_script(std::istream& in) {
                       ": unknown op '" + op +
                       "' (expected top, link or members)");
     }
-    if (fields.fail() || a < 0 || b < 0) {
+    constexpr long long kMaxOperand = std::numeric_limits<std::uint32_t>::max();
+    if (fields.fail() || a < 0 || b < 0 || a > kMaxOperand ||
+        b > kMaxOperand) {
       throw DataError("query script line " + std::to_string(line_no) +
-                      ": expected two non-negative integers after '" + op +
-                      "'");
+                      ": expected two non-negative 32-bit integers after '" +
+                      op + "'");
     }
     q.a = static_cast<std::uint32_t>(a);
     q.b = static_cast<std::uint32_t>(b);

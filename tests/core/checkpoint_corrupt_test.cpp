@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "quant/row_codec.h"
+#include "random/xoshiro.h"
 
 namespace scd::core {
 namespace {
@@ -155,6 +157,102 @@ TEST(CheckpointCorruptTest, SparseRowLengthViolationsRejected) {
   expect_rejected(patched<std::uint32_t>(v3, kFirstRowLen, 0));
   expect_rejected(patched<std::uint32_t>(v3, kFirstRowLen, 0xffffffff));
   expect_rejected(patched<std::uint32_t>(v3, kFirstRowLen, 1u << 20));
+}
+
+/// K = 64 checkpoint for the sparse codecs: even rows concentrate their
+/// mass on communities 5, 17 and 40, so they are stored in sparse form
+/// (nnz = 3); odd rows keep the near-uniform init and take the dense
+/// fallback (nnz = K).
+constexpr std::uint32_t kSparseK = 64;
+Checkpoint mixed_sparse_checkpoint(std::uint32_t n = 6) {
+  Checkpoint c = make_checkpoint(n, kSparseK);
+  for (std::uint32_t v = 0; v < n; v += 2) {
+    auto row = c.pi.row(v);
+    std::fill(row.begin(), row.end() - 1, 1e-4f);
+    row[5] = 0.5f;
+    row[17] = 0.3f;
+    row[40] = 0.19f;
+  }
+  return c;
+}
+
+template <typename T>
+T read_at(const std::string& bytes, std::size_t offset) {
+  T value;
+  std::memcpy(&value, bytes.data() + offset, sizeof(T));
+  return value;
+}
+
+// Rows whose length prefix is in range but whose content the writer
+// cannot produce. Before the content check, an index >= K wrote through
+// row[idx] and an nnz in (K/2, K) read past the capacity slot.
+TEST(CheckpointCorruptTest, SparseRowContentViolationsRejected) {
+  constexpr std::size_t kRow0Len = kTagOffset + 4;
+  constexpr std::size_t kRow0Nnz = kRow0Len + 4;
+  constexpr std::size_t kRow0Idx = kRow0Nnz + quant::kSparseHeaderBytes;
+  for (const quant::RowCodec codec :
+       {quant::RowCodec::kSparseTopR, quant::RowCodec::kSparseTopRFp16,
+        quant::RowCodec::kSparseTopRInt8}) {
+    SCOPED_TRACE(quant::codec_name(codec));
+    const std::string v3 =
+        checkpoint_to_bytes(mixed_sparse_checkpoint(), codec);
+    ASSERT_NO_THROW((void)checkpoint_from_bytes(v3));
+    // The layout this test patches: row 0 sparse with u16 indices
+    // {5, 17, 40}, row 1 the dense fallback.
+    ASSERT_EQ(read_at<std::uint32_t>(v3, kRow0Nnz), 3u);
+    ASSERT_EQ(read_at<std::uint16_t>(v3, kRow0Idx), 5u);
+    ASSERT_EQ(read_at<std::uint16_t>(v3, kRow0Idx + 2), 17u);
+    const std::size_t row1_nnz =
+        kRow0Nnz + read_at<std::uint32_t>(v3, kRow0Len) + 4;
+    ASSERT_EQ(read_at<std::uint32_t>(v3, row1_nnz), kSparseK);
+
+    // Indices out of range: far beyond K, and exactly K.
+    expect_rejected(patched<std::uint16_t>(v3, kRow0Idx, 60000));
+    expect_rejected(patched<std::uint16_t>(v3, kRow0Idx, kSparseK));
+    // Indices not strictly ascending: a duplicate and a descent.
+    expect_rejected(patched<std::uint16_t>(v3, kRow0Idx + 2, 5));
+    expect_rejected(patched<std::uint16_t>(v3, kRow0Idx + 2, 3));
+    // nnz in (K/2, K): neither a sparse form nor the fallback sentinel.
+    expect_rejected(patched<std::uint32_t>(v3, kRow0Nnz, kSparseK - 1));
+    expect_rejected(patched<std::uint32_t>(v3, kRow0Nnz, kSparseK / 2 + 1));
+    // nnz that disagrees with the stored length, in both directions.
+    expect_rejected(patched<std::uint32_t>(v3, kRow0Nnz, 2));
+    expect_rejected(patched<std::uint32_t>(v3, kRow0Nnz, kSparseK));
+    expect_rejected(patched<std::uint32_t>(v3, row1_nnz, 3));
+  }
+}
+
+// Random byte mutations of a valid checkpoint, every codec: each mutant
+// must either load or be refused with scd::DataError. Any other
+// exception fails the test, and under the asan preset so does any
+// out-of-bounds access a mutant provokes.
+TEST(CheckpointCorruptTest, RandomByteMutationsLoadOrRefuse) {
+  constexpr int kMutantsPerCodec = 2000;
+  rng::Xoshiro256 rng(20240917);
+  for (const quant::RowCodec codec : kAllCodecs) {
+    SCOPED_TRACE(quant::codec_name(codec));
+    const std::string valid =
+        checkpoint_to_bytes(mixed_sparse_checkpoint(), codec);
+    int loaded = 0;
+    int refused = 0;
+    for (int m = 0; m < kMutantsPerCodec; ++m) {
+      std::string bytes = valid;
+      const std::uint64_t writes = 1 + rng.next_below(3);
+      for (std::uint64_t w = 0; w < writes; ++w) {
+        bytes[rng.next_below(bytes.size())] = static_cast<char>(rng() & 0xff);
+      }
+      try {
+        (void)checkpoint_from_bytes(bytes);
+        ++loaded;
+      } catch (const scd::DataError&) {
+        ++refused;
+      }
+    }
+    // Payload mutants load and header mutants refuse, so a sweep that
+    // only ever saw one outcome is not exercising the loader.
+    EXPECT_GT(loaded, 0);
+    EXPECT_GT(refused, 0);
+  }
 }
 
 // Loader survives a row-level bit flip without structural failure: the

@@ -61,7 +61,7 @@ TEST(KernelsSimdTest, PairLikelihoodMatchesScalar) {
     const std::vector<float> row_b = random_row(rng, k, 3.0f);
     for (bool y : {false, true}) {
       const double scalar = pair_likelihood(row_a, row_b, terms, y);
-      const double fused = fused_pair_likelihood(row_a, row_b, terms, y);
+      const double fused = fast_pair_likelihood(row_a, row_b, terms, y);
       expect_close(fused, scalar, "Z", k, y);
     }
   }
@@ -80,7 +80,7 @@ TEST(KernelsSimdTest, PhiGradMatchesScalar) {
       const double z_scalar =
           accumulate_phi_grad(row_a, row_b, terms, y, g_scalar);
       const double z_fused =
-          fused_accumulate_phi_grad(row_a, row_b, terms, y, g_fused, w);
+          fast_accumulate_phi_grad(row_a, row_b, terms, y, g_fused, w);
       expect_close(z_fused, z_scalar, "phi-grad Z", k, y);
       for (std::uint32_t i = 0; i < k; ++i) {
         ASSERT_NEAR(g_fused[i], g_scalar[i],
@@ -104,7 +104,7 @@ TEST(KernelsSimdTest, ThetaRatioMatchesScalar) {
       const double z_scalar =
           accumulate_theta_ratio(row_a, row_b, terms, y, r_scalar);
       const double z_fused =
-          fused_accumulate_theta_ratio(row_a, row_b, terms, y, r_fused, f);
+          fast_accumulate_theta_ratio(row_a, row_b, terms, y, r_fused, f);
       expect_close(z_fused, z_scalar, "ratio Z", k, y);
       for (std::uint32_t i = 0; i < k; ++i) {
         ASSERT_NEAR(r_fused[i], r_scalar[i],
@@ -125,9 +125,9 @@ TEST(KernelsSimdTest, FusedKernelsAccumulate) {
   std::vector<float> w(k);
   std::vector<double> once(k, 0.0);
   std::vector<double> twice(k, 0.0);
-  fused_accumulate_phi_grad(row_a, row_b, terms, true, once, w);
-  fused_accumulate_phi_grad(row_a, row_b, terms, true, twice, w);
-  fused_accumulate_phi_grad(row_a, row_b, terms, true, twice, w);
+  fast_accumulate_phi_grad(row_a, row_b, terms, true, once, w);
+  fast_accumulate_phi_grad(row_a, row_b, terms, true, twice, w);
+  fast_accumulate_phi_grad(row_a, row_b, terms, true, twice, w);
   for (std::uint32_t i = 0; i < k; ++i) {
     EXPECT_NEAR(twice[i], 2.0 * once[i], 1e-12) << i;
   }
@@ -150,8 +150,8 @@ TEST(KernelsSimdTest, UpdatePhiRowMatchesScalar) {
       update_phi_row(/*seed=*/3, /*iteration=*/5, /*vertex=*/9, scalar_row,
                      grad, /*scale=*/40.0, /*eps=*/0.01, /*alpha=*/0.1,
                      /*noise_factor=*/1.0, form);
-      fused_update_phi_row(3, 5, 9, fused_row, grad, 40.0, 0.01, 0.1, 1.0,
-                           form, noise);
+      fast_update_phi_row(3, 5, 9, fused_row, grad, 40.0, 0.01, 0.1, 1.0,
+                          form, noise);
       for (std::uint32_t i = 0; i <= k; ++i) {
         ASSERT_NEAR(fused_row[i], scalar_row[i],
                     1e-5 * (1.0 + std::abs(scalar_row[i])))
@@ -159,30 +159,6 @@ TEST(KernelsSimdTest, UpdatePhiRowMatchesScalar) {
       }
     }
   }
-}
-
-// set_kernel_path steers every fast_* dispatcher; the scalar setting must
-// reproduce the scalar kernels exactly (bit-for-bit).
-TEST(KernelsSimdTest, DispatchHonorsKernelPath) {
-  const KernelPath original = kernel_path();
-  rng::Xoshiro256 rng(23);
-  const std::uint32_t k = 100;
-  const LikelihoodTerms terms = random_terms(rng, k);
-  const std::vector<float> row_a = random_row(rng, k, 2.0f);
-  const std::vector<float> row_b = random_row(rng, k, 3.0f);
-  std::vector<float> w(k);
-
-  set_kernel_path(KernelPath::kScalar);
-  EXPECT_EQ(kernel_path(), KernelPath::kScalar);
-  EXPECT_EQ(fast_pair_likelihood(row_a, row_b, terms, true),
-            pair_likelihood(row_a, row_b, terms, true));
-
-  set_kernel_path(KernelPath::kFused);
-  EXPECT_EQ(kernel_path(), KernelPath::kFused);
-  EXPECT_EQ(fast_pair_likelihood(row_a, row_b, terms, true),
-            fused_pair_likelihood(row_a, row_b, terms, true));
-
-  set_kernel_path(original);
 }
 
 }  // namespace

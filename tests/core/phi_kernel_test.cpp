@@ -22,9 +22,9 @@ std::vector<float> make_row(rng::Xoshiro256& rng) {
 
 // staged_phi_update with a NeighborSet must equal the manual sequence:
 // accumulate exact + scaled sampled gradients, then the row update with
-// scale 1 — for both weighting layouts. The manual side goes through the
-// same fast_* dispatch the kernel uses, so the equality is exact under
-// either kernel path (scalar/fused numerics are covered separately by
+// scale 1 — for both weighting layouts. The manual side calls the same
+// fast_* kernels the staged update uses, so the equality is exact
+// (agreement with the grads.cpp reference is covered by
 // kernels_simd_test).
 TEST(PhiKernelTest, MatchesManualAccumulation) {
   rng::Xoshiro256 rng(3);
@@ -53,7 +53,7 @@ TEST(PhiKernelTest, MatchesManualAccumulation) {
       },
       terms, /*eps=*/0.02, /*alpha=*/0.1, via_kernel, scratch);
 
-  // Manual, via the same dispatched kernels.
+  // Manual, via the same kernels.
   std::vector<double> exact(kK, 0.0);
   std::vector<double> sampled(kK, 0.0);
   std::vector<float> w(kK);

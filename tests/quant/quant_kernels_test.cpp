@@ -75,13 +75,10 @@ TEST(QuantKernelsTest, Fp32PairLikelihoodIsBitIdentical) {
     const auto ea = encode(RowCodec::kFloat32, a);
     const auto eb = encode(RowCodec::kFloat32, b);
     for (const bool y : {false, true}) {
-      EXPECT_EQ(fused_pair_likelihood_enc(RowCodec::kFloat32, ea, eb, k,
-                                          terms, y),
-                fused_pair_likelihood(a, b, terms, y))
+      EXPECT_EQ(fast_pair_likelihood_enc(RowCodec::kFloat32, ea, eb, k,
+                                         terms, y),
+                fast_pair_likelihood(a, b, terms, y))
           << "fused K=" << k << " y=" << y;
-      EXPECT_EQ(pair_likelihood_enc(RowCodec::kFloat32, ea, eb, k, terms, y),
-                pair_likelihood(a, b, terms, y))
-          << "scalar K=" << k << " y=" << y;
     }
   }
 }
@@ -98,8 +95,8 @@ TEST(QuantKernelsTest, Fp32PhiGradIsBitIdentical) {
       std::vector<double> g_ref(k, 0.5);
       std::vector<double> g_enc(k, 0.5);
       const double z_ref =
-          fused_accumulate_phi_grad(a, b, terms, y, g_ref, w);
-      const double z_enc = fused_accumulate_phi_grad_enc(
+          fast_accumulate_phi_grad(a, b, terms, y, g_ref, w);
+      const double z_enc = fast_accumulate_phi_grad_enc(
           RowCodec::kFloat32, a, eb, terms, y, g_enc, w);
       EXPECT_EQ(z_enc, z_ref) << "K=" << k << " y=" << y;
       EXPECT_EQ(g_enc, g_ref) << "K=" << k << " y=" << y;
@@ -120,8 +117,8 @@ TEST(QuantKernelsTest, Fp32ThetaRatioIsBitIdentical) {
       std::vector<double> r_ref(k, 0.25);
       std::vector<double> r_enc(k, 0.25);
       const double z_ref =
-          fused_accumulate_theta_ratio(a, b, terms, y, r_ref, f);
-      const double z_enc = fused_accumulate_theta_ratio_enc(
+          fast_accumulate_theta_ratio(a, b, terms, y, r_ref, f);
+      const double z_enc = fast_accumulate_theta_ratio_enc(
           RowCodec::kFloat32, ea, eb, k, terms, y, r_enc, f);
       EXPECT_EQ(z_enc, z_ref) << "K=" << k << " y=" << y;
       EXPECT_EQ(r_enc, r_ref) << "K=" << k << " y=" << y;
@@ -154,10 +151,8 @@ TEST(QuantKernelsTest, LossyPairLikelihoodMatchesDecodedRows) {
       const auto db = decode(codec, eb, k + 1);
       for (const bool y : {false, true}) {
         expect_close(
-            fused_pair_likelihood_enc(codec, ea, eb, k, terms, y),
-            fused_pair_likelihood(da, db, terms, y), "fused Z", k);
-        expect_close(pair_likelihood_enc(codec, ea, eb, k, terms, y),
-                     pair_likelihood(da, db, terms, y), "scalar Z", k);
+            fast_pair_likelihood_enc(codec, ea, eb, k, terms, y),
+            fast_pair_likelihood(da, db, terms, y), "fused Z", k);
       }
     }
   }
@@ -177,8 +172,8 @@ TEST(QuantKernelsTest, LossyPhiGradMatchesDecodedRows) {
         std::vector<double> g_ref(k, 0.0);
         std::vector<double> g_enc(k, 0.0);
         const double z_ref =
-            fused_accumulate_phi_grad(a, db, terms, y, g_ref, w);
-        const double z_enc = fused_accumulate_phi_grad_enc(
+            fast_accumulate_phi_grad(a, db, terms, y, g_ref, w);
+        const double z_enc = fast_accumulate_phi_grad_enc(
             codec, a, eb, terms, y, g_enc, w);
         expect_close(z_enc, z_ref, "phi-grad Z", k);
         for (std::uint32_t i = 0; i < k; ++i) {
@@ -207,8 +202,8 @@ TEST(QuantKernelsTest, LossyThetaRatioMatchesDecodedRows) {
         std::vector<double> r_ref(k, 0.0);
         std::vector<double> r_enc(k, 0.0);
         const double z_ref =
-            fused_accumulate_theta_ratio(da, db, terms, y, r_ref, f);
-        const double z_enc = fused_accumulate_theta_ratio_enc(
+            fast_accumulate_theta_ratio(da, db, terms, y, r_ref, f);
+        const double z_enc = fast_accumulate_theta_ratio_enc(
             codec, ea, eb, k, terms, y, r_enc, f);
         expect_close(z_enc, z_ref, "theta Z", k);
         for (std::uint32_t i = 0; i < k; ++i) {

@@ -69,6 +69,14 @@ TEST(QueryScriptTest, RejectsMissingOrNegativeOperands) {
   EXPECT_THROW(parse_query_script(negative), scd::DataError);
   std::istringstream junk("members 1 x\n");
   EXPECT_THROW(parse_query_script(junk), scd::DataError);
+  // Operands wider than 32 bits are refused, not truncated (2^32 + 1
+  // would otherwise run as vertex 1).
+  std::istringstream wide("link 4294967297 0\n");
+  EXPECT_THROW(parse_query_script(wide), scd::DataError);
+  std::istringstream widest("top 0 4294967296\n");
+  EXPECT_THROW(parse_query_script(widest), scd::DataError);
+  std::istringstream max("link 4294967295 0\n");
+  EXPECT_EQ(parse_query_script(max).at(0).a, 4294967295u);
 }
 
 TEST(QueryScriptTest, MissingFileRejected) {

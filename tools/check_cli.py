@@ -12,8 +12,11 @@ The contract, uniform across every subcommand:
 Run: check_cli.py /path/to/scd
 """
 
+import os
+import struct
 import subprocess
 import sys
+import tempfile
 
 COMMANDS = [
     "generate", "info", "fit", "eval", "resume", "serve", "simulate",
@@ -33,6 +36,22 @@ def check(label, cond, detail=""):
         print(f"FAIL {label} {detail}")
     else:
         print(f"ok   {label}")
+
+
+def write_sparse_checkpoint(path, first_index):
+    """Write a minimal version-3 (sparse-topr) checkpoint: K = 64, two
+    vertices whose rows keep communities {first_index, 17, 40}. A
+    first_index >= K (or >= 17) is a row the writer cannot produce."""
+    k, n, sparse_topr = 64, 2, 3
+    data = struct.pack("<QIQIddddII", 0x5343445F434B5031, 3, 0, k,
+                       0.0, 1.0, 1.0, 1e-3, n, sparse_topr)
+    row = (struct.pack("<If", 3, 0.01) +
+           struct.pack("<3H", first_index, 17, 40) +
+           struct.pack("<3f", 0.5, 0.3, 0.19) + struct.pack("<f", 2.0))
+    data += (struct.pack("<I", len(row)) + row) * n
+    data += struct.pack(f"<{2 * k}d", *([1.0] * (2 * k)))
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def main():
@@ -94,6 +113,34 @@ def main():
     check("data error exits 2", r.returncode == 2, f"exit={r.returncode}")
     check("data error diagnoses on stderr", "error" in r.stderr,
           repr(r.stderr[:120]))
+
+    # Corrupt inputs are data errors too: refused with 2 and a message,
+    # never a crash or a silently reinterpreted value.
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "bad_index.ckpt")
+        write_sparse_checkpoint(bad, first_index=60000)
+        r = run([scd, "serve", "--checkpoint", bad])
+        check("serve sparse index >= K exits 2", r.returncode == 2,
+              f"exit={r.returncode}")
+        check("serve sparse index >= K diagnoses on stderr",
+              "error" in r.stderr, repr(r.stderr[:160]))
+
+        good = os.path.join(tmp, "good.ckpt")
+        write_sparse_checkpoint(good, first_index=5)
+        queries = os.path.join(tmp, "queries.txt")
+        with open(queries, "w") as f:
+            f.write("link 1 0\n")
+        r = run([scd, "serve", "--checkpoint", good, "--queries", queries])
+        check("serve valid small checkpoint exits 0", r.returncode == 0,
+              f"exit={r.returncode} {r.stderr[:160]!r}")
+        with open(queries, "w") as f:
+            f.write("link 4294967297 0\n")
+        r = run([scd, "serve", "--checkpoint", good, "--queries", queries])
+        check("serve 33-bit query operand exits 2", r.returncode == 2,
+              f"exit={r.returncode}")
+        check("serve 33-bit query operand diagnoses on stderr",
+              "error" in r.stderr and "line 1" in r.stderr,
+              repr(r.stderr[:160]))
 
     # `scd run` backend selection: an unknown backend is a usage error
     # (1), an unreadable fault plan a data error (2) — the same split
