@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "util/error.h"
@@ -26,55 +26,79 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kVersionCodec = 2;
 constexpr std::uint32_t kVersionSparse = 3;
 
+/// Header bytes before the pi rows: magic, version, iteration, K, the
+/// four double hyperparameters and n; v2/v3 append a uint32 codec tag.
+constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 4 + 4 * 8 + 4;
+
+/// Append `value`'s bytes; the writer reserves the string up front, so
+/// appends never regrow it.
 template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+void append_pod(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw DataError("checkpoint truncated");
-  return value;
-}
+/// Bounds-checked cursor over checkpoint bytes: every read that would run
+/// past the end throws DataError instead of touching memory it does not
+/// own.
+class ByteReader {
+ public:
+  explicit ByteReader(const std::string& bytes)
+      : cur_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+
+  std::size_t remaining() const {
+    return static_cast<std::size_t>(end_ - cur_);
+  }
+
+  template <typename T>
+  T pod() {
+    T value{};
+    bytes(&value, sizeof(T));
+    return value;
+  }
+  void bytes(void* out, std::size_t size) {
+    if (remaining() < size) throw DataError("checkpoint truncated");
+    std::memcpy(out, cur_, size);
+    cur_ += size;
+  }
+
+ private:
+  const char* cur_;
+  const char* end_;
+};
 
 /// Sanity cap on K: a header beyond this is certainly garbage, and
 /// rejecting it here keeps a corrupt uint32 from driving a ~2^37-byte
 /// PiMatrix allocation (and keeps K + 1 row-width arithmetic safe).
 constexpr std::uint32_t kMaxCommunities = 1u << 24;
 
-/// Bytes left in the stream, or -1 when the stream is not seekable.
-std::int64_t stream_remaining(std::istream& in) {
-  const auto pos = in.tellg();
-  if (pos == std::istream::pos_type(-1)) return -1;
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  in.seekg(pos);
-  if (end == std::istream::pos_type(-1) || end < pos) return -1;
-  return static_cast<std::int64_t>(end - pos);
-}
-
 /// Reject a header whose promised body cannot fit in the remaining
-/// stream BEFORE sizing any allocation from it: a corrupt n or k must
+/// bytes BEFORE sizing any allocation from it: a corrupt n or k must
 /// produce a clear DataError, not a multi-gigabyte resize or a
 /// half-filled matrix. `body_bytes` is a lower bound (exact for v1/v2,
-/// conservative for v3's variably sized rows); a checkpoint embedded in
-/// a longer stream stays loadable.
-void require_body_fits(std::istream& in, std::uint64_t body_bytes) {
-  const std::int64_t remaining = stream_remaining(in);
-  if (remaining < 0) return;  // non-seekable: per-row checks still apply
-  if (static_cast<std::uint64_t>(remaining) < body_bytes) {
+/// conservative for v3's variably sized rows); trailing bytes after a
+/// checkpoint are tolerated.
+void require_body_fits(const ByteReader& in, std::uint64_t body_bytes) {
+  if (in.remaining() < body_bytes) {
     throw DataError("checkpoint truncated or corrupt: header promises " +
                     std::to_string(body_bytes) + " body bytes but only " +
-                    std::to_string(remaining) + " remain");
+                    std::to_string(in.remaining()) + " remain");
   }
+}
+
+/// Every byte `in` still holds, up to EOF.
+std::string read_to_eof(std::istream& in) {
+  std::string bytes;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return bytes;
 }
 
 }  // namespace
 
-void save_checkpoint(std::ostream& out, const Checkpoint& checkpoint,
-                     quant::RowCodec pi_codec, float sparse_eps) {
+std::string checkpoint_to_bytes(const Checkpoint& checkpoint,
+                                quant::RowCodec pi_codec, float sparse_eps) {
   checkpoint.hyper.validate();
   const std::uint32_t n = checkpoint.pi.num_vertices();
   const std::uint32_t k = checkpoint.pi.num_communities();
@@ -83,74 +107,78 @@ void save_checkpoint(std::ostream& out, const Checkpoint& checkpoint,
               "checkpoint state disagrees on K");
   const bool sparse = quant::is_sparse(pi_codec);
   const bool encoded = pi_codec != quant::RowCodec::kFloat32;
-  write_pod(out, kMagic);
-  write_pod(out, sparse ? kVersionSparse
-                        : (encoded ? kVersionCodec : kVersion));
-  write_pod(out, checkpoint.iteration);
-  write_pod(out, checkpoint.hyper.num_communities);
-  write_pod(out, checkpoint.hyper.alpha);
-  write_pod(out, checkpoint.hyper.eta0);
-  write_pod(out, checkpoint.hyper.eta1);
-  write_pod(out, checkpoint.hyper.delta);
-  write_pod(out, n);
-  if (sparse) {
-    write_pod(out, static_cast<std::uint32_t>(pi_codec));
-    const std::uint32_t width = checkpoint.pi.row_width();
-    std::vector<std::byte> buf(quant::encoded_bytes(pi_codec, width));
+  const std::uint32_t width = checkpoint.pi.row_width();
+  const auto theta = checkpoint.global.theta_flat();
+  // Exact size for v1/v2; for v3 the bound of every row at its fixed
+  // capacity, so the string never regrows.
+  const std::size_t row_slot =
+      encoded ? quant::encoded_bytes(pi_codec, width)
+              : std::size_t{width} * sizeof(float);
+  std::string bytes;
+  bytes.reserve(kHeaderBytes + (encoded ? sizeof(std::uint32_t) : 0) +
+                std::size_t{n} *
+                    (row_slot + (sparse ? sizeof(std::uint32_t) : 0)) +
+                theta.size_bytes());
+  append_pod(bytes, kMagic);
+  append_pod(bytes,
+             sparse ? kVersionSparse : (encoded ? kVersionCodec : kVersion));
+  append_pod(bytes, checkpoint.iteration);
+  append_pod(bytes, checkpoint.hyper.num_communities);
+  append_pod(bytes, checkpoint.hyper.alpha);
+  append_pod(bytes, checkpoint.hyper.eta0);
+  append_pod(bytes, checkpoint.hyper.eta1);
+  append_pod(bytes, checkpoint.hyper.delta);
+  append_pod(bytes, n);
+  if (encoded) {
+    append_pod(bytes, static_cast<std::uint32_t>(pi_codec));
+    std::vector<std::byte> buf(row_slot);
     for (std::uint32_t v = 0; v < n; ++v) {
       quant::encode_row(pi_codec, checkpoint.pi.row(v), buf, sparse_eps);
-      const auto rbytes =
-          static_cast<std::uint32_t>(quant::row_bytes(pi_codec, width, buf));
-      write_pod(out, rbytes);
-      out.write(reinterpret_cast<const char*>(buf.data()),
-                static_cast<std::streamsize>(rbytes));
-    }
-  } else if (encoded) {
-    write_pod(out, static_cast<std::uint32_t>(pi_codec));
-    const std::size_t vbytes =
-        quant::encoded_bytes(pi_codec, checkpoint.pi.row_width());
-    std::vector<std::byte> buf(vbytes);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      quant::encode_row(pi_codec, checkpoint.pi.row(v), buf);
-      out.write(reinterpret_cast<const char*>(buf.data()),
-                static_cast<std::streamsize>(vbytes));
+      if (sparse) {
+        const auto rbytes = static_cast<std::uint32_t>(
+            quant::row_bytes(pi_codec, width, buf));
+        append_pod(bytes, rbytes);
+        bytes.append(reinterpret_cast<const char*>(buf.data()), rbytes);
+      } else {
+        bytes.append(reinterpret_cast<const char*>(buf.data()), row_slot);
+      }
     }
   } else {
     for (std::uint32_t v = 0; v < n; ++v) {
       const auto row = checkpoint.pi.row(v);
-      out.write(reinterpret_cast<const char*>(row.data()),
-                static_cast<std::streamsize>(row.size_bytes()));
+      bytes.append(reinterpret_cast<const char*>(row.data()),
+                   row.size_bytes());
     }
   }
-  const auto theta = checkpoint.global.theta_flat();
-  out.write(reinterpret_cast<const char*>(theta.data()),
-            static_cast<std::streamsize>(theta.size_bytes()));
-  if (!out) throw Error("checkpoint write failed");
+  bytes.append(reinterpret_cast<const char*>(theta.data()),
+               theta.size_bytes());
+  return bytes;
 }
 
-Checkpoint load_checkpoint(std::istream& in) {
-  if (read_pod<std::uint64_t>(in) != kMagic) {
+Checkpoint checkpoint_from_bytes(const std::string& bytes) {
+  ByteReader in(bytes);
+  if (in.pod<std::uint64_t>() != kMagic) {
     throw DataError("not a scd checkpoint (bad magic)");
   }
-  const auto version = read_pod<std::uint32_t>(in);
+  const auto version = in.pod<std::uint32_t>();
   if (version != kVersion && version != kVersionCodec &&
       version != kVersionSparse) {
     throw DataError("unsupported checkpoint version " +
                     std::to_string(version));
   }
   Checkpoint checkpoint;
-  checkpoint.iteration = read_pod<std::uint64_t>(in);
-  checkpoint.hyper.num_communities = read_pod<std::uint32_t>(in);
-  checkpoint.hyper.alpha = read_pod<double>(in);
-  checkpoint.hyper.eta0 = read_pod<double>(in);
-  checkpoint.hyper.eta1 = read_pod<double>(in);
-  checkpoint.hyper.delta = read_pod<double>(in);
+  checkpoint.iteration = in.pod<std::uint64_t>();
+  checkpoint.hyper.num_communities = in.pod<std::uint32_t>();
+  checkpoint.hyper.alpha = in.pod<double>();
+  checkpoint.hyper.eta0 = in.pod<double>();
+  checkpoint.hyper.eta1 = in.pod<double>();
+  checkpoint.hyper.delta = in.pod<double>();
   try {
     checkpoint.hyper.validate();
   } catch (const Error& e) {
     throw DataError(std::string("corrupt checkpoint hyper: ") + e.what());
   }
-  const auto n = read_pod<std::uint32_t>(in);
+  const auto n = in.pod<std::uint32_t>();
   const std::uint32_t k = checkpoint.hyper.num_communities;
   if (n == 0) throw DataError("checkpoint has zero vertices");
   if (k > kMaxCommunities) {
@@ -162,11 +190,11 @@ Checkpoint load_checkpoint(std::istream& in) {
   const std::uint64_t theta_bytes = std::uint64_t{k} * 2 * sizeof(double);
 
   // Resolve the codec tag (v2/v3) and size-check the promised body
-  // against the stream BEFORE allocating n*width floats from header
-  // fields that may be garbage.
+  // against the remaining bytes BEFORE allocating n*width floats from
+  // header fields that may be garbage.
   quant::RowCodec codec = quant::RowCodec::kFloat32;
   if (version == kVersionCodec || version == kVersionSparse) {
-    const auto tag = read_pod<std::uint32_t>(in);
+    const auto tag = in.pod<std::uint32_t>();
     if (tag >= quant::kNumCodecs) {
       throw DataError("checkpoint has unknown pi codec tag " +
                       std::to_string(tag));
@@ -200,16 +228,14 @@ Checkpoint load_checkpoint(std::istream& in) {
     // stored bytes must be deterministic.
     std::vector<std::byte> buf(capacity);
     for (std::uint32_t v = 0; v < n; ++v) {
-      const auto rbytes = read_pod<std::uint32_t>(in);
+      const auto rbytes = in.pod<std::uint32_t>();
       if (rbytes == 0 || rbytes > capacity) {
         throw DataError("checkpoint sparse row length " +
                         std::to_string(rbytes) + " outside (0, " +
                         std::to_string(capacity) + "]");
       }
       std::fill(buf.begin(), buf.end(), std::byte{0});
-      in.read(reinterpret_cast<char*>(buf.data()),
-              static_cast<std::streamsize>(rbytes));
-      if (!in) throw DataError("checkpoint truncated");
+      in.bytes(buf.data(), rbytes);
       quant::check_sparse_row(codec, width, buf, rbytes);
       quant::decode_row(codec, buf, checkpoint.pi.row(v));
     }
@@ -217,26 +243,32 @@ Checkpoint load_checkpoint(std::istream& in) {
     const std::size_t vbytes = quant::encoded_bytes(codec, width);
     std::vector<std::byte> buf(vbytes);
     for (std::uint32_t v = 0; v < n; ++v) {
-      in.read(reinterpret_cast<char*>(buf.data()),
-              static_cast<std::streamsize>(vbytes));
-      if (!in) throw DataError("checkpoint truncated");
+      in.bytes(buf.data(), vbytes);
       quant::decode_row(codec, buf, checkpoint.pi.row(v));
     }
   } else {
     for (std::uint32_t v = 0; v < n; ++v) {
-      auto row = checkpoint.pi.row(v);
-      in.read(reinterpret_cast<char*>(row.data()),
-              static_cast<std::streamsize>(row.size_bytes()));
-      if (!in) throw DataError("checkpoint truncated");
+      const auto row = checkpoint.pi.row(v);
+      in.bytes(row.data(), row.size_bytes());
     }
   }
   checkpoint.global = GlobalState(k);
-  auto theta = checkpoint.global.theta_flat();
-  in.read(reinterpret_cast<char*>(theta.data()),
-          static_cast<std::streamsize>(theta.size_bytes()));
-  if (!in) throw DataError("checkpoint truncated");
+  const auto theta = checkpoint.global.theta_flat();
+  in.bytes(theta.data(), theta.size_bytes());
   checkpoint.global.update_beta_from_theta();
   return checkpoint;
+}
+
+void save_checkpoint(std::ostream& out, const Checkpoint& checkpoint,
+                     quant::RowCodec pi_codec, float sparse_eps) {
+  const std::string bytes =
+      checkpoint_to_bytes(checkpoint, pi_codec, sparse_eps);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw Error("checkpoint write failed");
+}
+
+Checkpoint load_checkpoint(std::istream& in) {
+  return checkpoint_from_bytes(read_to_eof(in));
 }
 
 void save_checkpoint_file(const std::string& path,
@@ -250,18 +282,6 @@ void save_checkpoint_file(const std::string& path,
 Checkpoint load_checkpoint_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw DataError("cannot open checkpoint '" + path + "'");
-  return load_checkpoint(in);
-}
-
-std::string checkpoint_to_bytes(const Checkpoint& checkpoint,
-                                quant::RowCodec pi_codec, float sparse_eps) {
-  std::ostringstream out(std::ios::binary);
-  save_checkpoint(out, checkpoint, pi_codec, sparse_eps);
-  return std::move(out).str();
-}
-
-Checkpoint checkpoint_from_bytes(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
   return load_checkpoint(in);
 }
 

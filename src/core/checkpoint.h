@@ -31,7 +31,8 @@ struct Checkpoint {
   quant::RowCodec pi_codec = quant::RowCodec::kFloat32;
 };
 
-/// Serialize to a stream / file. Throws scd::Error on I/O failure.
+/// Serialize to a stream / file: writes exactly the bytes of
+/// checkpoint_to_bytes. Throws scd::Error on I/O failure.
 /// `pi_codec` selects the on-disk pi row encoding: kFloat32 (default)
 /// writes the original version-1 format byte-for-byte; fp16/int8 write a
 /// version-2 checkpoint with a codec tag and quant/row_codec.h-encoded
@@ -50,14 +51,19 @@ void save_checkpoint_file(
     quant::RowCodec pi_codec = quant::RowCodec::kFloat32,
     float sparse_eps = quant::kDefaultSparseEps);
 
-/// Deserialize (either version; encoded rows are decoded on load).
-/// Throws scd::DataError on corrupt or mismatched content.
+/// Deserialize (any version; encoded rows are decoded on load). Reads
+/// `in` to EOF and parses those bytes as checkpoint_from_bytes does;
+/// bytes after the checkpoint are consumed and ignored. Throws
+/// scd::DataError on corrupt or mismatched content.
 Checkpoint load_checkpoint(std::istream& in);
 Checkpoint load_checkpoint_file(const std::string& path);
 
 /// In-memory round-trip through the same binary format — the
-/// fault-tolerant sampler's rollback snapshots, and anything else that
-/// wants checkpoint semantics without touching the filesystem.
+/// fault-tolerant sampler's rollback snapshots, the serving refresh, and
+/// anything else that wants checkpoint semantics without touching the
+/// filesystem. The writer fills one string reserved up front; the parser
+/// reads the string in place through a bounds-checked cursor, and
+/// tolerates trailing bytes.
 std::string checkpoint_to_bytes(
     const Checkpoint& checkpoint,
     quant::RowCodec pi_codec = quant::RowCodec::kFloat32,

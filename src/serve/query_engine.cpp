@@ -7,16 +7,6 @@
 
 namespace scd::serve {
 
-namespace {
-
-inline bool ranks_before(float weight_a, std::uint32_t id_a, float weight_b,
-                         std::uint32_t id_b) {
-  if (weight_a != weight_b) return weight_a > weight_b;
-  return id_a < id_b;
-}
-
-}  // namespace
-
 ServingSnapshots::Ref QueryEngine::current() const {
   ServingSnapshots::Ref ref = snapshots_.acquire();
   if (!ref) throw Error("no serving snapshot published yet");
@@ -34,21 +24,9 @@ std::uint32_t QueryEngine::top_communities(std::uint32_t u,
     std::copy_n(list.begin(), k, out.begin());
     return k;
   }
-  // Exact fallback: rank the full dense row. The scratch is thread-local
-  // so deep queries stay allocation-free after warm-up (the index path
-  // above allocates nothing at all).
-  static thread_local std::vector<std::uint32_t> order;
-  const std::span<const float> row = index->pi_row(u);
-  const std::uint32_t num_k = index->num_communities();
-  order.resize(num_k);
-  for (std::uint32_t c = 0; c < num_k; ++c) order[c] = c;
-  std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                    [&](std::uint32_t a, std::uint32_t b) {
-                      return ranks_before(row[a], a, row[b], b);
-                    });
-  for (std::uint32_t r = 0; r < k; ++r) {
-    out[r] = TopEntry{order[r], row[order[r]]};
-  }
+  // Exact fallback: select over the full dense row (allocation-free
+  // after warm-up; the index path above allocates nothing at all).
+  select_top(index->pi_row(u).first(index->num_communities()), k, out);
   return k;
 }
 

@@ -36,8 +36,8 @@ class QueryEngine {
   /// Top-k communities of `u`, weight-descending, written into `out`
   /// (clamped to out.size()); returns the count written. k <= top_r is
   /// served from the index in O(k); deeper asks fall back to an exact
-  /// O(K log k) selection over the dense pi row, so any k up to K is
-  /// answerable. Allocation-free when k <= top_r.
+  /// O(K + k log k) selection (select_top) over the dense pi row, so any
+  /// k up to K is answerable. Allocation-free when k <= top_r.
   std::uint32_t top_communities(std::uint32_t u, std::span<TopEntry> out)
       const;
   std::vector<TopEntry> top_communities(std::uint32_t u,

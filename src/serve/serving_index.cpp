@@ -1,6 +1,9 @@
 #include "serve/serving_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "core/report.h"
@@ -10,15 +13,67 @@ namespace scd::serve {
 
 namespace {
 
-/// Weight-descending, index-ascending — the one ordering every list in
-/// the index uses, so results are unique and thread-count independent.
-inline bool ranks_before(float weight_a, std::uint32_t id_a, float weight_b,
-                         std::uint32_t id_b) {
-  if (weight_a != weight_b) return weight_a > weight_b;
-  return id_a < id_b;
+/// The one ordering every list in the index uses — weight descending,
+/// id ascending — packed into a single integer so one unsigned compare
+/// decides it. The high word holds the weight's order-preserving bits,
+/// inverted so larger weights give smaller keys; -0.0f is folded onto
+/// +0.0f so the two still tie. The low word is the id, which makes keys
+/// unique, so results are unique and thread-count independent.
+inline std::uint64_t rank_key(float weight, std::uint32_t id) {
+  std::uint32_t bits = std::bit_cast<std::uint32_t>(weight);
+  bits = bits == 0x80000000u ? 0u : bits;
+  // Non-negative weights: flip the magnitude so larger sorts first.
+  // Negative ones already grow with magnitude and sort after them.
+  const std::uint32_t flip = (bits >> 31) != 0 ? 0u : 0x7fffffffu;
+  return (std::uint64_t{bits ^ flip} << 32) | id;
 }
 
 }  // namespace
+
+void select_top(std::span<const float> row, std::uint32_t k,
+                std::span<TopEntry> out) {
+  const auto num = static_cast<std::uint32_t>(row.size());
+  SCD_REQUIRE(k >= 1 && k <= num && out.size() >= k,
+              "select_top needs 1 <= k <= row size and room for k entries");
+  static thread_local std::vector<std::uint64_t> scratch;
+  scratch.resize(num);
+  std::uint64_t* keys = scratch.data();
+  bool finite = true;
+  for (std::uint32_t c = 0; c < num; ++c) {
+    keys[c] = rank_key(row[c], c);
+    finite &= std::isfinite(row[c]);
+  }
+  if (!finite) {
+    const auto bad = static_cast<std::size_t>(
+        std::find_if_not(row.begin(), row.end(),
+                         [](float w) { return std::isfinite(w); }) -
+        row.begin());
+    throw DataError("non-finite pi weight " + std::to_string(row[bad]) +
+                    " for community " + std::to_string(bad));
+  }
+  // Cut-off: split the keys into k contiguous groups and take the worst
+  // of the group bests. Each group holds a key <= cut, so the k best keys
+  // all pass it; only those candidates go through the selection.
+  std::uint64_t cut = 0;
+  for (std::uint32_t g = 0; g < k; ++g) {
+    const auto lo = static_cast<std::uint32_t>(std::uint64_t{num} * g / k);
+    const auto hi =
+        static_cast<std::uint32_t>(std::uint64_t{num} * (g + 1) / k);
+    cut = std::max(cut, *std::min_element(keys + lo, keys + hi));
+  }
+  std::uint32_t candidates = 0;
+  for (std::uint32_t c = 0; c < num; ++c) {
+    const std::uint64_t key = keys[c];
+    keys[candidates] = key;
+    candidates += key <= cut ? 1 : 0;
+  }
+  std::nth_element(keys, keys + (k - 1), keys + candidates);
+  std::sort(keys, keys + k);
+  for (std::uint32_t r = 0; r < k; ++r) {
+    const auto c = static_cast<std::uint32_t>(keys[r]);
+    out[r] = TopEntry{c, row[c]};
+  }
+}
 
 ServingIndex::ServingIndex(core::Checkpoint checkpoint,
                            const ServingIndexOptions& options,
@@ -39,23 +94,19 @@ void ServingIndex::build(threading::ThreadPool& pool) {
   top_.resize(std::size_t{n_} * top_r_);
 
   // Stage 1 — per-node top-R selection, embarrassingly parallel over
-  // vertices. Each thread ranks candidate communities in a private
-  // scratch; output slots are disjoint, so the result is identical at
-  // any thread count.
+  // vertices. Output slots are disjoint, so the result is identical at
+  // any thread count. The key pass also refuses NaN and +-inf weights:
+  // no order can rank them.
   pool.parallel_for(0, n_, [&](unsigned, std::uint64_t lo,
                                std::uint64_t hi) {
-    std::vector<std::uint32_t> order(k_);
     for (std::uint64_t v = lo; v < hi; ++v) {
-      const std::span<const float> row = checkpoint_.pi.row(
-          static_cast<std::uint32_t>(v));
-      for (std::uint32_t c = 0; c < k_; ++c) order[c] = c;
-      std::partial_sort(order.begin(), order.begin() + top_r_, order.end(),
-                        [&](std::uint32_t a, std::uint32_t b) {
-                          return ranks_before(row[a], a, row[b], b);
-                        });
-      TopEntry* slot = top_.data() + v * top_r_;
-      for (std::uint32_t r = 0; r < top_r_; ++r) {
-        slot[r] = TopEntry{order[r], row[order[r]]};
+      const auto u = static_cast<std::uint32_t>(v);
+      try {
+        select_top(checkpoint_.pi.row(u).first(k_), top_r_,
+                   {top_.data() + v * top_r_, top_r_});
+      } catch (const DataError& e) {
+        throw DataError("serving index: vertex " + std::to_string(u) +
+                        ": " + e.what());
       }
     }
   });
@@ -88,7 +139,7 @@ void ServingIndex::build(threading::ThreadPool& pool) {
 
   // Stage 3 — scatter in vertex order (sequential: the per-community
   // cursors make parallel scatter order-dependent; this pass is a cheap
-  // O(N * R) sweep next to stage 1's O(N * K log R)).
+  // O(N * R) sweep next to stage 1's O(N * K)).
   std::vector<std::size_t> cursor(member_offsets_.begin(),
                                   member_offsets_.end() - 1);
   for (std::uint32_t v = 0; v < n_; ++v) {
@@ -100,9 +151,9 @@ void ServingIndex::build(threading::ThreadPool& pool) {
     }
   }
 
-  // Stage 4 — rank each community's members, parallel over communities.
-  // Sorting a deterministic input with a strict total order keeps the
-  // output thread-count independent.
+  // Stage 4 — rank each community's members, parallel over communities,
+  // on the same packed key as stage 1. Sorting a deterministic input with
+  // a strict total order keeps the output thread-count independent.
   pool.parallel_for(0, k_, [&](unsigned, std::uint64_t lo,
                                std::uint64_t hi) {
     for (std::uint64_t c = lo; c < hi; ++c) {
@@ -111,7 +162,7 @@ void ServingIndex::build(threading::ThreadPool& pool) {
       auto end = members_.begin() +
                  static_cast<std::ptrdiff_t>(member_offsets_[c + 1]);
       std::sort(begin, end, [](const MemberEntry& a, const MemberEntry& b) {
-        return ranks_before(a.weight, a.vertex, b.weight, b.vertex);
+        return rank_key(a.weight, a.vertex) < rank_key(b.weight, b.vertex);
       });
     }
   });

@@ -56,12 +56,25 @@ struct MemberEntry {
   float weight = 0.0f;
 };
 
+/// The k best entries of `row` (weights indexed by community), weight
+/// descending with community-ascending tie-break, into out[0, k). -0.0f
+/// ties with +0.0f. One packed 64-bit key per entry carries the whole
+/// order, and the selection is O(K + k log k) on average, never
+/// quadratic in k. Throws scd::DataError naming the community when the
+/// row holds a NaN or +-inf weight. Allocation-free after warm-up (the key
+/// scratch is thread-local). Serves both the index build and the
+/// query engine's exact fallback for k > R.
+void select_top(std::span<const float> row, std::uint32_t k,
+                std::span<TopEntry> out);
+
 class ServingIndex {
  public:
   /// Post-process `checkpoint` (taken by value; the pi matrix moves into
   /// the index as the exact-query fallback) into the two serving access
   /// paths. The build parallelizes over `pool` and is deterministic: the
   /// same checkpoint yields byte-identical lists at any thread count.
+  /// Throws scd::DataError, naming the vertex and community, when a pi
+  /// weight is NaN or +-inf.
   ServingIndex(core::Checkpoint checkpoint,
                const ServingIndexOptions& options,
                threading::ThreadPool& pool);

@@ -136,9 +136,10 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
 
   const unsigned threads = options.threads;
   std::vector<std::vector<std::uint64_t>> latencies(threads);
+  // Per-worker results, each stored once after the worker's loop so
+  // adjacent slots never share a cache line while queries run.
   std::vector<double> digests(threads, 0.0);
-  std::vector<std::array<std::uint64_t, 3>> kind_counts(
-      threads, std::array<std::uint64_t, 3>{0, 0, 0});
+  std::vector<std::array<std::uint64_t, 3>> kind_counts(threads);
   std::atomic<std::uint64_t> progress{0};
 
   // Mid-load refresher: at each op-progress milestone, round-trip the
@@ -183,6 +184,7 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
     std::vector<TopEntry> top_out(options.top_k);
     std::vector<MemberEntry> member_out(options.members_k);
     double digest = 0.0;
+    std::array<std::uint64_t, 3> kinds{0, 0, 0};
     std::uint64_t unflushed = 0;
     for (std::uint64_t op = lo; op < hi; ++op) {
       const double pick = rng.next_double();
@@ -194,12 +196,12 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
           digest += (top_out[r].community + 1.0) *
                     static_cast<double>(top_out[r].weight);
         }
-        ++kind_counts[t][0];
+        ++kinds[0];
       } else if (pick < t_link) {
         const std::uint32_t u = zipf(rng);
         const std::uint32_t v = zipf(rng);
         digest += engine.link_probability(u, v);
-        ++kind_counts[t][1];
+        ++kinds[1];
       } else {
         const std::uint32_t c =
             static_cast<std::uint32_t>(rng.next_below(num_communities));
@@ -208,7 +210,7 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
           digest += (member_out[r].vertex + 1.0) *
                     static_cast<double>(member_out[r].weight);
         }
-        ++kind_counts[t][2];
+        ++kinds[2];
       }
       const auto end = std::chrono::steady_clock::now();
       lat.push_back(static_cast<std::uint64_t>(
@@ -221,6 +223,7 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
     }
     progress.fetch_add(unflushed, std::memory_order_relaxed);
     digests[t] = digest;
+    kind_counts[t] = kinds;
   });
   const auto wall_end = std::chrono::steady_clock::now();
   if (refresher.joinable()) refresher.join();

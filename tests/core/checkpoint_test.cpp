@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "core/parallel_sampler.h"
 #include "core/sequential_sampler.h"
+#include "quant/row_codec.h"
 #include "tests/core/test_fixtures.h"
 
 namespace scd::core {
@@ -194,6 +198,59 @@ TEST(CheckpointTest, RestoreValidatesShape) {
                             f.options);
   Checkpoint wrong = make_checkpoint();  // 20 vertices, K=6
   EXPECT_THROW(sampler.restore(wrong), scd::UsageError);
+}
+
+/// FNV-1a 64 over a byte string.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The on-disk format is pinned byte for byte: a fixed-seed model whose
+// even rows are concentrated (sparse codecs store them truncated) and
+// whose odd rows keep the near-uniform init (sparse codecs fall back to
+// the dense slot) must hash to the same constants in every codec, and
+// the stream writer must produce exactly the bytes of the in-memory one.
+TEST(CheckpointTest, WriterBytesAreStable) {
+  Checkpoint model;
+  model.iteration = 31337;
+  model.hyper.num_communities = 40;
+  model.hyper.alpha = 0.025;
+  model.hyper.delta = 1e-5;
+  model.pi = PiMatrix(9, 40);
+  model.pi.init_random(2024);
+  model.global = GlobalState(40);
+  model.global.init_random(2024, model.hyper);
+  for (std::uint32_t v = 0; v < 9; v += 2) {
+    auto row = model.pi.row(v);
+    std::fill(row.begin(), row.end() - 1, 2e-4f);
+    row[v] = 0.55f;
+    row[39 - v] = 0.3f;
+    row[20] = 0.14f;
+  }
+  const struct {
+    quant::RowCodec codec;
+    std::uint64_t fnv;
+  } kPinned[] = {
+      {quant::RowCodec::kFloat32, 0x6362690e055cd09cULL},
+      {quant::RowCodec::kFp16, 0xcbd2e3c4f330d12cULL},
+      {quant::RowCodec::kInt8, 0xa8eeacd01a34f555ULL},
+      {quant::RowCodec::kSparseTopR, 0xd0e05350f08247faULL},
+      {quant::RowCodec::kSparseTopRFp16, 0xb5ca6efb8eb7b745ULL},
+      {quant::RowCodec::kSparseTopRInt8, 0xa8ed782678b35818ULL},
+  };
+  for (const auto& pinned : kPinned) {
+    SCOPED_TRACE(quant::codec_name(pinned.codec));
+    const std::string bytes = checkpoint_to_bytes(model, pinned.codec);
+    EXPECT_EQ(fnv1a64(bytes), pinned.fnv);
+    std::stringstream stream;
+    save_checkpoint(stream, model, pinned.codec);
+    EXPECT_EQ(stream.str(), bytes);
+  }
 }
 
 }  // namespace

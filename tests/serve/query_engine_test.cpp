@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -10,6 +11,7 @@
 #include "core/parallel_sampler.h"
 #include "core/perplexity.h"
 #include "tests/core/test_fixtures.h"
+#include "tests/serve/ranking_reference.h"
 #include "threading/thread_pool.h"
 
 namespace scd::serve {
@@ -105,6 +107,34 @@ TEST(QueryEngineTest, DeepTopQueryFallsBackExactly) {
   }
   // Asks beyond K clamp.
   EXPECT_EQ(engine.top_communities(3, k + 50).size(), k);
+
+  // Every depth of every row equals the brute-force ranking, on random
+  // and tie-heavy rows (few levels, all equal, mixed signed zeros), at
+  // R < K, R = K and the benchmark shape K = 256, R = 32.
+  const struct {
+    std::uint32_t k, r;
+    bool ties;
+  } kCases[] = {
+      {12, 4, false}, {12, 4, true}, {12, 12, true}, {256, 32, true},
+  };
+  for (const auto& tc : kCases) {
+    SCOPED_TRACE(::testing::Message() << "k=" << tc.k << " r=" << tc.r
+                                      << " ties=" << tc.ties);
+    core::Checkpoint checkpoint = random_checkpoint(24, tc.k, 9);
+    if (tc.ties) testing::shape_ties(checkpoint.pi);
+    auto store = make_store(std::move(checkpoint), tc.r);
+    const QueryEngine tied(*store);
+    const auto ref = store->acquire();
+    for (std::uint32_t u = 0; u < 24; ++u) {
+      for (const std::uint32_t depth : {tc.r, tc.r + 1, tc.k}) {
+        if (depth > tc.k) continue;
+        EXPECT_TRUE(testing::same_entries(
+            tied.top_communities(u, depth),
+            testing::brute_force_top(ref->pi_row(u), tc.k, depth)))
+            << "u=" << u << " depth=" << depth;
+      }
+    }
+  }
 }
 
 TEST(QueryEngineTest, CommunityMembersClampsToListSize) {

@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "core/checkpoint.h"
 #include "core/report.h"
 #include "quant/row_codec.h"
+#include "tests/serve/ranking_reference.h"
 #include "threading/thread_pool.h"
 
 namespace scd::serve {
@@ -27,34 +29,54 @@ core::Checkpoint make_checkpoint(std::uint32_t n, std::uint32_t k,
   return c;
 }
 
-/// Reference ranking: weight-descending, community-ascending.
-std::vector<TopEntry> brute_force_top(std::span<const float> row,
-                                      std::uint32_t k, std::uint32_t r) {
-  std::vector<TopEntry> all(k);
-  for (std::uint32_t c = 0; c < k; ++c) all[c] = TopEntry{c, row[c]};
-  std::sort(all.begin(), all.end(), [](const TopEntry& a, const TopEntry& b) {
-    if (a.weight != b.weight) return a.weight > b.weight;
-    return a.community < b.community;
-  });
-  all.resize(std::min(r, k));
-  return all;
+// Random rows, then tie-heavy ones (few levels, all equal, mixed signed
+// zeros), at R < K, at R = K and at the benchmark shape K = 256, R = 32.
+TEST(ServingIndexTest, TopListsMatchBruteForce) {
+  const struct {
+    std::uint32_t n, k, r;
+    bool ties;
+  } kCases[] = {
+      {64, 12, 5, false}, {64, 12, 5, true},   {64, 12, 12, true},
+      {40, 256, 32, true}, {40, 256, 256, true},
+  };
+  threading::ThreadPool pool(2);
+  for (const auto& tc : kCases) {
+    SCOPED_TRACE(::testing::Message() << "k=" << tc.k << " r=" << tc.r
+                                      << " ties=" << tc.ties);
+    core::Checkpoint checkpoint = make_checkpoint(tc.n, tc.k, 3);
+    if (tc.ties) testing::shape_ties(checkpoint.pi);
+    ServingIndexOptions options;
+    options.top_r = tc.r;
+    const ServingIndex index(std::move(checkpoint), options, pool);
+    ASSERT_EQ(index.top_r(), tc.r);
+    for (std::uint32_t v = 0; v < tc.n; ++v) {
+      const auto expected =
+          testing::brute_force_top(index.pi_row(v), tc.k, tc.r);
+      EXPECT_TRUE(testing::same_entries(index.top_list(v), expected))
+          << "v=" << v;
+    }
+  }
 }
 
-TEST(ServingIndexTest, TopListsMatchBruteForce) {
-  const std::uint32_t n = 64;
-  const std::uint32_t k = 12;
+// A NaN or infinite pi weight has no place in the ranking: the build
+// refuses it and names where it sits.
+TEST(ServingIndexTest, RefusesNonFiniteWeights) {
   threading::ThreadPool pool(2);
-  ServingIndexOptions options;
-  options.top_r = 5;
-  const ServingIndex index(make_checkpoint(n, k, 3), options, pool);
-  ASSERT_EQ(index.top_r(), 5u);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const auto expected = brute_force_top(index.pi_row(v), k, 5);
-    const auto got = index.top_list(v);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(got[i].community, expected[i].community) << "v=" << v;
-      EXPECT_EQ(got[i].weight, expected[i].weight) << "v=" << v;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    core::Checkpoint checkpoint = make_checkpoint(30, 8, 4);
+    checkpoint.pi.row(17)[5] = bad;
+    try {
+      const ServingIndex index(
+          core::checkpoint_from_bytes(core::checkpoint_to_bytes(checkpoint)),
+          ServingIndexOptions{}, pool);
+      ADD_FAILURE() << "non-finite weight accepted";
+    } catch (const scd::DataError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("vertex 17"), std::string::npos) << what;
+      EXPECT_NE(what.find("community 5"), std::string::npos) << what;
     }
   }
 }
@@ -155,7 +177,7 @@ TEST(ServingIndexTest, BuildsFromLossyCodecCheckpoint) {
   EXPECT_EQ(index.iteration(), 77u);
   // Lists rank the *decoded* rows — exactly what pi_row exposes.
   for (std::uint32_t v = 0; v < 50; ++v) {
-    const auto expected = brute_force_top(index.pi_row(v), 8, 4);
+    const auto expected = testing::brute_force_top(index.pi_row(v), 8, 4);
     const auto got = index.top_list(v);
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].community, expected[i].community);

@@ -54,6 +54,23 @@ def write_sparse_checkpoint(path, first_index):
         f.write(data)
 
 
+def write_v1_checkpoint(path, nan_at=None):
+    """Write a minimal version-1 (raw float) checkpoint: K = 8, three
+    vertices with uniform pi rows. `nan_at` = (vertex, community) puts a
+    NaN pi weight there."""
+    k, n = 8, 3
+    data = struct.pack("<QIQIddddI", 0x5343445F434B5031, 1, 0, k,
+                       0.0, 1.0, 1.0, 1e-3, n)
+    for v in range(n):
+        row = [1.0 / k] * k + [2.0]
+        if nan_at is not None and nan_at[0] == v:
+            row[nan_at[1]] = float("nan")
+        data += struct.pack(f"<{k + 1}f", *row)
+    data += struct.pack(f"<{2 * k}d", *([1.0] * (2 * k)))
+    with open(path, "wb") as f:
+        f.write(data)
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__)
@@ -124,6 +141,15 @@ def main():
               f"exit={r.returncode}")
         check("serve sparse index >= K diagnoses on stderr",
               "error" in r.stderr, repr(r.stderr[:160]))
+
+        nan = os.path.join(tmp, "nan_pi.ckpt")
+        write_v1_checkpoint(nan, nan_at=(2, 5))
+        r = run([scd, "serve", "--checkpoint", nan])
+        check("serve NaN pi weight exits 2", r.returncode == 2,
+              f"exit={r.returncode}")
+        check("serve NaN pi weight diagnoses on stderr",
+              "error" in r.stderr and "vertex 2" in r.stderr and
+              "community 5" in r.stderr, repr(r.stderr[:160]))
 
         good = os.path.join(tmp, "good.ckpt")
         write_sparse_checkpoint(good, first_index=5)
