@@ -1,11 +1,13 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -255,6 +257,18 @@ Checkpoint checkpoint_from_bytes(const std::string& bytes) {
   checkpoint.global = GlobalState(k);
   const auto theta = checkpoint.global.theta_flat();
   in.bytes(theta.data(), theta.size_bytes());
+  // beta = theta1 / (theta0 + theta1) turns a NaN into the 0.5 fallback
+  // and an infinity into NaN, so refuse them here. Zero stays: the
+  // fallback covers an all-zero pair.
+  for (std::size_t i = 0; i < theta.size(); ++i) {
+    if (!std::isfinite(theta[i]) || theta[i] < 0.0) {
+      throw DataError("checkpoint theta for community " +
+                      std::to_string(i / 2) + " slot " +
+                      std::to_string(i % 2) + " is " +
+                      std::to_string(theta[i]) +
+                      "; must be finite and non-negative");
+    }
+  }
   checkpoint.global.update_beta_from_theta();
   return checkpoint;
 }

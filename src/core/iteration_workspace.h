@@ -16,6 +16,7 @@
 #include "core/phi_kernel.h"
 #include "graph/graph.h"
 #include "graph/minibatch.h"
+#include "threading/thread_pool.h"
 
 namespace scd::core {
 
@@ -33,8 +34,9 @@ inline constexpr std::size_t padded_doubles(std::size_t n) {
 }
 
 /// Per-thread scratch: the phi kernel buffers plus a reusable neighbor
-/// set and its draw scratch.
-struct ThreadSlot {
+/// set and its draw scratch. Padded to a cache line because its vector
+/// headers are rewritten for every vertex a thread runs.
+struct alignas(threading::kCacheLineBytes) ThreadSlot {
   PhiScratch phi;
   graph::NeighborSet set;
   graph::NeighborScratch nbr;

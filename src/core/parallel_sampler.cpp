@@ -13,7 +13,13 @@ namespace scd::core {
 
 namespace {
 using steady = std::chrono::steady_clock;
-}
+
+/// Minibatch vertices per claim in update_phi. Small, because a vertex
+/// costs O((degree + |V_n|) K) and degrees are uneven.
+constexpr std::uint64_t kPhiGrain = 4;
+/// Theta blocks per claim; kThetaBlocks / kThetaGrain claims per stage.
+constexpr std::uint64_t kThetaGrain = 4;
+}  // namespace
 
 ParallelSampler::ParallelSampler(const graph::Graph& training,
                                  const graph::HeldOutSplit* heldout,
@@ -67,10 +73,12 @@ void ParallelSampler::one_iteration() {
   const std::uint32_t k = hyper_.num_communities;
   record_stage(trace::Stage::kDrawMinibatch);
 
-  // --- update_phi: data-parallel over minibatch vertices ---------------
+  // --- update_phi: minibatch vertices claimed dynamically. A vertex's
+  // step depends only on (seed, iteration, vertex) and the previous pi,
+  // and it writes its own staged slot, so any thread may take any vertex.
   ws_.staged.resize(mb.vertices.size() * pi_.row_width());
-  pool_.parallel_for(
-      0, mb.vertices.size(),
+  pool_.parallel_for_dynamic(
+      0, mb.vertices.size(), kPhiGrain,
       [&](unsigned thread, std::uint64_t lo, std::uint64_t hi) {
         ThreadSlot& slot = ws_.slots[thread];
         for (std::uint64_t vi = lo; vi < hi; ++vi) {
@@ -93,28 +101,25 @@ void ParallelSampler::one_iteration() {
       });
   record_stage(trace::Stage::kUpdatePhi);
 
-  // --- update_pi: parallel commit --------------------------------------
-  pool_.parallel_for(
-      0, mb.vertices.size(),
-      [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-        for (std::uint64_t vi = lo; vi < hi; ++vi) {
-          std::span<const float> src(
-              ws_.staged.data() + vi * pi_.row_width(), pi_.row_width());
-          std::copy(src.begin(), src.end(),
-                    pi_.row(mb.vertices[vi]).begin());
-        }
-      });
+  // --- update_pi: commit on the calling thread. The staged rows are a
+  // few tens of KB, which copy faster than one pool dispatch. ----------
+  for (std::size_t vi = 0; vi < mb.vertices.size(); ++vi) {
+    std::span<const float> src(ws_.staged.data() + vi * pi_.row_width(),
+                               pi_.row_width());
+    std::copy(src.begin(), src.end(), pi_.row(mb.vertices[vi]).begin());
+  }
   record_stage(trace::Stage::kUpdatePi);
 
   // --- update_beta/theta: ratio partials over kThetaBlocks fixed blocks
-  // of the pair range, folded serially in block order. Block boundaries
-  // depend only on the pair count, never on the thread count, so the
-  // reduction — and hence the whole trajectory — is bit-identical for any
-  // number of threads (see tests/core/zero_alloc_test.cpp). -------------
+  // of the pair range, claimed dynamically and folded serially in block
+  // order. Block boundaries depend only on the pair count, never on the
+  // thread count or on which thread ran a block, so the reduction — and
+  // hence the whole trajectory — is bit-identical for any number of
+  // threads (see tests/core/zero_alloc_test.cpp). ------------------------
   std::fill(ws_.theta_partials.begin(), ws_.theta_partials.end(), 0.0);
   const std::size_t num_pairs = mb.pairs.size();
-  pool_.parallel_for(
-      0, kThetaBlocks,
+  pool_.parallel_for_dynamic(
+      0, kThetaBlocks, kThetaGrain,
       [&](unsigned thread, std::uint64_t blo, std::uint64_t bhi) {
         ThreadSlot& slot = ws_.slots[thread];
         for (std::uint64_t b = blo; b < bhi; ++b) {

@@ -7,12 +7,6 @@
 
 namespace scd::threading {
 
-/// Hardware destructive-interference distance. Hard-coded 64 rather than
-/// std::hardware_destructive_interference_size: the libstdc++ constant is
-/// an ABI hazard behind a warning, and 64 is right for every x86 and most
-/// ARM parts this targets.
-inline constexpr std::size_t kCacheLineBytes = 64;
-
 /// A value padded out to a cache line, so adjacent per-thread slots never
 /// false-share.
 template <typename T>

@@ -2,9 +2,45 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "util/error.h"
 
 namespace scd::threading {
+
+namespace {
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spin for up to ThreadPool::kSpinBound, then sleep in atomic wait, until
+/// `counter` holds a value other than `old`; returns that value. Every
+/// counter operation keeps the default seq_cst order, so a waiter that
+/// registers just as the value changes is not missed by the notify.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& counter,
+                           std::uint32_t old) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kSpinBound;
+  do {
+    const std::uint32_t now = counter.load();
+    if (now != old) return now;
+    cpu_relax();
+  } while (std::chrono::steady_clock::now() < deadline);
+  for (;;) {
+    counter.wait(old);
+    const std::uint32_t now = counter.load();
+    if (now != old) return now;
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(unsigned num_threads) : num_threads_(num_threads) {
   SCD_REQUIRE(num_threads >= 1, "thread pool needs at least one thread");
@@ -15,37 +51,28 @@ ThreadPool::ThreadPool(unsigned num_threads) : num_threads_(num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  cv_launch_.notify_all();
+  // A new generation with stopping_ set releases every worker, whether
+  // it is spinning (sees the bump) or asleep (gets the notify).
+  stopping_.store(true);
+  generation_.fetch_add(1);
+  generation_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
 void ThreadPool::worker_main(unsigned id) {
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    RawTask task;
-    void* ctx;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_launch_.wait(lock,
-                      [&] { return stopping_ || generation_ > seen; });
-      if (stopping_) return;
-      seen = generation_;
-      task = task_;
-      ctx = task_ctx_;
-    }
+    seen = await_change(generation_, seen);
+    if (stopping_.load()) return;
     try {
-      task(ctx, id);
+      task_(task_ctx_, id);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
+      if (!error_claimed_.exchange(true)) {
+        first_error_ = std::current_exception();
+      }
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) cv_done_.notify_all();
+    if (pending_.fetch_sub(1) == 1) {
+      pending_.notify_one();
     }
   }
 }
@@ -55,15 +82,13 @@ void ThreadPool::launch(RawTask task, void* ctx) {
     task(ctx, 0);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    task_ = task;
-    task_ctx_ = ctx;
-    pending_ = num_threads_ - 1;
-    first_error_ = nullptr;
-    ++generation_;
-  }
-  cv_launch_.notify_all();
+  task_ = task;
+  task_ctx_ = ctx;
+  first_error_ = nullptr;
+  error_claimed_.store(false);
+  pending_.store(num_threads_ - 1);
+  generation_.fetch_add(1);
+  generation_.notify_all();
   // The caller participates as thread 0.
   std::exception_ptr caller_error;
   try {
@@ -71,8 +96,9 @@ void ThreadPool::launch(RawTask task, void* ctx) {
   } catch (...) {
     caller_error = std::current_exception();
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [&] { return pending_ == 0; });
+  for (std::uint32_t left = pending_.load(); left != 0;) {
+    left = await_change(pending_, left);
+  }
   if (caller_error) std::rethrow_exception(caller_error);
   if (first_error_) std::rethrow_exception(first_error_);
 }

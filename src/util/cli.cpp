@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -70,15 +71,32 @@ ArgParser& ArgParser::add_int(const std::string& name, std::int64_t* target,
   return *this;
 }
 
+namespace {
+std::uint64_t parse_unsigned(const std::string& s, std::size_t* pos) {
+  if (!s.empty() && s[0] == '-') throw std::invalid_argument("negative");
+  return std::stoull(s, pos);
+}
+}  // namespace
+
 ArgParser& ArgParser::add_uint(const std::string& name, std::uint64_t* target,
                                const std::string& help) {
   add_option(name, help, std::to_string(*target), false,
-             numeric_apply("unsigned integer", target,
-                           [](const std::string& s, std::size_t* pos) {
-                             if (!s.empty() && s[0] == '-')
-                               throw std::invalid_argument("negative");
-                             return std::stoull(s, pos);
-                           }));
+             numeric_apply("unsigned integer", target, parse_unsigned));
+  return *this;
+}
+
+ArgParser& ArgParser::add_uint(const std::string& name, std::uint32_t* target,
+                               const std::string& help) {
+  add_option(name, help, std::to_string(*target), false,
+             [target](const std::string& v) {
+               std::uint64_t wide = 0;
+               numeric_apply("unsigned integer", &wide, parse_unsigned)(v);
+               if (wide > std::numeric_limits<std::uint32_t>::max()) {
+                 throw UsageError("expected at most 4294967295, got '" + v +
+                                  "'");
+               }
+               *target = static_cast<std::uint32_t>(wide);
+             });
   return *this;
 }
 

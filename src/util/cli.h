@@ -24,6 +24,10 @@ class ArgParser {
                      const std::string& help);
   ArgParser& add_uint(const std::string& name, std::uint64_t* target,
                       const std::string& help);
+  /// 32-bit target: values above UINT32_MAX are a UsageError, never
+  /// narrowed.
+  ArgParser& add_uint(const std::string& name, std::uint32_t* target,
+                      const std::string& help);
   ArgParser& add_double(const std::string& name, double* target,
                         const std::string& help);
   ArgParser& add_string(const std::string& name, std::string* target,

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -252,6 +253,42 @@ TEST(CheckpointCorruptTest, RandomByteMutationsLoadOrRefuse) {
     // only ever saw one outcome is not exercising the loader.
     EXPECT_GT(loaded, 0);
     EXPECT_GT(refused, 0);
+  }
+}
+
+// The theta block closes every version's body. A NaN, an infinity or a
+// negative value would reach beta (NaN, or the silent 0.5 fallback) and
+// from there every served link probability, so the loader refuses it
+// and names the community and slot. Zero stays loadable.
+TEST(CheckpointCorruptTest, NonFiniteOrNegativeThetaRejected) {
+  constexpr std::uint32_t kK = 5;
+  constexpr std::uint32_t kCommunity = 2;
+  constexpr std::uint32_t kSlot = 1;
+  for (const quant::RowCodec codec : kAllCodecs) {
+    SCOPED_TRACE(quant::codec_name(codec));
+    const std::string bytes = checkpoint_to_bytes(make_checkpoint(12, kK),
+                                                  codec);
+    const std::size_t theta_offset = bytes.size() - kK * 2 * sizeof(double);
+    const std::size_t slot_offset =
+        theta_offset + (kCommunity * 2 + kSlot) * sizeof(double);
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(), -1.0}) {
+      SCOPED_TRACE(bad);
+      try {
+        (void)checkpoint_from_bytes(patched<double>(bytes, slot_offset, bad));
+        ADD_FAILURE() << "theta " << bad << " was accepted";
+      } catch (const scd::DataError& e) {
+        EXPECT_NE(std::string(e.what()).find("community 2 slot 1"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    std::string zeros = patched<double>(bytes, slot_offset, 0.0);
+    zeros = patched<double>(zeros, slot_offset - sizeof(double), 0.0);
+    const Checkpoint loaded = checkpoint_from_bytes(zeros);
+    EXPECT_EQ(loaded.global.beta(kCommunity), 0.5f);
   }
 }
 

@@ -8,9 +8,11 @@
 // core/iteration_workspace.h), and ThreadPool dispatch is a raw function
 // pointer, not a std::function.
 //
-// It also pins down the thread-count invariance of ParallelSampler: the
-// theta reduction runs over kThetaBlocks fixed blocks folded in block
-// order, so trajectories are bit-identical for any number of threads.
+// It also pins down the thread-count invariance of ParallelSampler: a
+// vertex's phi step depends only on (seed, iteration, vertex), whichever
+// thread claims it, and the theta reduction runs over kThetaBlocks fixed
+// blocks folded in block order, so trajectories are bit-identical for any
+// number of threads.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -196,31 +198,47 @@ TEST(ZeroAllocTest, TracedDistributedIterationIsAllocationFreeAfterWarmup) {
 }
 
 TEST(ZeroAllocTest, ParallelTrajectoryBitIdenticalAcrossThreadCounts) {
-  testing::Fixture f = testing::small_planted_fixture();
-  f.options.eval_interval = 0;
+  // Both neighbor modes: link-aware sets cost degree + |V_n| per vertex,
+  // so dynamically claimed vertices land on different threads from run
+  // to run. Evaluation is on, so the perplexity histories must agree too.
+  for (const NeighborMode mode :
+       {NeighborMode::kUniform, NeighborMode::kLinkAware}) {
+    SCOPED_TRACE(mode == NeighborMode::kUniform ? "uniform" : "link-aware");
+    testing::Fixture f = testing::small_planted_fixture();
+    f.options.neighbor_mode = mode;
+    f.options.eval_interval = 10;
 
-  std::vector<std::unique_ptr<ParallelSampler>> samplers;
-  for (unsigned threads : {1u, 2u, 5u}) {
-    samplers.push_back(std::make_unique<ParallelSampler>(
-        f.generated.graph, f.split.get(), f.hyper, f.options, threads));
-    samplers.back()->run(40);
-  }
-
-  const ParallelSampler& ref = *samplers[0];
-  for (std::size_t s = 1; s < samplers.size(); ++s) {
-    const ParallelSampler& other = *samplers[s];
-    for (std::uint32_t v = 0; v < ref.pi().num_vertices(); ++v) {
-      const auto a = ref.pi().row(v);
-      const auto b = other.pi().row(v);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i], b[i]) << "pi row " << v << " slot " << i
-                              << " differs for sampler " << s;
-      }
+    std::vector<std::unique_ptr<ParallelSampler>> samplers;
+    for (unsigned threads : {1u, 2u, 3u, 5u}) {
+      samplers.push_back(std::make_unique<ParallelSampler>(
+          f.generated.graph, f.split.get(), f.hyper, f.options, threads));
+      samplers.back()->run(40);
     }
-    const auto ta = ref.global().theta_flat();
-    const auto tb = other.global().theta_flat();
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-      ASSERT_EQ(ta[i], tb[i]) << "theta slot " << i;
+
+    const ParallelSampler& ref = *samplers[0];
+    ASSERT_EQ(ref.history().size(), 4u);
+    for (std::size_t s = 1; s < samplers.size(); ++s) {
+      const ParallelSampler& other = *samplers[s];
+      for (std::uint32_t v = 0; v < ref.pi().num_vertices(); ++v) {
+        const auto a = ref.pi().row(v);
+        const auto b = other.pi().row(v);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i], b[i]) << "pi row " << v << " slot " << i
+                                << " differs for sampler " << s;
+        }
+      }
+      const auto ta = ref.global().theta_flat();
+      const auto tb = other.global().theta_flat();
+      for (std::size_t i = 0; i < ta.size(); ++i) {
+        ASSERT_EQ(ta[i], tb[i]) << "theta slot " << i;
+      }
+      ASSERT_EQ(ref.history().size(), other.history().size());
+      for (std::size_t h = 0; h < ref.history().size(); ++h) {
+        EXPECT_EQ(ref.history()[h].iteration, other.history()[h].iteration);
+        EXPECT_EQ(ref.history()[h].perplexity,
+                  other.history()[h].perplexity)
+            << "history point " << h << " differs for sampler " << s;
+      }
     }
   }
 }

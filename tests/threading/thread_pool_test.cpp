@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "threading/parallel.h"
@@ -61,18 +63,50 @@ TEST_P(ThreadPoolParamTest, EmptyRangeIsNoop) {
 
 TEST_P(ThreadPoolParamTest, ExceptionsPropagate) {
   ThreadPool pool(GetParam());
+  // Thrown by the caller (thread 0), by the last worker, and by every
+  // thread at once; each time the pool must stay usable afterwards.
+  const unsigned last = pool.num_threads() - 1;
+  for (const unsigned thrower : {0u, last, ~0u}) {
+    SCOPED_TRACE(thrower);
+    EXPECT_THROW(pool.run_on_all([&](unsigned id) {
+                   if (thrower == ~0u || id == thrower) {
+                     throw scd::Error("thread failed");
+                   }
+                 }),
+                 scd::Error);
+    std::atomic<int> count{0};
+    pool.parallel_for(0, 10,
+                      [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                        count += static_cast<int>(hi - lo);
+                      });
+    EXPECT_EQ(count.load(), 10);
+  }
   EXPECT_THROW(
-      pool.parallel_for(0, 100,
-                        [&](unsigned, std::uint64_t lo, std::uint64_t) {
-                          if (lo == 0) throw scd::Error("worker failed");
-                        }),
+      pool.parallel_for_dynamic(0, 100, 3,
+                                [&](unsigned, std::uint64_t lo,
+                                    std::uint64_t) {
+                                  if (lo == 99) throw scd::Error("range");
+                                }),
       scd::Error);
-  // Pool remains usable after an exception.
-  std::atomic<int> count{0};
-  pool.parallel_for(0, 10, [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-    count += static_cast<int>(hi - lo);
-  });
-  EXPECT_EQ(count.load(), 10);
+}
+
+TEST_P(ThreadPoolParamTest, DynamicForVisitsEveryIndexOnce) {
+  ThreadPool pool(GetParam());
+  for (const std::uint64_t grain : {1u, 3u, 64u}) {
+    SCOPED_TRACE(grain);
+    std::vector<std::atomic<int>> visits(1000);
+    pool.parallel_for_dynamic(
+        5, 1000, grain,
+        [&](unsigned thread, std::uint64_t lo, std::uint64_t hi) {
+          EXPECT_LT(thread, pool.num_threads());
+          EXPECT_LT(lo, hi);
+          EXPECT_LE(hi - lo, grain);
+          for (std::uint64_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
+        });
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      EXPECT_EQ(visits[i].load(), i < 5 ? 0 : 1) << "index " << i;
+    }
+  }
 }
 
 TEST_P(ThreadPoolParamTest, RunOnAllReachesEveryThread) {
@@ -103,14 +137,36 @@ TEST(ThreadPoolTest, ZeroThreadsRejected) {
 }
 
 TEST(ThreadPoolTest, ManySmallLaunchesDoNotDeadlock) {
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  for (int i = 0; i < 500; ++i) {
-    pool.parallel_for(0, 4, [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-      total += static_cast<int>(hi - lo);
-    });
+  // Back-to-back launches find the workers spinning; launches spaced
+  // wider than the spin bound find them asleep in the atomic wait.
+  const auto asleep = ThreadPool::kSpinBound * 3;
+  for (const auto gap : {decltype(asleep){0}, asleep}) {
+    SCOPED_TRACE(gap.count());
+    ThreadPool pool(4);
+    std::atomic<int> total{0};
+    const int launches = gap.count() == 0 ? 500 : 20;
+    for (int i = 0; i < launches; ++i) {
+      if (gap.count() > 0) std::this_thread::sleep_for(gap);
+      pool.parallel_for(0, 4,
+                        [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                          total += static_cast<int>(hi - lo);
+                        });
+    }
+    EXPECT_EQ(total.load(), 4 * launches);
   }
-  EXPECT_EQ(total.load(), 2000);
+  // Destroyed right after construction (workers may not have started),
+  // right after a launch (workers spinning), and after the spin bound
+  // has run out (workers asleep).
+  { ThreadPool pool(4); }
+  for (const bool sleep_first : {false, true}) {
+    std::atomic<int> hits{0};
+    {
+      ThreadPool pool(4);
+      pool.run_on_all([&](unsigned) { hits.fetch_add(1); });
+      if (sleep_first) std::this_thread::sleep_for(asleep);
+    }
+    EXPECT_EQ(hits.load(), 4);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 
 namespace scd {
@@ -82,6 +84,31 @@ TEST(CliTest, NegativeForUnsignedThrows) {
   ArgParser parser = make_parser(opts);
   const char* argv[] = {"prog", "--nodes", "-4"};
   EXPECT_THROW(parser.parse(3, argv), UsageError);
+}
+
+TEST(CliTest, Uint32RefusesValuesAboveMax) {
+  std::uint32_t threads = 4;
+  ArgParser parser("prog", "test program");
+  parser.add_uint("threads", &threads, "worker threads");
+  for (const char* ok : {"0", "4294967295"}) {
+    const char* argv[] = {"prog", "--threads", ok};
+    EXPECT_TRUE(parser.parse(3, argv));
+    EXPECT_EQ(std::to_string(threads), ok);
+  }
+  // 2^32 and 2^32 + 1 would narrow to 0 and 1; they are refused, and the
+  // message names the option.
+  for (const char* wide : {"4294967296", "4294967297", "-1", "7x"}) {
+    threads = 4;
+    const char* argv[] = {"prog", "--threads", wide};
+    try {
+      parser.parse(3, argv);
+      ADD_FAILURE() << wide << " was accepted";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(threads, 4u) << wide;
+  }
 }
 
 TEST(CliTest, MissingValueThrows) {

@@ -54,10 +54,11 @@ def write_sparse_checkpoint(path, first_index):
         f.write(data)
 
 
-def write_v1_checkpoint(path, nan_at=None):
+def write_v1_checkpoint(path, nan_at=None, theta=None):
     """Write a minimal version-1 (raw float) checkpoint: K = 8, three
     vertices with uniform pi rows. `nan_at` = (vertex, community) puts a
-    NaN pi weight there."""
+    NaN pi weight there. `theta` = (community, slot, value) overrides one
+    theta entry (all others are 1.0)."""
     k, n = 8, 3
     data = struct.pack("<QIQIddddI", 0x5343445F434B5031, 1, 0, k,
                        0.0, 1.0, 1.0, 1e-3, n)
@@ -66,7 +67,10 @@ def write_v1_checkpoint(path, nan_at=None):
         if nan_at is not None and nan_at[0] == v:
             row[nan_at[1]] = float("nan")
         data += struct.pack(f"<{k + 1}f", *row)
-    data += struct.pack(f"<{2 * k}d", *([1.0] * (2 * k)))
+    thetas = [1.0] * (2 * k)
+    if theta is not None:
+        thetas[theta[0] * 2 + theta[1]] = theta[2]
+    data += struct.pack(f"<{2 * k}d", *thetas)
     with open(path, "wb") as f:
         f.write(data)
 
@@ -151,6 +155,15 @@ def main():
               "error" in r.stderr and "vertex 2" in r.stderr and
               "community 5" in r.stderr, repr(r.stderr[:160]))
 
+        nan_theta = os.path.join(tmp, "nan_theta.ckpt")
+        write_v1_checkpoint(nan_theta, theta=(3, 1, float("nan")))
+        r = run([scd, "serve", "--checkpoint", nan_theta])
+        check("serve NaN theta exits 2", r.returncode == 2,
+              f"exit={r.returncode}")
+        check("serve NaN theta diagnoses on stderr",
+              "error" in r.stderr and "community 3 slot 1" in r.stderr,
+              repr(r.stderr[:160]))
+
         good = os.path.join(tmp, "good.ckpt")
         write_sparse_checkpoint(good, first_index=5)
         queries = os.path.join(tmp, "queries.txt")
@@ -167,6 +180,15 @@ def main():
         check("serve 33-bit query operand diagnoses on stderr",
               "error" in r.stderr and "line 1" in r.stderr,
               repr(r.stderr[:160]))
+        # 2^32 + 1 must be refused, not narrowed to a one-thread pool.
+        with open(queries, "w") as f:
+            f.write("link 1 0\n")
+        r = run([scd, "serve", "--checkpoint", good, "--queries", queries,
+                 "--threads", "4294967297"])
+        check("serve 33-bit --threads exits 1", r.returncode == 1,
+              f"exit={r.returncode}")
+        check("serve 33-bit --threads diagnoses on stderr",
+              "threads" in r.stderr, repr(r.stderr[:160]))
 
     # `scd run` backend selection: an unknown backend is a usage error
     # (1), an unreadable fault plan a data error (2) — the same split

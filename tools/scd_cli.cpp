@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -50,9 +51,18 @@ using namespace scd;
 
 namespace {
 
+/// Rank count for `workers` worker ranks plus the master. Refuses the one
+/// worker count whose total would wrap to zero.
+unsigned num_ranks_for(std::uint32_t workers) {
+  if (workers == std::numeric_limits<std::uint32_t>::max()) {
+    throw UsageError("--workers must be below 4294967295");
+  }
+  return workers + 1;
+}
+
 int cmd_generate(int argc, const char* const* argv) {
-  std::uint64_t vertices = 2000;
-  std::uint64_t communities = 32;
+  std::uint32_t vertices = 2000;
+  std::uint32_t communities = 32;
   double degree = 16.0;
   double overlap2 = 0.3;
   double overlap3 = 0.1;
@@ -75,8 +85,7 @@ int cmd_generate(int argc, const char* const* argv) {
 
   rng::Xoshiro256 rng(seed);
   const graph::PlantedConfig config = graph::planted_config_for_degree(
-      static_cast<graph::Vertex>(vertices),
-      static_cast<std::uint32_t>(communities), degree, overlap2, overlap3);
+      vertices, communities, degree, overlap2, overlap3);
   const graph::GeneratedGraph g = graph::generate_planted(rng, config);
 
   std::FILE* f = std::fopen(out.c_str(), "w");
@@ -134,9 +143,9 @@ int cmd_info(int argc, const char* const* argv) {
 
 struct FitOptions {
   std::string graph_path;
-  std::uint64_t communities = 64;
+  std::uint32_t communities = 64;
   std::int64_t iterations = 20000;
-  std::uint64_t threads = 4;
+  std::uint32_t threads = 4;
   std::uint64_t heldout = 1000;
   double step_a = 0.02;
   std::uint64_t seed = 1;
@@ -207,7 +216,7 @@ int cmd_fit(int argc, const char* const* argv) {
       std::min<std::size_t>(opts.heldout, loaded.graph.num_edges() / 5));
 
   core::Hyper hyper;
-  hyper.num_communities = static_cast<std::uint32_t>(opts.communities);
+  hyper.num_communities = opts.communities;
   hyper.delta = core::suggested_delta(loaded.graph.density());
   core::SamplerOptions options;
   options.neighbor_mode = core::NeighborMode::kLinkAware;
@@ -219,7 +228,7 @@ int cmd_fit(int argc, const char* const* argv) {
   options.seed = opts.seed;
 
   core::ParallelSampler sampler(split.training(), &split, hyper, options,
-                                static_cast<unsigned>(opts.threads));
+                                opts.threads);
   std::printf("training K=%llu on %s (%lld iterations)...\n",
               static_cast<unsigned long long>(opts.communities),
               opts.graph_path.c_str(),
@@ -260,7 +269,7 @@ int cmd_resume(int argc, const char* const* argv) {
 
   core::ParallelSampler sampler(split.training(), &split,
                                 checkpoint.hyper, options,
-                                static_cast<unsigned>(opts.threads));
+                                opts.threads);
   sampler.restore(checkpoint);
   std::printf("resumed at iteration %llu; running %lld more...\n",
               static_cast<unsigned long long>(sampler.iteration()),
@@ -295,11 +304,11 @@ void export_trace(const trace::TraceRecorder& recorder,
 }
 
 int cmd_simulate(int argc, const char* const* argv) {
-  std::uint64_t workers = 64;
-  std::uint64_t communities = 1024;
+  std::uint32_t workers = 64;
+  std::uint32_t communities = 1024;
   std::int64_t iterations = 64;
-  std::uint64_t minibatch = 16384;
-  std::uint64_t vertices = 1000;
+  std::uint32_t minibatch = 16384;
+  std::uint32_t vertices = 1000;
   std::uint64_t seed = 1;
   bool no_pipeline = false;
   std::string pi_codec = "fp32";
@@ -332,10 +341,10 @@ int cmd_simulate(int argc, const char* const* argv) {
   if (!parser.parse(argc, argv)) return 0;
 
   sim::SimCluster::Config config;
-  config.num_ranks = static_cast<unsigned>(workers) + 1;
+  config.num_ranks = num_ranks_for(workers);
   sim::SimCluster cluster(config);
   core::Hyper hyper;
-  hyper.num_communities = static_cast<std::uint32_t>(communities);
+  hyper.num_communities = communities;
   core::DistributedOptions options;
   options.pipeline = !no_pipeline;
   options.pi_codec = quant::codec_from_name(pi_codec);
@@ -355,9 +364,8 @@ int cmd_simulate(int argc, const char* const* argv) {
     plan.validate(config.num_ranks);
 
     rng::Xoshiro256 gen_rng(seed);
-    const graph::PlantedConfig planted = graph::planted_config_for_degree(
-        static_cast<graph::Vertex>(vertices),
-        static_cast<std::uint32_t>(communities), 20.0);
+    const graph::PlantedConfig planted =
+        graph::planted_config_for_degree(vertices, communities, 20.0);
     const graph::GeneratedGraph g =
         graph::generate_planted(gen_rng, planted);
     rng::Xoshiro256 split_rng(seed + 1);
@@ -398,7 +406,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   core::PhantomWorkload workload;
   workload.num_vertices = 65'608'366;
   workload.avg_degree = 55.06;
-  workload.minibatch_vertices = static_cast<std::uint32_t>(minibatch);
+  workload.minibatch_vertices = minibatch;
   workload.minibatch_pairs = minibatch / 2;
 
   options.base.eval_interval = 0;
@@ -434,9 +442,9 @@ int cmd_simulate(int argc, const char* const* argv) {
 /// seed + fp32 codec => identical perplexity trajectories on both;
 /// only the time column changes meaning (virtual vs wall).
 int cmd_run(int argc, const char* const* argv) {
-  std::uint64_t workers = 2;
-  std::uint64_t vertices = 300;
-  std::uint64_t communities = 4;
+  std::uint32_t workers = 2;
+  std::uint32_t vertices = 300;
+  std::uint32_t communities = 4;
   std::int64_t iterations = 60;
   std::uint64_t heldout = 200;
   std::uint64_t seed = 1;
@@ -476,7 +484,7 @@ int cmd_run(int argc, const char* const* argv) {
   SCD_REQUIRE(backend == "sim" || backend == "proc",
               "unknown --backend '" + backend + "' (want sim or proc)");
 
-  const unsigned num_ranks = static_cast<unsigned>(workers) + 1;
+  const unsigned num_ranks = num_ranks_for(workers);
   std::unique_ptr<comm::Cluster> cluster;
   if (backend == "proc") {
     proc::ProcCluster::Config config;
@@ -495,9 +503,8 @@ int cmd_run(int argc, const char* const* argv) {
   }
 
   rng::Xoshiro256 gen_rng(seed);
-  const graph::PlantedConfig planted = graph::planted_config_for_degree(
-      static_cast<graph::Vertex>(vertices),
-      static_cast<std::uint32_t>(communities), 20.0);
+  const graph::PlantedConfig planted =
+      graph::planted_config_for_degree(vertices, communities, 20.0);
   const graph::GeneratedGraph g = graph::generate_planted(gen_rng, planted);
   rng::Xoshiro256 split_rng(seed + 1);
   const graph::HeldOutSplit split(
@@ -505,7 +512,7 @@ int cmd_run(int argc, const char* const* argv) {
       std::min<std::size_t>(heldout, g.graph.num_edges() / 5));
 
   core::Hyper hyper;
-  hyper.num_communities = static_cast<std::uint32_t>(communities);
+  hyper.num_communities = communities;
   hyper.delta = core::suggested_delta(g.graph.density());
   core::DistributedOptions options;
   options.pipeline = !no_pipeline;
@@ -561,10 +568,10 @@ int cmd_run(int argc, const char* const* argv) {
 /// installed, reporting the per-stage summary, metrics, and critical
 /// path (and optionally the Chrome trace file).
 int cmd_trace(int argc, const char* const* argv) {
-  std::uint64_t workers = 4;
-  std::uint64_t communities = 256;
+  std::uint32_t workers = 4;
+  std::uint32_t communities = 256;
   std::int64_t iterations = 16;
-  std::uint64_t minibatch = 4096;
+  std::uint32_t minibatch = 4096;
   std::uint64_t seed = 1;
   bool no_pipeline = false;
   std::string out;
@@ -585,14 +592,14 @@ int cmd_trace(int argc, const char* const* argv) {
   if (!parser.parse(argc, argv)) return 0;
 
   sim::SimCluster::Config config;
-  config.num_ranks = static_cast<unsigned>(workers) + 1;
+  config.num_ranks = num_ranks_for(workers);
   sim::SimCluster cluster(config);
   core::Hyper hyper;
-  hyper.num_communities = static_cast<std::uint32_t>(communities);
+  hyper.num_communities = communities;
   core::PhantomWorkload workload;
   workload.num_vertices = 65'608'366;
   workload.avg_degree = 55.06;
-  workload.minibatch_vertices = static_cast<std::uint32_t>(minibatch);
+  workload.minibatch_vertices = minibatch;
   workload.minibatch_pairs = minibatch / 2;
 
   trace::TraceRecorder recorder(config.num_ranks);
@@ -640,8 +647,8 @@ int cmd_trace(int argc, const char* const* argv) {
 int cmd_tune(int argc, const char* const* argv) {
   std::uint64_t vertices = 1'000'000;
   double avg_degree = 32.0;
-  std::uint64_t communities = 1024;
-  std::uint64_t neighbors = 32;
+  std::uint32_t communities = 1024;
+  std::uint32_t neighbors = 32;
   std::uint64_t probe_iterations = 6;
   std::uint64_t seed = 1;
   double sat_vertices = 8192.0;
@@ -668,8 +675,8 @@ int cmd_tune(int argc, const char* const* argv) {
   tune::TuneWorkload workload;
   workload.num_vertices = vertices;
   workload.avg_degree = avg_degree;
-  workload.num_communities = static_cast<std::uint32_t>(communities);
-  workload.num_neighbors = static_cast<std::uint32_t>(neighbors);
+  workload.num_communities = communities;
+  workload.num_neighbors = neighbors;
   workload.probe_iterations = probe_iterations;
   workload.seed = seed;
   workload.sat_vertices = sat_vertices;
@@ -698,11 +705,11 @@ int cmd_serve(int argc, const char* const* argv) {
   std::string checkpoint_path;
   std::string queries_path;
   std::uint64_t ops = 100'000;
-  std::uint64_t threads = 4;
-  std::uint64_t top_k = 8;
-  std::uint64_t members_k = 16;
-  std::uint64_t top_r = 32;
-  std::uint64_t refreshes = 0;
+  std::uint32_t threads = 4;
+  std::uint32_t top_k = 8;
+  std::uint32_t members_k = 16;
+  std::uint32_t top_r = 32;
+  std::uint32_t refreshes = 0;
   std::uint64_t seed = 1;
   double zipf = 0.99;
   double mix_top = 0.70;
@@ -742,8 +749,8 @@ int cmd_serve(int argc, const char* const* argv) {
 
   core::Checkpoint checkpoint = core::load_checkpoint_file(checkpoint_path);
   serve::ServingIndexOptions index_options;
-  index_options.top_r = static_cast<std::uint32_t>(top_r);
-  threading::ThreadPool build_pool(static_cast<unsigned>(threads));
+  index_options.top_r = top_r;
+  threading::ThreadPool build_pool(threads);
   serve::ServingSnapshots snapshots;
   const auto build_begin = std::chrono::steady_clock::now();
   snapshots.publish(serve::build_serving_index(std::move(checkpoint),
@@ -810,15 +817,15 @@ int cmd_serve(int argc, const char* const* argv) {
 
   serve::TrafficOptions traffic;
   traffic.ops = ops;
-  traffic.threads = static_cast<unsigned>(threads);
+  traffic.threads = threads;
   traffic.zipf_s = zipf;
   traffic.mix_top = mix_top;
   traffic.mix_link = mix_link;
   traffic.mix_members = mix_members;
-  traffic.top_k = static_cast<std::uint32_t>(top_k);
-  traffic.members_k = static_cast<std::uint32_t>(members_k);
+  traffic.top_k = top_k;
+  traffic.members_k = members_k;
   traffic.seed = seed;
-  traffic.refreshes = static_cast<unsigned>(refreshes);
+  traffic.refreshes = refreshes;
   traffic.refresh_codec = quant::codec_from_name(refresh_codec);
   const serve::TrafficReport report = serve::run_traffic(snapshots, traffic);
 

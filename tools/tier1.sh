@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the default build + full test suite, then the same
 # suite under AddressSanitizer + UBSan (the `asan` CMake preset), then the
-# concurrency suites (serve + threading) under ThreadSanitizer (the `tsan`
-# preset). Run from anywhere; the build trees live next to the sources
-# (build/, build-asan/, build-tsan/).
+# concurrency suites (serve + threading + the ParallelSampler suites)
+# under ThreadSanitizer (the `tsan` preset). Run from anywhere; the build
+# trees live next to the sources (build/, build-asan/, build-tsan/).
 #
 #   tools/tier1.sh               # default + asan + tsan
 #   SKIP_ASAN=1 tools/tier1.sh   # skip the asan pass (fast local loop)
@@ -55,16 +55,21 @@ fi
 
 # TSan pass: the lock-free snapshot swap and the thread pool are exactly
 # the code where a missed fence shows up as a rare torn read, so the
-# concurrency-heavy labels run under ThreadSanitizer. Scoped to
-# serve+threading (TSan slows everything ~10x; the rest of the suite is
-# covered by the asan pass).
+# concurrency-heavy labels run under ThreadSanitizer, together with the
+# ParallelSampler suites, whose stages claim work from a shared atomic
+# cursor. Scoped to those (TSan slows everything ~10x; the rest of the
+# suite is covered by the asan pass).
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
-  echo "== tier-1: tsan preset (serve + threading) =="
+  echo "== tier-1: tsan preset (serve + threading + parallel sampler) =="
   timed "tsan: configure+build" bash -c \
     'cmake --preset tsan && cmake --build --preset tsan -j'
   timed "tsan: -L serve|threading" \
     ctest --preset tsan -L 'serve|threading' --no-tests=error \
       --output-on-failure
+  timed "tsan: parallel sampler" \
+    ctest --preset tsan \
+      -R '(ParallelEquivalenceTest|ParallelSamplerTest)\.' \
+      --no-tests=error --output-on-failure
 fi
 
 # Bench drift guard: diff the deterministic modeled benches against their
