@@ -299,4 +299,22 @@ Checkpoint load_checkpoint_file(const std::string& path) {
   return load_checkpoint(in);
 }
 
+void check_trainable_pi(const PiMatrix& pi) {
+  const std::uint32_t k = pi.num_communities();
+  for (std::uint32_t v = 0; v < pi.num_vertices(); ++v) {
+    const std::span<const float> row = pi.row(v);
+    for (std::uint32_t c = 0; c <= k; ++c) {
+      const float w = row[c];
+      const bool phi_sum = c == k;
+      if (std::isfinite(w) && (phi_sum ? w > 0.0f : w >= 0.0f)) continue;
+      throw DataError(
+          "checkpoint " + std::string(phi_sum ? "phi_sum" : "pi weight") +
+          " for vertex " + std::to_string(v) + " column " +
+          std::to_string(c) + " is " + std::to_string(w) +
+          (phi_sum ? "; must be finite and positive"
+                   : "; must be finite and non-negative"));
+    }
+  }
+}
+
 }  // namespace scd::core

@@ -70,4 +70,11 @@ std::string checkpoint_to_bytes(
     float sparse_eps = quant::kDefaultSparseEps);
 Checkpoint checkpoint_from_bytes(const std::string& bytes);
 
+/// Throws scd::DataError, naming the vertex and the column, unless every
+/// pi weight is finite and non-negative and every phi_sum (column K) is
+/// finite and positive: the state the SGRLD row update can continue
+/// from. The samplers' restore() calls it; the loader does not, so a
+/// checkpoint that is only served keeps its parse path.
+void check_trainable_pi(const PiMatrix& pi);
+
 }  // namespace scd::core

@@ -187,18 +187,26 @@ void update_theta(std::uint64_t seed, std::uint64_t iteration,
   SCD_ASSERT(grad.size() == std::size_t{k} * 2, "gradient size mismatch");
   rng::Xoshiro256 noise = derive_rng(seed, rng_label::kThetaNoise, iteration);
   const double noise_scale = noise_factor * std::sqrt(eps);
-  for (std::uint32_t c = 0; c < k; ++c) {
-    for (unsigned i = 0; i < 2; ++i) {
+  // The 2K draws, in (community, slot) order, come in batches that fill a
+  // stack buffer: the same values and order as one serial draw per slot.
+  constexpr std::size_t kNoiseBatch = 64;
+  double xi[kNoiseBatch];
+  const std::size_t slots = std::size_t{k} * 2;
+  for (std::size_t base = 0; base < slots; base += kNoiseBatch) {
+    const std::size_t n = std::min(kNoiseBatch, slots - base);
+    rng::sample_standard_normals(noise, std::span<double>(xi, n));
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto c = static_cast<std::uint32_t>((base + j) / 2);
+      const unsigned i = static_cast<unsigned>((base + j) % 2);
       const double theta = global.theta(c, i);
       // Prior: theta_k1 (link pseudo-count) pairs with eta0, theta_k0
       // with eta1, matching GlobalState::init_random.
       const double eta = (i == 1) ? eta0 : eta1;
-      const double xi = rng::sample_standard_normal(noise) * noise_scale;
       const double g = form == GradientForm::kPreconditioned
-                           ? theta * grad[c * 2 + i]
-                           : grad[c * 2 + i];
+                           ? theta * grad[base + j]
+                           : grad[base + j];
       double updated = theta + 0.5 * eps * (eta - theta + g) +
-                       std::sqrt(theta) * xi;
+                       std::sqrt(theta) * (xi[j] * noise_scale);
       updated = std::abs(updated);
       updated = std::max(updated, kParamFloor);
       global.set_theta(c, i, updated);

@@ -16,6 +16,22 @@
 // what allows the staged-w loops to vectorize.
 #define SCD_RESTRICT __restrict__
 
+// Every public entry point is built twice, as an AVX2 clone and a
+// baseline x86-64 clone, and the dynamic loader binds the one this CPU
+// supports (GCC function multi-versioning). `flatten` inlines the whole
+// call tree, codec templates included, into each clone; without it the
+// AVX2 clone would call the baseline-ISA templates out of line. The
+// clones are bit-identical: the lane loops fix the summation order, the
+// AVX2 target does not include FMA, and -ffp-contract=off on this file
+// keeps any a*b+c from fusing. ThreadSanitizer builds keep only the
+// baseline body: the loader runs ifunc resolvers before the TSan runtime
+// is up, and the instrumented resolvers crash the process at start.
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#define SCD_KERNEL __attribute__((target_clones("avx2", "default"), flatten))
+#else
+#define SCD_KERNEL
+#endif
+
 namespace scd::core {
 
 namespace {
@@ -35,6 +51,7 @@ inline double lane_sum(const float (&lanes)[kFusedLanes]) {
 
 }  // namespace
 
+SCD_KERNEL
 void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
                          std::uint32_t vertex, std::span<float> row,
                          std::span<const double> grad, double scale,
@@ -44,17 +61,14 @@ void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
   SCD_ASSERT(grad.size() == k, "gradient size mismatch");
   SCD_ASSERT(noise_scratch.size() >= k, "noise scratch too small");
 
-  // Stage the Langevin noise first: the polar-rejection draws are
-  // inherently serial, and splitting them out leaves the SGRLD step below
-  // as a pure elementwise pass. Same stream, same order as the reference
-  // update_phi_row, so the drawn values are identical.
+  // Stage the Langevin noise first, as one batch: the same stream and
+  // order as the reference update_phi_row's serial draws, so the values
+  // are identical, and the SGRLD step below is a pure elementwise pass.
   rng::Xoshiro256 noise_rng =
       derive_rng(seed, rng_label::kPhiNoise, iteration, vertex);
+  rng::sample_standard_normals(noise_rng, noise_scratch.first(k));
   const double noise_scale = noise_factor * std::sqrt(eps);
-  double* SCD_RESTRICT noise = noise_scratch.data();
-  for (std::size_t i = 0; i < k; ++i) {
-    noise[i] = rng::sample_standard_normal(noise_rng) * noise_scale;
-  }
+  const double* SCD_RESTRICT noise = noise_scratch.data();
 
   const double phi_sum = row[k];
   const bool precond = form == GradientForm::kPreconditioned;
@@ -76,7 +90,7 @@ void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
         const double phi = static_cast<double>(r[idx]) * phi_sum;
         const double gg = precond ? phi * g[idx] : g[idx];
         double updated = phi + half_eps * (alpha - phi + scale * gg) +
-                         std::sqrt(phi) * noise[idx];
+                         std::sqrt(phi) * (noise[idx] * noise_scale);
         updated = std::abs(updated);  // SGRLD reflection at zero
         updated = std::max(updated, kParamFloor);
         r[idx] = static_cast<float>(updated);
@@ -89,7 +103,7 @@ void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
     const double phi = static_cast<double>(r[i]) * phi_sum;
     const double gg = precond ? phi * g[i] : g[i];
     double updated = phi + half_eps * (alpha - phi + scale * gg) +
-                     std::sqrt(phi) * noise[i];
+                     std::sqrt(phi) * (noise[i] * noise_scale);
     updated = std::abs(updated);
     updated = std::max(updated, kParamFloor);
     r[i] = static_cast<float>(updated);
@@ -657,6 +671,7 @@ double sparse_sparse_theta_ratio(const SparseView& a, VA va,
 
 // --- sparse kernels ----------------------------------------------------
 
+SCD_KERNEL
 SparsePhiStage sparse_phi_stage(std::span<const float> row_a,
                                 const LikelihoodTerms& terms) {
   const std::size_t k = k_of(row_a);
@@ -673,6 +688,7 @@ SparsePhiStage sparse_phi_stage(std::span<const float> row_a,
   return stage;
 }
 
+SCD_KERNEL
 double sparse_accumulate_phi_grad_enc(quant::RowCodec codec,
                                       std::span<const float> row_a,
                                       const SparsePhiStage& stage,
@@ -722,6 +738,7 @@ double sparse_accumulate_phi_grad_enc(quant::RowCodec codec,
   });
 }
 
+SCD_KERNEL
 void sparse_phi_epilogue(const SparsePhiAccum& acc,
                          const LikelihoodTerms& terms,
                          std::span<double> grad) {
@@ -735,6 +752,7 @@ void sparse_phi_epilogue(const SparsePhiAccum& acc,
   }
 }
 
+SCD_KERNEL
 double sparse_accumulate_theta_ratio_enc(quant::RowCodec codec,
                                          std::span<const std::byte> row_a,
                                          std::span<const std::byte> row_b,
@@ -775,6 +793,7 @@ double sparse_accumulate_theta_ratio_enc(quant::RowCodec codec,
       });
 }
 
+SCD_KERNEL
 void sparse_theta_epilogue(double eps_coef_link, double eps_coef_nonlink,
                            const LikelihoodTerms& terms,
                            std::span<double> ratio_link,
@@ -837,6 +856,7 @@ double sparse_phi_grad_single(quant::RowCodec codec,
 
 // --- entry points ------------------------------------------------------
 
+SCD_KERNEL
 double fast_pair_likelihood(std::span<const float> row_a,
                             std::span<const float> row_b,
                             const LikelihoodTerms& terms, bool y) {
@@ -845,6 +865,7 @@ double fast_pair_likelihood(std::span<const float> row_a,
   return fused_pair_likelihood_t(row_a.data(), row_b.data(), k, terms, y);
 }
 
+SCD_KERNEL
 double fast_accumulate_phi_grad(std::span<const float> row_a,
                                 std::span<const float> row_b,
                                 const LikelihoodTerms& terms, bool y,
@@ -855,16 +876,21 @@ double fast_accumulate_phi_grad(std::span<const float> row_a,
                                      terms, y, grad, w_scratch);
 }
 
+SCD_KERNEL
 double fast_accumulate_theta_ratio(std::span<const float> row_a,
                                    std::span<const float> row_b,
                                    const LikelihoodTerms& terms, bool y,
                                    std::span<double> ratio,
                                    std::span<float> f_scratch) {
-  return fused_accumulate_theta_ratio_t(row_a.data(), row_b.data(),
-                                        k_of(row_a), terms, y, ratio,
-                                        f_scratch);
+  // Restrict-qualified rows: without them the f-scratch stores may alias
+  // the row loads and the lane loop is not vectorized.
+  using Row = const float* SCD_RESTRICT;
+  return fused_accumulate_theta_ratio_t<Row, Row>(row_a.data(), row_b.data(),
+                                                  k_of(row_a), terms, y, ratio,
+                                                  f_scratch);
 }
 
+SCD_KERNEL
 double fast_pair_likelihood_enc(quant::RowCodec codec,
                                 std::span<const std::byte> row_a,
                                 std::span<const std::byte> row_b,
@@ -880,6 +906,7 @@ double fast_pair_likelihood_enc(quant::RowCodec codec,
   });
 }
 
+SCD_KERNEL
 double fast_accumulate_phi_grad_enc(quant::RowCodec codec,
                                     std::span<const float> row_a,
                                     std::span<const std::byte> row_b,
@@ -897,6 +924,7 @@ double fast_accumulate_phi_grad_enc(quant::RowCodec codec,
   });
 }
 
+SCD_KERNEL
 double fast_accumulate_theta_ratio_enc(quant::RowCodec codec,
                                        std::span<const std::byte> row_a,
                                        std::span<const std::byte> row_b,

@@ -23,6 +23,13 @@
 //     double path (~1e-6 relative; see kFusedRelTolerance and
 //     tests/core/kernels_simd_test.cpp).
 //
+// Instruction set: every entry point below is built as an AVX2 clone and
+// a baseline x86-64 clone, and the loader binds the one the CPU supports
+// (see SCD_KERNEL in kernels_simd.cpp). The clones return the same bits:
+// the lane loops fix the summation order and the file is compiled with
+// -ffp-contract=off, so no a*b+c is fused into an FMA.
+// tests/core/kernels_pinned_test.cpp pins the outputs.
+//
 // The grads.cpp kernels are the double-precision reference the tests
 // compare these against; no sampler selects between the two at run time.
 #pragma once
@@ -78,9 +85,10 @@ double fast_accumulate_theta_ratio(std::span<const float> row_a,
                                    std::span<double> ratio,
                                    std::span<float> f_scratch);
 
-/// SGRLD row update (Eqn 5): the serial Langevin noise draws are staged
-/// into `noise_scratch` first (identical stream and order to the
-/// reference update_phi_row), then the elementwise update runs as a
+/// SGRLD row update (Eqn 5): the Langevin noise is staged into
+/// `noise_scratch` first by one rng::sample_standard_normals batch
+/// (identical values and order to the reference update_phi_row's serial
+/// draws), then the elementwise update runs as a
 /// vectorizable pass with a lane-accumulated new_sum. Per-element row
 /// values match the reference bit-for-bit; only the new_sum reduction
 /// (and hence the final normalization) differs by float-level

@@ -139,6 +139,7 @@ void SequentialSampler::restore(const Checkpoint& checkpoint) {
               "checkpoint is for a different graph size");
   SCD_REQUIRE(checkpoint.hyper.num_communities == hyper_.num_communities,
               "checkpoint is for a different K");
+  check_trainable_pi(checkpoint.pi);
   pi_ = checkpoint.pi;
   global_ = checkpoint.global;
   iteration_ = checkpoint.iteration;

@@ -1,5 +1,6 @@
 #include "random/distributions.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -17,6 +18,32 @@ double sample_standard_normal(Xoshiro256& rng) {
     const double s = u * u + v * v;
     if (s > 0.0 && s < 1.0) {
       return u * std::sqrt(-2.0 * std::log(s) / s);
+    }
+  }
+}
+
+void sample_standard_normals(Xoshiro256& rng, std::span<double> out) {
+  // Candidates land at the accept count: a rejected pair is overwritten
+  // by the next one, and the loop stops right after the pair that the
+  // serial sampler would have returned last. `u` is staged in `out`, `s`
+  // in a fixed block, so the batch is processed block by block.
+  constexpr std::size_t kBlock = 64;
+  double s_block[kBlock];
+  for (std::size_t base = 0; base < out.size(); base += kBlock) {
+    const std::size_t n = std::min(kBlock, out.size() - base);
+    double* u_block = out.data() + base;
+    std::size_t accepted = 0;
+    while (accepted < n) {
+      const double u = 2.0 * rng.next_double() - 1.0;
+      const double v = 2.0 * rng.next_double() - 1.0;
+      const double s = u * u + v * v;
+      u_block[accepted] = u;
+      s_block[accepted] = s;
+      accepted += static_cast<std::size_t>((s > 0.0) & (s < 1.0));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double s = s_block[i];
+      u_block[i] = u_block[i] * std::sqrt(-2.0 * std::log(s) / s);
     }
   }
 }

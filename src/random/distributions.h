@@ -19,6 +19,13 @@ namespace scd::rng {
 /// Standard normal via Marsaglia polar method (exact, no tables).
 double sample_standard_normal(Xoshiro256& rng);
 
+/// Fills `out` with out.size() standard normals: the same values, in the
+/// same order, leaving `rng` in the same state as that many
+/// sample_standard_normal calls. The polar pairs are drawn with a
+/// branch-free accept count and transformed in one pass afterwards, so
+/// the rejection step costs no branch mispredictions.
+void sample_standard_normals(Xoshiro256& rng, std::span<double> out);
+
 /// N(mean, stddev^2).
 inline double sample_normal(Xoshiro256& rng, double mean, double stddev) {
   return mean + stddev * sample_standard_normal(rng);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -198,6 +199,55 @@ TEST(CheckpointTest, RestoreValidatesShape) {
                             f.options);
   Checkpoint wrong = make_checkpoint();  // 20 vertices, K=6
   EXPECT_THROW(sampler.restore(wrong), scd::UsageError);
+}
+
+template <typename Sampler>
+void expect_restore_refused(Sampler& sampler, const Checkpoint& bad,
+                            const char* expect) {
+  try {
+    sampler.restore(bad);
+    ADD_FAILURE() << "restore accepted the row";
+  } catch (const scd::DataError& e) {
+    EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckpointTest, RestoreRefusesUntrainablePiRows) {
+  // The checkpoint loader accepts these rows; resuming training from
+  // them must fail up front with the vertex and column, not as an
+  // invariant failure inside the first SGRLD row update.
+  auto f = small_planted_fixture(1011, 120, 4, 60);
+  SequentialSampler sequential(f.split->training(), f.split.get(), f.hyper,
+                               f.options);
+  ParallelSampler parallel(f.split->training(), f.split.get(), f.hyper,
+                           f.options, 2);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const struct {
+    std::uint32_t column;
+    float value;
+    const char* expect;
+  } kCases[] = {
+      {1, nan, "vertex 7 column 1"},
+      {2, inf, "vertex 7 column 2"},
+      {3, -1e-3f, "vertex 7 column 3"},
+      {4, 0.0f, "phi_sum for vertex 7"},
+      {4, -inf, "phi_sum for vertex 7"},
+      {4, nan, "phi_sum for vertex 7"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.expect);
+    Checkpoint bad = parallel.checkpoint();
+    bad.pi.row(7)[c.column] = c.value;
+    expect_restore_refused(sequential, bad, c.expect);
+    expect_restore_refused(parallel, bad, c.expect);
+  }
+  // Zero pi weights are legal (the row update floors them).
+  Checkpoint zero = parallel.checkpoint();
+  zero.pi.row(7)[0] = 0.0f;
+  parallel.restore(zero);
+  parallel.run(2);
 }
 
 /// FNV-1a 64 over a byte string.

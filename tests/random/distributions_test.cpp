@@ -36,6 +36,26 @@ TEST(DistributionsTest, StandardNormalMoments) {
   EXPECT_NEAR(m.var, 1.0, 0.02);
 }
 
+// The batched sampler is a drop-in for serial calls: same values, same
+// order, same engine state afterwards, across block boundaries (64) and
+// the empty batch.
+TEST(DistributionsTest, BatchedNormalsMatchSerialCalls) {
+  std::vector<double> batch;
+  for (std::size_t n : {0u, 1u, 63u, 64u, 257u}) {
+    batch.resize(n);
+    for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+      Xoshiro256 serial(seed);
+      Xoshiro256 batched(seed);
+      sample_standard_normals(batched, batch);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(batch[i], sample_standard_normal(serial))
+            << "n=" << n << " seed=" << seed << " i=" << i;
+      }
+      ASSERT_TRUE(serial == batched) << "n=" << n << " seed=" << seed;
+    }
+  }
+}
+
 // Gamma(shape, 1): mean = shape, var = shape. Sweep shapes both below and
 // above 1 to exercise the boost path and the Marsaglia-Tsang path.
 class GammaMomentsTest : public ::testing::TestWithParam<double> {};

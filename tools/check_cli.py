@@ -54,18 +54,19 @@ def write_sparse_checkpoint(path, first_index):
         f.write(data)
 
 
-def write_v1_checkpoint(path, nan_at=None, theta=None):
+def write_v1_checkpoint(path, pi_at=None, theta=None):
     """Write a minimal version-1 (raw float) checkpoint: K = 8, three
-    vertices with uniform pi rows. `nan_at` = (vertex, community) puts a
-    NaN pi weight there. `theta` = (community, slot, value) overrides one
-    theta entry (all others are 1.0)."""
+    vertices with uniform pi rows. `pi_at` = (vertex, column, value)
+    overrides one row entry (column 8 is the phi_sum, 2.0 elsewhere).
+    `theta` = (community, slot, value) overrides one theta entry (all
+    others are 1.0)."""
     k, n = 8, 3
     data = struct.pack("<QIQIddddI", 0x5343445F434B5031, 1, 0, k,
                        0.0, 1.0, 1.0, 1e-3, n)
     for v in range(n):
         row = [1.0 / k] * k + [2.0]
-        if nan_at is not None and nan_at[0] == v:
-            row[nan_at[1]] = float("nan")
+        if pi_at is not None and pi_at[0] == v:
+            row[pi_at[1]] = pi_at[2]
         data += struct.pack(f"<{k + 1}f", *row)
     thetas = [1.0] * (2 * k)
     if theta is not None:
@@ -147,13 +148,33 @@ def main():
               "error" in r.stderr, repr(r.stderr[:160]))
 
         nan = os.path.join(tmp, "nan_pi.ckpt")
-        write_v1_checkpoint(nan, nan_at=(2, 5))
+        write_v1_checkpoint(nan, pi_at=(2, 5, float("nan")))
         r = run([scd, "serve", "--checkpoint", nan])
         check("serve NaN pi weight exits 2", r.returncode == 2,
               f"exit={r.returncode}")
         check("serve NaN pi weight diagnoses on stderr",
               "error" in r.stderr and "vertex 2" in r.stderr and
               "community 5" in r.stderr, repr(r.stderr[:160]))
+
+        # Resuming training from rows the SGRLD update cannot continue
+        # from is a data error, refused before any iteration runs.
+        path3 = os.path.join(tmp, "path3.txt")
+        with open(path3, "w") as f:
+            f.write("0 1\n1 2\n")
+        zero_sum = os.path.join(tmp, "zero_phi_sum.ckpt")
+        write_v1_checkpoint(zero_sum, pi_at=(1, 8, 0.0))
+        for label, ckpt, where in (
+                ("NaN pi weight", nan, "vertex 2 column 5"),
+                ("phi_sum = 0", zero_sum, "vertex 1 column 8")):
+            r = run([scd, "resume", "--graph", path3, "--checkpoint", ckpt,
+                     "--iterations", "2"])
+            check(f"resume {label} exits 2", r.returncode == 2,
+                  f"exit={r.returncode}")
+            check(f"resume {label} diagnoses on stderr",
+                  "error" in r.stderr and where in r.stderr,
+                  repr(r.stderr[:160]))
+            check(f"resume {label} runs no iteration",
+                  "resumed" not in r.stdout, repr(r.stdout[:160]))
 
         nan_theta = os.path.join(tmp, "nan_theta.ckpt")
         write_v1_checkpoint(nan_theta, theta=(3, 1, float("nan")))

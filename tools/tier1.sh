@@ -21,23 +21,27 @@ timed() {  # timed <name> <command...>
   SUMMARY+=("$(printf '%-28s %4ds' "$name" $((SECONDS - t0)))")
 }
 
-# The labeled suites (chaos, tune, quant, sparse, serve, proc) are run
-# by label so a mislabeled/undiscovered suite fails loudly instead of
-# silently shrinking the full run:
-#   chaos  — fault injection + recovery
-#   tune   — autotuner acceptance (tuned-vs-exhaustive)
-#   quant  — pi-row quantization incl. the perplexity-tolerance gate
-#   sparse — sparse top-R codec, kernels, DKV accounting, checkpoints
-#   serve  — serving index/query engine/traffic incl. snapshot swap
-#   proc   — multi-process backend: sockets, forked workers, sim parity
+# The labeled suites (chaos, tune, quant, sparse, serve, proc, kernels)
+# are run by label so a mislabeled/undiscovered suite fails loudly
+# instead of silently shrinking the full run:
+#   chaos   — fault injection + recovery
+#   tune    — autotuner acceptance (tuned-vs-exhaustive)
+#   quant   — pi-row quantization incl. the perplexity-tolerance gate
+#   sparse  — sparse top-R codec, kernels, DKV accounting, checkpoints
+#   serve   — serving index/query engine/traffic incl. snapshot swap
+#   proc    — multi-process backend: sockets, forked workers, sim parity
+#   kernels — pinned output bits of the fused kernels; run verbose so
+#             the log shows which ISA clone (avx2/default) was checked
 run_preset() {  # run_preset <preset>
   local preset=$1
   timed "$preset: full suite" ctest --preset "$preset" -j
-  local label
-  for label in chaos tune quant sparse serve proc; do
+  local label verbose
+  for label in chaos tune quant sparse serve proc kernels; do
+    verbose=()
+    [[ $label == kernels ]] && verbose=(--verbose)
     timed "$preset: -L $label" \
       ctest --preset "$preset" -L "$label" --no-tests=error \
-        --output-on-failure
+        --output-on-failure "${verbose[@]}"
   done
 }
 
