@@ -11,26 +11,17 @@
 
 #include "random/distributions.h"
 #include "util/error.h"
+#include "util/isa_clones.h"
 
 // Scratch spans never alias the input rows; telling the compiler so is
 // what allows the staged-w loops to vectorize.
 #define SCD_RESTRICT __restrict__
 
-// Every public entry point is built twice, as an AVX2 clone and a
-// baseline x86-64 clone, and the dynamic loader binds the one this CPU
-// supports (GCC function multi-versioning). `flatten` inlines the whole
-// call tree, codec templates included, into each clone; without it the
-// AVX2 clone would call the baseline-ISA templates out of line. The
-// clones are bit-identical: the lane loops fix the summation order, the
-// AVX2 target does not include FMA, and -ffp-contract=off on this file
-// keeps any a*b+c from fusing. ThreadSanitizer builds keep only the
-// baseline body: the loader runs ifunc resolvers before the TSan runtime
-// is up, and the instrumented resolvers crash the process at start.
-#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
-#define SCD_KERNEL __attribute__((target_clones("avx2", "default"), flatten))
-#else
-#define SCD_KERNEL
-#endif
+// Every public entry point carries SCD_KERNEL (util/isa_clones.h): an
+// AVX2 clone and a baseline x86-64 clone, bound at load time. The clones
+// are bit-identical: the lane loops fix the summation order, the AVX2
+// target does not include FMA, and -ffp-contract=off on this file keeps
+// any a*b+c from fusing.
 
 namespace scd::core {
 

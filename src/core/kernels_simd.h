@@ -25,9 +25,10 @@
 //
 // Instruction set: every entry point below is built as an AVX2 clone and
 // a baseline x86-64 clone, and the loader binds the one the CPU supports
-// (see SCD_KERNEL in kernels_simd.cpp). The clones return the same bits:
-// the lane loops fix the summation order and the file is compiled with
-// -ffp-contract=off, so no a*b+c is fused into an FMA.
+// (SCD_KERNEL, shared with serve::select_top in util/isa_clones.h). The
+// clones return the same bits: the lane loops fix the summation order and
+// the file is compiled with -ffp-contract=off, so no a*b+c is fused into
+// an FMA.
 // tests/core/kernels_pinned_test.cpp pins the outputs.
 //
 // The grads.cpp kernels are the double-precision reference the tests

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/rank_key.h"
 
 namespace scd::quant {
 
@@ -200,6 +201,7 @@ std::size_t decode_values(RowCodec value, const std::byte* in,
 /// Thread-local selection scratch: grown once per thread, so steady-state
 /// encodes stay allocation-free (tests/core/zero_alloc_test.cpp).
 struct SparseScratch {
+  std::vector<std::uint64_t> keys;
   std::vector<std::uint32_t> order;
   std::vector<float> values;
 };
@@ -210,21 +212,35 @@ void encode_sparse(RowCodec codec, std::span<const float> row,
   const RowCodec value = value_codec(codec);
   const float eps = std::clamp(sparse_eps, 0.0f, 1.0f);
 
+  // NaN has no place in the ranking (and would make it no strict weak
+  // order); infinities have no finite residual mass.
+  for (std::uint32_t i = 0; i < k; ++i) {
+    if (!std::isfinite(row[i])) {
+      throw DataError("sparse row encode: non-finite weight " +
+                      std::to_string(row[i]) + " in column " +
+                      std::to_string(i));
+    }
+  }
+  // Deterministic top-R: value descending, index ascending on ties. Only
+  // the first k/2 + 1 ranks can be read before the dense fallback, so
+  // only that prefix is selected and ordered.
+  const std::uint32_t prefix = std::min(k, k / 2 + 1);
   thread_local SparseScratch scratch;
-  scratch.order.resize(k);
-  for (std::uint32_t i = 0; i < k; ++i) scratch.order[i] = i;
-  // Deterministic top-R: value descending, index ascending on ties.
-  std::sort(scratch.order.begin(), scratch.order.end(),
-            [&row](std::uint32_t a, std::uint32_t b) {
-              if (row[a] != row[b]) return row[a] > row[b];
-              return a < b;
-            });
+  scratch.keys.resize(k);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    scratch.keys[i] = rank_key(order_key(row[i]), i);
+  }
+  const auto keys = scratch.keys.begin();
+  if (prefix < k) std::nth_element(keys, keys + (prefix - 1), keys + k);
+  std::sort(keys, keys + prefix);
   double sum = 0.0;
   for (std::uint32_t i = 0; i < k; ++i) sum += row[i];
   const double target = (1.0 - static_cast<double>(eps)) * sum;
   double kept_sum = 0.0;
   std::uint32_t nnz = 0;
-  while (nnz < k && kept_sum < target) {
+  scratch.order.resize(prefix);
+  while (nnz < prefix && kept_sum < target) {
+    scratch.order[nnz] = static_cast<std::uint32_t>(scratch.keys[nnz]);
     kept_sum += row[scratch.order[nnz]];
     ++nnz;
   }

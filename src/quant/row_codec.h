@@ -141,7 +141,9 @@ void encode_row(RowCodec codec, std::span<const float> row,
 
 /// Same, with an explicit sparse mass tolerance (ignored by the dense
 /// codecs). The top-R selection is deterministic: entries ordered by
-/// value descending with index-ascending tie-break.
+/// value descending with index-ascending tie-break (util/rank_key.h).
+/// The sparse codecs throw scd::DataError naming the column when a
+/// weight is NaN or +-inf.
 void encode_row(RowCodec codec, std::span<const float> row,
                 std::span<std::byte> out, float sparse_eps);
 

@@ -35,9 +35,12 @@ class QueryEngine {
 
   /// Top-k communities of `u`, weight-descending, written into `out`
   /// (clamped to out.size()); returns the count written. k <= top_r is
-  /// served from the index in O(k); deeper asks fall back to an exact
-  /// O(K + k log k) selection (select_top) over the dense pi row, so any
-  /// k up to K is answerable. Allocation-free when k <= top_r.
+  /// served from the index in O(k); deeper asks fall back to the exact
+  /// selection (select_top) over the dense pi row, O(K + k^2) up to
+  /// k = 64 and O(K + k log k) above, so any k up to K is answerable.
+  /// Allocation-free after warm-up: select_top's thread-local scratch
+  /// grows on the thread's first fallback and first ask deeper than 64
+  /// (tests/core/zero_alloc_test.cpp).
   std::uint32_t top_communities(std::uint32_t u, std::span<TopEntry> out)
       const;
   std::vector<TopEntry> top_communities(std::uint32_t u,

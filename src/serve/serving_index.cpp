@@ -5,27 +5,146 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/report.h"
 #include "util/error.h"
+#include "util/isa_clones.h"
+#include "util/rank_key.h"
 
 namespace scd::serve {
 
 namespace {
 
-/// The one ordering every list in the index uses — weight descending,
-/// id ascending — packed into a single integer so one unsigned compare
-/// decides it. The high word holds the weight's order-preserving bits,
-/// inverted so larger weights give smaller keys; -0.0f is folded onto
-/// +0.0f so the two still tie. The low word is the id, which makes keys
-/// unique, so results are unique and thread-count independent.
-inline std::uint64_t rank_key(float weight, std::uint32_t id) {
-  std::uint32_t bits = std::bit_cast<std::uint32_t>(weight);
-  bits = bits == 0x80000000u ? 0u : bits;
-  // Non-negative weights: flip the magnitude so larger sorts first.
-  // Negative ones already grow with magnitude and sort after them.
-  const std::uint32_t flip = (bits >> 31) != 0 ? 0u : 0x7fffffffu;
-  return (std::uint64_t{bits ^ flip} << 32) | id;
+/// Up to this many winners, select_top orders them by counting ranks
+/// (k^2 compares, no branches); above it, by sorting packed keys.
+constexpr std::uint32_t kRankCountLimit = 64;
+
+/// Histogram resolution of the threshold search.
+constexpr int kBucketBits = 8;
+
+/// select_top's working memory, grown once per thread: order keys, the
+/// bucket being narrowed (later the winners' ids) and the winners' keys,
+/// plus packed keys for the sort above kRankCountLimit.
+thread_local std::vector<std::uint32_t> t_select_keys;
+thread_local std::vector<std::uint64_t> t_select_packed;
+
+/// select_top's body. It returns false, writing nothing, when a weight is
+/// NaN or +-inf, and never throws (see util/isa_clones.h); select_top
+/// raises the error. `arena` holds at least 2 * num + k + 2 entries and
+/// `packed` at least k when k > kRankCountLimit.
+SCD_KERNEL
+bool select_top_kernel(const float* row, std::uint32_t num, std::uint32_t k,
+                       TopEntry* out, std::uint32_t* arena,
+                       std::uint64_t* packed) noexcept {
+  std::uint32_t* const keys = arena;               // num
+  std::uint32_t* const work = keys + num;          // num + 1
+  std::uint32_t* const win_keys = work + num + 1;  // k + 1
+
+  // 1. Order keys, their range, and whether any weight is NaN or +-inf.
+  std::uint32_t lo = ~0u;
+  std::uint32_t hi = 0;
+  std::uint32_t non_finite = 0;
+  for (std::uint32_t c = 0; c < num; ++c) {
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(row[c]);
+    non_finite |= (bits & 0x7f800000u) == 0x7f800000u ? 1u : 0u;
+    const std::uint32_t key = order_key(row[c]);
+    keys[c] = key;
+    lo = std::min(lo, key);
+    hi = std::max(hi, key);
+  }
+  if (non_finite != 0) return false;
+
+  // 2. Threshold search. A histogram of (key - lo) >> shift over the
+  // candidates finds the bucket holding the k-th smallest key; `below`
+  // keys rank ahead of it and `need` more come from it. The search
+  // narrows to that bucket's keys until the bucket is taken whole or
+  // holds a single key value. Each narrowing drops kBucketBits of range,
+  // so there are at most four passes.
+  const std::uint32_t* candidates = keys;
+  std::uint32_t count = num;
+  std::uint32_t below = 0;
+  std::uint32_t need = 0;
+  std::uint32_t threshold = 0;  // winners: key < threshold, then `need` ties
+  for (;;) {
+    const std::uint32_t range = hi - lo;
+    const int shift =
+        std::max(0, static_cast<int>(std::bit_width(range)) - kBucketBits);
+    std::uint32_t hist[1u << kBucketBits] = {};
+    for (std::uint32_t i = 0; i < count; ++i) {
+      ++hist[(candidates[i] - lo) >> shift];
+    }
+    std::uint32_t b = 0;
+    while (below + hist[b] < k) below += hist[b++];
+    need = k - below;
+    if (hist[b] == need) {  // the whole bucket wins
+      threshold = lo + static_cast<std::uint32_t>(std::min(
+                           (std::uint64_t{b} + 1) << shift,
+                           std::uint64_t{range} + 1));
+      need = 0;
+      break;
+    }
+    if (shift == 0) {  // one key value: the first `need` of its ties win
+      threshold = lo + b;
+      break;
+    }
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t key = candidates[i];
+      work[kept] = key;
+      kept += ((key - lo) >> shift) == b ? 1u : 0u;
+    }
+    candidates = work;
+    count = kept;
+    lo = ~0u;
+    hi = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      lo = std::min(lo, work[i]);
+      hi = std::max(hi, work[i]);
+    }
+  }
+
+  // 3. Collect the winners in id order: every key below the threshold,
+  // then the first `need` keys equal to it (ties go to the smaller id).
+  std::uint32_t* const ids = work;
+  std::uint32_t n = 0;
+  for (std::uint32_t c = 0; c < num; ++c) {
+    const std::uint32_t key = keys[c];
+    ids[n] = c;
+    win_keys[n] = key;
+    n += key < threshold ? 1u : 0u;
+  }
+  for (std::uint32_t c = 0; need > 0; ++c) {
+    if (keys[c] == threshold) {
+      ids[n] = c;
+      win_keys[n] = threshold;
+      ++n;
+      --need;
+    }
+  }
+
+  // 4. Order the winners. A winner's rank is the number of smaller keys
+  // plus the number of equal keys collected before it (a smaller id).
+  if (k <= kRankCountLimit) {
+    for (std::uint32_t i = 0; i < k; ++i) {
+      const std::uint32_t key = win_keys[i];
+      std::uint32_t rank = 0;
+      for (std::uint32_t j = 0; j < k; ++j) {
+        rank += (win_keys[j] < key) | ((win_keys[j] == key) & (j < i));
+      }
+      out[rank] = TopEntry{ids[i], row[ids[i]]};
+    }
+    return true;
+  }
+  for (std::uint32_t i = 0; i < k; ++i) {
+    packed[i] = rank_key(win_keys[i], ids[i]);
+  }
+  std::sort(packed, packed + k);
+  for (std::uint32_t r = 0; r < k; ++r) {
+    const auto c = static_cast<std::uint32_t>(packed[r]);
+    out[r] = TopEntry{c, row[c]};
+  }
+  return true;
 }
 
 }  // namespace
@@ -35,43 +154,21 @@ void select_top(std::span<const float> row, std::uint32_t k,
   const auto num = static_cast<std::uint32_t>(row.size());
   SCD_REQUIRE(k >= 1 && k <= num && out.size() >= k,
               "select_top needs 1 <= k <= row size and room for k entries");
-  static thread_local std::vector<std::uint64_t> scratch;
-  scratch.resize(num);
-  std::uint64_t* keys = scratch.data();
-  bool finite = true;
-  for (std::uint32_t c = 0; c < num; ++c) {
-    keys[c] = rank_key(row[c], c);
-    finite &= std::isfinite(row[c]);
-  }
-  if (!finite) {
+  // Sized by the row alone, so one call per row size (and one with
+  // k > kRankCountLimit) warms the scratch for every k.
+  std::vector<std::uint32_t>& arena = t_select_keys;
+  const std::size_t arena_size = std::size_t{num} * 3 + 2;
+  if (arena.size() < arena_size) arena.resize(arena_size);
+  std::vector<std::uint64_t>& packed = t_select_packed;
+  if (k > kRankCountLimit && packed.size() < num) packed.resize(num);
+  if (!select_top_kernel(row.data(), num, k, out.data(), arena.data(),
+                         packed.data())) {
     const auto bad = static_cast<std::size_t>(
         std::find_if_not(row.begin(), row.end(),
                          [](float w) { return std::isfinite(w); }) -
         row.begin());
     throw DataError("non-finite pi weight " + std::to_string(row[bad]) +
                     " for community " + std::to_string(bad));
-  }
-  // Cut-off: split the keys into k contiguous groups and take the worst
-  // of the group bests. Each group holds a key <= cut, so the k best keys
-  // all pass it; only those candidates go through the selection.
-  std::uint64_t cut = 0;
-  for (std::uint32_t g = 0; g < k; ++g) {
-    const auto lo = static_cast<std::uint32_t>(std::uint64_t{num} * g / k);
-    const auto hi =
-        static_cast<std::uint32_t>(std::uint64_t{num} * (g + 1) / k);
-    cut = std::max(cut, *std::min_element(keys + lo, keys + hi));
-  }
-  std::uint32_t candidates = 0;
-  for (std::uint32_t c = 0; c < num; ++c) {
-    const std::uint64_t key = keys[c];
-    keys[candidates] = key;
-    candidates += key <= cut ? 1 : 0;
-  }
-  std::nth_element(keys, keys + (k - 1), keys + candidates);
-  std::sort(keys, keys + k);
-  for (std::uint32_t r = 0; r < k; ++r) {
-    const auto c = static_cast<std::uint32_t>(keys[r]);
-    out[r] = TopEntry{c, row[c]};
   }
 }
 
@@ -162,7 +259,8 @@ void ServingIndex::build(threading::ThreadPool& pool) {
       auto end = members_.begin() +
                  static_cast<std::ptrdiff_t>(member_offsets_[c + 1]);
       std::sort(begin, end, [](const MemberEntry& a, const MemberEntry& b) {
-        return rank_key(a.weight, a.vertex) < rank_key(b.weight, b.vertex);
+        return rank_key(order_key(a.weight), a.vertex) <
+               rank_key(order_key(b.weight), b.vertex);
       });
     }
   });

@@ -70,6 +70,15 @@ std::vector<ScriptedQuery> parse_query_script(std::istream& in) {
                       ": expected two non-negative 32-bit integers after '" +
                       op + "'");
     }
+    // Anything after the second operand but a comment is refused: the
+    // stream stops at the first character that is not a digit, so
+    // `top 7 0x10` would otherwise run as `top 7 0`.
+    std::string rest;
+    if (fields >> rest && rest.front() != '#') {
+      throw DataError("query script line " + std::to_string(line_no) +
+                      ": unexpected '" + rest + "' after the operands of '" +
+                      op + "'");
+    }
     q.a = static_cast<std::uint32_t>(a);
     q.b = static_cast<std::uint32_t>(b);
     queries.push_back(q);

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <utility>
 #include <vector>
 
 #ifdef SCD_ZERO_ALLOC_BACKTRACE
@@ -30,6 +32,7 @@
 #include "core/distributed_sampler.h"
 #include "core/parallel_sampler.h"
 #include "core/sequential_sampler.h"
+#include "serve/query_engine.h"
 #include "sim/cluster.h"
 #include "tests/core/test_fixtures.h"
 #include "trace/recorder.h"
@@ -241,6 +244,49 @@ TEST(ZeroAllocTest, ParallelTrajectoryBitIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+TEST(ZeroAllocTest, ServingQueriesAreAllocationFreeAfterWarmup) {
+  // K = 96 puts asks on both sides of R = 8 and of select_top's 64-entry
+  // rank-count limit, so the span overloads cover the index path and
+  // both orderings of the exact fallback.
+  constexpr std::uint32_t kN = 40;
+  constexpr std::uint32_t kK = 96;
+  Checkpoint model;
+  model.hyper.num_communities = kK;
+  model.hyper.delta = 1e-3;
+  model.pi = PiMatrix(kN, kK);
+  model.pi.init_random(5);
+  model.global = GlobalState(kK);
+  model.global.init_random(5, model.hyper);
+  threading::ThreadPool pool(1);
+  serve::ServingIndexOptions options;
+  options.top_r = 8;
+  options.membership_threshold = 0.0;  // every top-R entry is listed
+  serve::ServingSnapshots snapshots(
+      serve::build_serving_index(std::move(model), options, pool));
+  serve::QueryEngine engine(snapshots);
+  std::vector<serve::TopEntry> top(kK);
+  std::vector<serve::MemberEntry> members(kN);
+  const std::span<serve::TopEntry> all_top(top);
+  // Warm-up: one call of each kind, the top ask at full depth.
+  engine.top_communities(0, all_top);
+  double sink = engine.link_probability(0, 1);
+  engine.community_members(0, members);
+
+  AllocationGuard guard;
+  std::uint64_t written = 0;
+  for (std::uint32_t u = 0; u < kN; ++u) {
+    for (const std::uint32_t k : {1u, 8u, 9u, 32u, 64u, 65u, kK}) {
+      written += engine.top_communities(u, all_top.first(k));
+    }
+    sink += engine.link_probability(u, (u + 7) % kN);
+    written += engine.community_members(u % kK, members);
+  }
+  EXPECT_EQ(guard.count(), 0u)
+      << "span queries, the k > R fallback included, must reuse scratch";
+  EXPECT_GT(written, 0u);
+  EXPECT_GT(sink, 0.0);
 }
 
 }  // namespace

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/checkpoint.h"
 #include "core/report.h"
 #include "quant/row_codec.h"
+#include "random/xoshiro.h"
 #include "tests/serve/ranking_reference.h"
 #include "threading/thread_pool.h"
 
@@ -54,6 +59,82 @@ TEST(ServingIndexTest, TopListsMatchBruteForce) {
           testing::brute_force_top(index.pi_row(v), tc.k, tc.r);
       EXPECT_TRUE(testing::same_entries(index.top_list(v), expected))
           << "v=" << v;
+    }
+  }
+}
+
+/// Row shapes for the select_top property test.
+enum class Shape {
+  kContinuous,
+  kQuantised,   // a few levels: long runs of equal weights
+  kAllEqual,
+  kSignedZeros, // +0.0f and -0.0f interleaved around a few positives
+  kSubnormal,
+  kNegative,
+  kStraddle,    // a run of equal weights across the k-th position
+  kSpike,       // one huge weight over tiny noise
+};
+
+std::vector<float> shaped_row(Shape shape, std::uint32_t num,
+                              std::uint32_t k, rng::Xoshiro256& rng) {
+  std::vector<float> row(num);
+  for (std::uint32_t c = 0; c < num; ++c) {
+    const float u = rng.next_float();
+    switch (shape) {
+      case Shape::kContinuous: row[c] = u; break;
+      case Shape::kQuantised: row[c] = std::round(u * 4.0f) / 4.0f; break;
+      case Shape::kAllEqual: row[c] = 0.125f; break;
+      case Shape::kSignedZeros:
+        row[c] = u < 0.05f ? u : (c % 2 == 0 ? 0.0f : -0.0f);
+        break;
+      case Shape::kSubnormal:
+        row[c] = u < 0.2f ? 0.0f : u * 1e-39f;
+        break;
+      case Shape::kNegative: row[c] = 2.0f * u - 1.0f; break;
+      case Shape::kStraddle:
+        // About k/2 entries above the run, the run itself at 0.5, the
+        // rest below it: the k-th best lands inside the run.
+        row[c] = u < 0.5f * static_cast<float>(k) / static_cast<float>(num)
+                     ? 0.5f + u
+                     : (u < 0.9f ? 0.5f : 0.5f * u);
+        break;
+      case Shape::kSpike: row[c] = 1e-7f + u * 1e-9f; break;
+    }
+  }
+  if (shape == Shape::kSpike) {
+    row[static_cast<std::uint32_t>(rng() % num)] = 0.99f;
+  }
+  return row;
+}
+
+// select_top on its own, against the brute-force ranking compared by
+// bits: every row size around the 8-wide and 64-entry boundaries, k on
+// both sides of the 64-entry rank-count limit, and row shapes that hit
+// each tie rule and force the threshold search to narrow.
+TEST(SelectTopTest, MatchesBruteForceOnEveryShape) {
+  const Shape kShapes[] = {
+      Shape::kContinuous, Shape::kQuantised, Shape::kAllEqual,
+      Shape::kSignedZeros, Shape::kSubnormal, Shape::kNegative,
+      Shape::kStraddle, Shape::kSpike,
+  };
+  rng::Xoshiro256 rng(20261018);
+  for (const std::uint32_t num : {1u, 2u, 7u, 8u, 9u, 63u, 64u, 65u, 256u,
+                                  1000u}) {
+    for (const std::uint32_t ask : {1u, 2u, 32u, 64u, 65u, num - 1, num}) {
+      const std::uint32_t k = std::clamp(ask, 1u, num);
+      for (const Shape shape : kShapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "K=" << num << " k=" << k
+                     << " shape=" << static_cast<int>(shape));
+        for (int rep = 0; rep < 3; ++rep) {
+          const std::vector<float> row = shaped_row(shape, num, k, rng);
+          std::vector<TopEntry> got(k);
+          select_top(row, k, got);
+          ASSERT_TRUE(testing::same_entries(
+              got, testing::brute_force_top(row, num, k)))
+              << "rep=" << rep;
+        }
+      }
     }
   }
 }
@@ -106,6 +187,72 @@ TEST(ServingIndexTest, BuildIsThreadCountIndependent) {
     for (std::size_t i = 0; i < ma.size(); ++i) {
       ASSERT_EQ(ma[i].vertex, mb[i].vertex);
       ASSERT_EQ(ma[i].weight, mb[i].weight);
+    }
+  }
+}
+
+/// FNV-1a 64, fed one trivially copyable value at a time.
+struct Fnv1a64 {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  template <typename T>
+  void add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+// The index is pinned bit for bit: the top lists, the member offsets and
+// the member lists of two fixed-seed models (K = 256 random rows, and
+// K = 64 with tie-heavy rows) hash to the same constants at 1 and 3
+// build threads, whatever selection algorithm produces them. The
+// membership threshold 1/K sits inside the rows' spread, so the member
+// lists are neither empty nor the whole top window.
+TEST(ServingIndexTest, ListsAreStable) {
+  const struct {
+    std::uint32_t n, k, r;
+    bool ties;
+    std::uint64_t top, offsets, members;
+  } kPinned[] = {
+      {300, 256, 32, false, 0xbbd319921faadd19ULL, 0xad7ed71060bad2d7ULL,
+       0x1fbadd22b0e5bb80ULL},
+      {300, 64, 16, true, 0x09b59a5e60515d2eULL, 0xcea01be57b43c63dULL,
+       0xb31198c6fca1e7e6ULL},
+  };
+  for (const auto& pinned : kPinned) {
+    for (const unsigned threads : {1u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << "k=" << pinned.k
+                                        << " threads=" << threads);
+      core::Checkpoint checkpoint = make_checkpoint(pinned.n, pinned.k, 21);
+      if (pinned.ties) testing::shape_ties(checkpoint.pi);
+      ServingIndexOptions options;
+      options.top_r = pinned.r;
+      options.membership_threshold = 1.0 / pinned.k;
+      threading::ThreadPool pool(threads);
+      const ServingIndex index(std::move(checkpoint), options, pool);
+      Fnv1a64 top, offsets, members;
+      std::uint64_t offset = 0;
+      for (std::uint32_t v = 0; v < pinned.n; ++v) {
+        for (const TopEntry& e : index.top_list(v)) {
+          top.add(e.community);
+          top.add(e.weight);
+        }
+      }
+      for (std::uint32_t c = 0; c < pinned.k; ++c) {
+        const auto list = index.members(c);
+        offset += list.size();
+        offsets.add(offset);
+        for (const MemberEntry& e : list) {
+          members.add(e.vertex);
+          members.add(e.weight);
+        }
+      }
+      EXPECT_EQ(top.h, pinned.top) << std::hex << top.h;
+      EXPECT_EQ(offsets.h, pinned.offsets) << std::hex << offsets.h;
+      EXPECT_EQ(members.h, pinned.members) << std::hex << members.h;
     }
   }
 }

@@ -77,6 +77,39 @@ TEST(QueryScriptTest, RejectsMissingOrNegativeOperands) {
   EXPECT_THROW(parse_query_script(widest), scd::DataError);
   std::istringstream max("link 4294967295 0\n");
   EXPECT_EQ(parse_query_script(max).at(0).a, 4294967295u);
+  // Nothing but a comment may follow the second operand: the stream
+  // would stop at the first non-digit and run a truncated query.
+  for (const char* line : {"top 7 0x10", "top 1 2.5", "link 1 2 3",
+                           "members 4 5junk"}) {
+    std::istringstream trailing(std::string("top 0 1\n") + line + "\n");
+    try {
+      parse_query_script(trailing);
+      ADD_FAILURE() << "accepted '" << line << "'";
+    } catch (const scd::DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The README's example script, trailing comments and column padding
+// included, parses to the three queries it describes.
+TEST(QueryScriptTest, ParsesReadmeExample) {
+  std::istringstream in(
+      "top 17 5          # 5 strongest communities of vertex 17\n"
+      "link 17 42        # link probability between vertices 17 and 42\n"
+      "members 3 10      # 10 strongest members of community 3\n");
+  const auto queries = parse_query_script(in);
+  ASSERT_EQ(queries.size(), 3u);
+  EXPECT_EQ(queries[0].kind, QueryKind::kTop);
+  EXPECT_EQ(queries[0].a, 17u);
+  EXPECT_EQ(queries[0].b, 5u);
+  EXPECT_EQ(queries[1].kind, QueryKind::kLink);
+  EXPECT_EQ(queries[1].a, 17u);
+  EXPECT_EQ(queries[1].b, 42u);
+  EXPECT_EQ(queries[2].kind, QueryKind::kMembers);
+  EXPECT_EQ(queries[2].a, 3u);
+  EXPECT_EQ(queries[2].b, 10u);
 }
 
 TEST(QueryScriptTest, MissingFileRejected) {

@@ -9,6 +9,8 @@
 // and determinism of the encoding.
 #include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,6 +212,28 @@ TEST(SparseCodecTest, EncodeIsDeterministic) {
     // Byte-identical including the zeroed capacity-slot suffix, so
     // stores and caches can compare and hash encoded rows directly.
     EXPECT_EQ(a, b) << codec_name(codec);
+  }
+}
+
+// NaN would break the ranking's strict weak order and +-inf leaves no
+// finite residual mass: the encoder refuses both and names the column.
+TEST(SparseCodecTest, RefusesNonFiniteWeights) {
+  rng::Xoshiro256 rng(113);
+  for (const RowCodec codec : kSparseCodecs) {
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+      SCOPED_TRACE(::testing::Message() << codec_name(codec) << " " << bad);
+      std::vector<float> row = concentrated_row(rng, 64, 4, 0.01f, 2.0f);
+      row[37] = bad;
+      try {
+        encode(codec, row);
+        ADD_FAILURE() << "non-finite weight accepted";
+      } catch (const scd::DataError& e) {
+        EXPECT_NE(std::string(e.what()).find("column 37"), std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 

@@ -201,6 +201,15 @@ def main():
         check("serve 33-bit query operand diagnoses on stderr",
               "error" in r.stderr and "line 1" in r.stderr,
               repr(r.stderr[:160]))
+        # A hex operand must be refused, not read as `top 0 0`.
+        with open(queries, "w") as f:
+            f.write("top 0 0x10\n")
+        r = run([scd, "serve", "--checkpoint", good, "--queries", queries])
+        check("serve trailing query junk exits 2", r.returncode == 2,
+              f"exit={r.returncode}")
+        check("serve trailing query junk diagnoses on stderr",
+              "error" in r.stderr and "line 1" in r.stderr,
+              repr(r.stderr[:160]))
         # 2^32 + 1 must be refused, not narrowed to a one-thread pool.
         with open(queries, "w") as f:
             f.write("link 1 0\n")
