@@ -186,10 +186,6 @@ DistributedResult DistributedSampler::run(std::uint64_t iterations) {
                     "process-backend crashes must be iteration-triggered "
                     "(at_iteration/at_point), not virtual-time");
       }
-      SCD_REQUIRE(plan.crashes.empty() || options_.rollback_interval > 0,
-                  "process-backend crash runs need rollback_interval > 0 "
-                  "(redo-in-place would keep the dead worker's partial pi "
-                  "writes, which the restart does not replay)");
     }
   }
   history_.clear();

@@ -24,8 +24,12 @@
 //   [every eval_interval] perplexity over the E_h slices, reduced.
 //
 // Execution modes:
-//   * Real — full inference on an actual graph; numerically equivalent to
-//     SequentialSampler for any worker count (same derive_rng streams).
+//   * Real — full inference on an actual graph, from the same derive_rng
+//     streams as SequentialSampler. The theta-ratio partials fold one
+//     per worker (reduce_sum in rank order), so the trajectory depends
+//     on the worker count by summation order: it matches Sequential bit
+//     for bit on small fixtures only, and diverges at W >= 2 on N=600
+//     and at W=4 on N=4000 (ROADMAP item 1).
 //   * CostOnly — no state, no graph: a PhantomWorkload supplies the loop
 //     trip counts and the run charges exactly the costs the real mode
 //     would, enabling paper-scale sweeps (com-Friendster, K = 12288).

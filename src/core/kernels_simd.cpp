@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "random/distributions.h"
-#include "util/error.h"
 #include "util/isa_clones.h"
 
 // Scratch spans never alias the input rows; telling the compiler so is
@@ -49,8 +48,8 @@ void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
                          double eps, double alpha, double noise_factor,
                          GradientForm form, std::span<double> noise_scratch) {
   const std::size_t k = k_of(row);
-  SCD_ASSERT(grad.size() == k, "gradient size mismatch");
-  SCD_ASSERT(noise_scratch.size() >= k, "noise scratch too small");
+  SCD_KERNEL_ASSERT(grad.size() == k, "gradient size mismatch");
+  SCD_KERNEL_ASSERT(noise_scratch.size() >= k, "noise scratch too small");
 
   // Stage the Langevin noise first, as one batch: the same stream and
   // order as the reference update_phi_row's serial draws, so the values
@@ -192,12 +191,12 @@ double fused_accumulate_phi_grad_t(const float* SCD_RESTRICT pa,
                                    const LikelihoodTerms& terms, bool y,
                                    std::span<double> grad,
                                    std::span<float> w_scratch) {
-  SCD_ASSERT(grad.size() == k, "gradient size mismatch");
-  SCD_ASSERT(w_scratch.size() >= k, "w scratch too small");
+  SCD_KERNEL_ASSERT(grad.size() == k, "gradient size mismatch");
+  SCD_KERNEL_ASSERT(w_scratch.size() >= k, "w scratch too small");
   const float* SCD_RESTRICT d = terms.btd(y).data();
   float* SCD_RESTRICT w = w_scratch.data();
   const float dtf = static_cast<float>(terms.dt(y));
-  SCD_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
+  SCD_KERNEL_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
 
   double z = 0.0;
   std::size_t i = 0;
@@ -234,8 +233,8 @@ double fused_accumulate_theta_ratio_t(RowA pa, RowB pb, std::size_t k,
                                       const LikelihoodTerms& terms, bool y,
                                       std::span<double> ratio,
                                       std::span<float> f_scratch) {
-  SCD_ASSERT(ratio.size() == k, "ratio size mismatch");
-  SCD_ASSERT(f_scratch.size() >= k, "f scratch too small");
+  SCD_KERNEL_ASSERT(ratio.size() == k, "ratio size mismatch");
+  SCD_KERNEL_ASSERT(f_scratch.size() >= k, "f scratch too small");
   const float* SCD_RESTRICT bt = terms.bt(y).data();
   const float* SCD_RESTRICT d = terms.btd(y).data();
   float* SCD_RESTRICT f = f_scratch.data();
@@ -272,8 +271,8 @@ double fused_accumulate_theta_ratio_t(RowA pa, RowB pb, std::size_t k,
 
 inline void check_encoded(quant::RowCodec codec,
                           std::span<const std::byte> row, std::uint32_t k) {
-  SCD_ASSERT(row.size() == quant::encoded_bytes(codec, k + 1),
-             "encoded row size mismatch");
+  SCD_KERNEL_ASSERT(row.size() == quant::encoded_bytes(codec, k + 1),
+                    "encoded row size mismatch");
 }
 
 /// Invoke `fn(reader_a, reader_b)` with the reader type for `codec`.
@@ -294,7 +293,7 @@ double with_readers(quant::RowCodec codec, std::span<const std::byte> row_a,
     case quant::RowCodec::kSparseTopRInt8:
       break;
   }
-  SCD_ASSERT(false, "dense reader requested for a sparse codec");
+  SCD_KERNEL_ASSERT(false, "dense reader requested for a sparse codec");
   return 0.0;
 }
 
@@ -314,7 +313,7 @@ double with_reader(quant::RowCodec codec, std::span<const std::byte> row,
     case quant::RowCodec::kSparseTopRInt8:
       break;
   }
-  SCD_ASSERT(false, "dense reader requested for a sparse codec");
+  SCD_KERNEL_ASSERT(false, "dense reader requested for a sparse codec");
   return 0.0;
 }
 
@@ -381,7 +380,7 @@ double with_value_reader(quant::RowCodec value, const std::byte* p,
     default:
       break;
   }
-  SCD_ASSERT(false, "sparse value codec must be dense");
+  SCD_KERNEL_ASSERT(false, "sparse value codec must be dense");
   return 0.0;
 }
 
@@ -398,7 +397,7 @@ double with_two_value_readers(quant::RowCodec value, const std::byte* a,
     default:
       break;
   }
-  SCD_ASSERT(false, "sparse value codec must be dense");
+  SCD_KERNEL_ASSERT(false, "sparse value codec must be dense");
   return 0.0;
 }
 
@@ -542,7 +541,7 @@ double fallback_phi_grad_t(std::span<const float> row_a, RowB rb,
   const std::span<const float> bt = terms.bt(y);
   const double dt = terms.dt(y);
   const double phi_sum = row_a[k];
-  SCD_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
+  SCD_KERNEL_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
 
   double z = 0.0;
   for (std::size_t i = 0; i < k; ++i) {
@@ -688,7 +687,7 @@ double sparse_accumulate_phi_grad_enc(quant::RowCodec codec,
                                       std::span<double> grad,
                                       SparsePhiAccum& acc) {
   const std::size_t k = k_of(row_a);
-  SCD_ASSERT(grad.size() == k, "gradient size mismatch");
+  SCD_KERNEL_ASSERT(grad.size() == k, "gradient size mismatch");
   check_encoded(codec, row_b, static_cast<std::uint32_t>(k));
   const quant::RowCodec value = quant::value_codec(codec);
   const SparseView b = parse_sparse(row_b, static_cast<std::uint32_t>(k));
@@ -701,7 +700,7 @@ double sparse_accumulate_phi_grad_enc(quant::RowCodec codec,
     });
   }
   const double phi_sum = row_a[k];
-  SCD_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
+  SCD_KERNEL_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
   const float* SCD_RESTRICT pa = row_a.data();
   const float* SCD_RESTRICT d = terms.btd(y).data();
   const double dt = terms.dt(y);
@@ -751,7 +750,7 @@ double sparse_accumulate_theta_ratio_enc(quant::RowCodec codec,
                                          const LikelihoodTerms& terms,
                                          bool y, std::span<double> ratio,
                                          double& eps_coef) {
-  SCD_ASSERT(ratio.size() == k, "ratio size mismatch");
+  SCD_KERNEL_ASSERT(ratio.size() == k, "ratio size mismatch");
   check_encoded(codec, row_a, k);
   check_encoded(codec, row_b, k);
   const quant::RowCodec value = quant::value_codec(codec);
@@ -790,7 +789,7 @@ void sparse_theta_epilogue(double eps_coef_link, double eps_coef_nonlink,
                            std::span<double> ratio_link,
                            std::span<double> ratio_nonlink) {
   const std::size_t k = ratio_link.size();
-  SCD_ASSERT(ratio_nonlink.size() == k, "ratio size mismatch");
+  SCD_KERNEL_ASSERT(ratio_nonlink.size() == k, "ratio size mismatch");
   const float* SCD_RESTRICT btl = terms.bt(true).data();
   const float* SCD_RESTRICT btn = terms.bt(false).data();
   double* SCD_RESTRICT rl = ratio_link.data();
@@ -852,7 +851,7 @@ double fast_pair_likelihood(std::span<const float> row_a,
                             std::span<const float> row_b,
                             const LikelihoodTerms& terms, bool y) {
   const std::size_t k = k_of(row_a);
-  SCD_ASSERT(k_of(row_b) == k, "row width mismatch");
+  SCD_KERNEL_ASSERT(k_of(row_b) == k, "row width mismatch");
   return fused_pair_likelihood_t(row_a.data(), row_b.data(), k, terms, y);
 }
 

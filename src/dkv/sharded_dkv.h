@@ -9,8 +9,8 @@
 // lanes; the process backend has neither, so the defaults are no-ops.
 //
 // Implementations: SimRdmaDkv (shared address space, modeled costs) and
-// proc::ProcDkv (per-process shard servers over Unix sockets, zero
-// modeled cost — the callers charge wall time instead).
+// proc::ProcDkv (one shared-memory row region mapped by every forked
+// rank, zero modeled cost — the callers charge wall time instead).
 #pragma once
 
 #include <span>
@@ -48,8 +48,8 @@ class ShardedDkv : public DkvStore {
   /// by `new_owner`. The orchestrator charges rehome_cost().
   virtual void rehome_shard(unsigned shard, unsigned new_owner) = 0;
 
-  /// Modeled (sim) or estimated (proc: 0 — the rollback rewrite is what
-  /// actually costs) bulk-transfer time of shipping `shard`'s rows.
+  /// Modeled (sim) or estimated (proc: 0 — re-homing is one remap store
+  /// and no row moves) bulk-transfer time of shipping `shard`'s rows.
   virtual double rehome_cost(unsigned shard) const = 0;
 
   /// Effective owner of `key` after any re-homing.

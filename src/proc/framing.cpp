@@ -72,13 +72,6 @@ IoStatus read_full(int fd, void* data, std::size_t len, double timeout_s) {
   return IoStatus::kOk;
 }
 
-void write_full_or_throw(int fd, const void* data, std::size_t len,
-                         const std::string& what) {
-  if (!write_full(fd, data, len)) {
-    throw comm::TransportError(what + ": peer is gone");
-  }
-}
-
 void read_full_or_throw(int fd, void* data, std::size_t len, double timeout_s,
                         const std::string& what) {
   switch (read_full(fd, data, len, timeout_s)) {

@@ -1,5 +1,5 @@
-// Length-prefixed framing over Unix-domain stream sockets — the shared
-// low-level I/O of ProcTransport and ProcDkv.
+// Length-prefixed framing over Unix-domain stream sockets — the
+// low-level I/O of ProcTransport and of ProcCluster's status pipes.
 //
 // Every message is one frame: a fixed 16-byte header followed by the
 // payload. Stream sockets guarantee ordering per fd, so per-(from, to)
@@ -43,11 +43,9 @@ bool write_full(int fd, const void* data, std::size_t len);
 /// frame); a connection that dies mid-frame throws.
 IoStatus read_full(int fd, void* data, std::size_t len, double timeout_s);
 
-/// Throwing conveniences for protocol channels where EOF/timeouts are
-/// always fatal (the DKV client side). `what` names the channel in the
+/// Throwing read for reads where EOF and timeouts are always fatal (a
+/// frame payload, a status message). `what` names the channel in the
 /// error message.
-void write_full_or_throw(int fd, const void* data, std::size_t len,
-                         const std::string& what);
 void read_full_or_throw(int fd, void* data, std::size_t len, double timeout_s,
                         const std::string& what);
 

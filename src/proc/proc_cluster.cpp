@@ -153,12 +153,11 @@ std::unique_ptr<dkv::ShardedDkv> ProcCluster::make_store(
   SCD_REQUIRE(!config.phantom,
               "cost-only (phantom) stores need the simulated backend");
   SCD_REQUIRE(!ran_, "make_store must precede run (the fork inherits it)");
-  SCD_REQUIRE(store_ == nullptr, "a ProcCluster builds exactly one store");
-  auto store = std::make_unique<ProcDkv>(
-      config.num_rows, config.row_width, config_.num_ranks, config.codec,
-      config.sparse_eps, config_.recv_timeout_s);
-  store_ = store.get();
-  return store;
+  SCD_REQUIRE(!made_store_, "a ProcCluster builds exactly one store");
+  made_store_ = true;
+  return std::make_unique<ProcDkv>(config.num_rows, config.row_width,
+                                   config_.num_ranks, config.codec,
+                                   config.sparse_eps);
 }
 
 void ProcCluster::install_trace(trace::TraceRecorder* recorder) {
@@ -228,23 +227,18 @@ void ProcCluster::run(const std::function<void(comm::Context&)>& fn) {
         if (other != r) close_quiet(status_w[other]);
       }
       transport_.attach(r);
-      if (store_ != nullptr) store_->attach(r);
       std::string msg;
       const StatusBlob blob = run_rank(fn, *this, r, msg, nullptr);
       if (write_full(status_w[r], &blob, sizeof(blob)) && !msg.empty()) {
         write_full(status_w[r], msg.data(), msg.size());
       }
       close_quiet(status_w[r]);
-      // Keep the shard server answering until the master shuts it down
-      // (it still serves the final pull and any re-homed reads).
-      if (store_ != nullptr) store_->join_server();
       std::_Exit(0);
       // ----- end child ----------------------------------------------
     }
 
     // Parent = rank 0, the master.
     transport_.attach(0);
-    if (store_ != nullptr) store_->attach(0);
     std::string master_msg;
     const StatusBlob master_blob =
         run_rank(fn, *this, 0, master_msg, &stats_[0]);
@@ -254,13 +248,6 @@ void ProcCluster::run(const std::function<void(comm::Context&)>& fn) {
       // then fall through to the kill-and-reap path.
       transport_.abort_all();
       throw Error("rank 0 failed: " + master_msg);
-    }
-
-    // The run finished: localize the final pi image while the shard
-    // servers are still up, then release them.
-    if (store_ != nullptr) {
-      store_->pull_all_rows();
-      store_->shutdown_servers();
     }
 
     // Collect every worker's status blob, then reap.

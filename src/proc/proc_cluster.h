@@ -4,11 +4,11 @@
 //
 // Construction wires everything that must exist before fork: the
 // ProcTransport socket mesh, and (via make_store, which must also be
-// called pre-run) the ProcDkv storage image and DKV socket mesh. run()
-// then forks one child per *worker* rank and executes rank 0 — the
-// master — in the launcher process itself, so master-side results
-// (history, snapshots) land in the caller's address space with no extra
-// shipping. Each child attaches the transport and store to its rank,
+// called pre-run) the ProcDkv shared-memory row region that every rank
+// maps. run() then forks one child per *worker* rank and executes rank
+// 0 — the master — in the launcher process itself, so master-side
+// results (history, snapshots) land in the caller's address space with
+// no extra shipping. Each child attaches the transport to its rank,
 // runs the rank function under a ProcContext, reports a status blob
 // (exit code, message, final wall clock, per-phase stats) over a
 // dedicated pipe, and _exits without running the parent's teardown.
@@ -47,7 +47,8 @@ class ProcCluster final : public comm::Cluster {
  public:
   struct Config {
     unsigned num_ranks = 2;
-    /// Wall-clock receive deadline for transport and DKV channels.
+    /// Wall-clock receive deadline for transport channels and the
+    /// workers' status pipes.
     double recv_timeout_s = 120.0;
     /// Attribution-only models: ProcContext::charge_* call sites pass
     /// modeled times through these, but the booked values are measured.
@@ -101,7 +102,7 @@ class ProcCluster final : public comm::Cluster {
  private:
   Config config_;
   ProcTransport transport_;
-  ProcDkv* store_ = nullptr;  // observer; owned by make_store's caller
+  bool made_store_ = false;
   comm::FaultHooks* fault_ = nullptr;
   bool ran_ = false;
 

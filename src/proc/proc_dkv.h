@@ -1,50 +1,42 @@
-// Multi-process pi-row store: shard-owning server threads behind Unix
-// sockets — the process-backend implementation of dkv::ShardedDkv.
+// Multi-process pi-row store: one shared-memory row region that every
+// rank maps — the process-backend implementation of dkv::ShardedDkv.
 //
-// Life cycle mirrors ProcTransport: the launcher constructs the store
-// *before* forking (allocating the row array and one client/server
-// socketpair per (rank, shard) pair), every init_row issued pre-fork
-// writes the shared initial image that all children inherit copy-on-
-// write, and attach(rank) closes the foreign fds post-fork. Worker rank
-// s + 1 then starts one server thread for shard s that answers GET/PUT/
-// REHOME requests over its per-client sockets; batches target each
-// contacted shard with ONE length-prefixed request (the same coalescing
-// the modeled store charges for), rows travel *encoded* with the
-// configured RowCodec, and a client's accesses to its own shard bypass
-// the sockets entirely — a memcpy into the local array, safe under the
-// algorithm's barrier-separated stage discipline.
+// The paper's DKV is one-sided RDMA over a fixed layout of fixed-size
+// values. Every rank of a ProcCluster runs on one host, so the faithful
+// analogue is plain loads and stores into memory all ranks share. The
+// launcher constructs the store *before* forking; the constructor
+// creates one MAP_SHARED | MAP_ANONYMOUS mapping, and every child
+// inherits the same physical pages (not a copy-on-write image). The
+// mapping holds the shard -> effective-owner remap, then num_rows
+// fixed-capacity slots of value_bytes(), each row encoded with the
+// configured RowCodec — the same slots and codecs as the simulated
+// store. So:
+//   * get/put are range-checked decode/encode (or memcpy, for the
+//     encoded variants) on the slots; the requester shard only matters
+//     to the cost model, and every cost query returns 0.0 — on this
+//     backend the callers charge measured wall time, not modeled
+//     seconds;
+//   * init_row, row() and read_row() work on any rank at any time —
+//     before the fork, mid-run, and on the launcher after the run;
+//   * rehome_shard() (fault tolerance) is one remap store. The heir
+//     reads the live rows, including every write the dead worker made
+//     before it fail-stopped, exactly as on the simulated store.
 //
-// PUT requests are acknowledged synchronously, so a worker's writes are
-// globally visible before it reaches the stage barrier — the ordering
-// the sampler's read-after-barrier pattern relies on. Every cost query
-// returns 0.0: on this backend the callers charge measured wall time,
-// not modeled seconds.
-//
-// Fault tolerance: rehome_shard() re-points the shard->owner map on
-// every *server* (REHOME fan-out with acks) and locally on the caller;
-// the heir's copy-on-write image of the re-homed rows is stale by
-// construction, which is why the sampler requires rollback_interval > 0
-// for process-backend crash runs — the master's post-crash restore
-// rewrites every row through its effective owner (init_row routes over
-// the sockets once attached). A crashed rank's server thread stays
-// alive until shutdown: only the worker *loop* fail-stops, matching the
-// paper's fail-stop model where the store survives on other machines.
-//
-// After the rank functions return, the launcher calls pull_all_rows()
-// to fetch the final image from the servers (through effective owners),
-// then shutdown_servers(); snapshots and row views are local
-// thereafter.
+// Ordering. The slots carry no locks. That is sound under the sampler's
+// stage discipline: its stage barriers and fault-tolerant ctrl round
+// trips are socket syscalls, and a syscall pair (write on one rank,
+// the matching read on another) orders every slot write made before
+// the send ahead of every slot read made after the receive. Within a
+// stage there are no write conflicts, because every vertex belongs to
+// exactly one worker's share, and no rank reads a row another rank
+// writes in the same stage.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include <atomic>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
-#include <vector>
 
 #include "dkv/partition.h"
 #include "dkv/sharded_dkv.h"
@@ -53,34 +45,14 @@ namespace scd::proc {
 
 class ProcDkv final : public dkv::ShardedDkv {
  public:
-  /// Builds storage and the socket mesh. Call in the launcher before
-  /// forking. `num_ranks` counts the master: shard s is served by rank
-  /// s + 1.
+  /// Maps the shared row region. Call in the launcher before forking.
+  /// `num_ranks` counts the master: shard s belongs to rank s + 1.
   ProcDkv(std::uint64_t num_rows, std::uint32_t row_width,
-          unsigned num_ranks, quant::RowCodec codec, float sparse_eps,
-          double recv_timeout_s);
+          unsigned num_ranks, quant::RowCodec codec, float sparse_eps);
   ~ProcDkv() override;
 
   ProcDkv(const ProcDkv&) = delete;
   ProcDkv& operator=(const ProcDkv&) = delete;
-
-  /// Adopt rank `rank` in this process: closes foreign fds and, on
-  /// worker ranks, starts the shard server thread.
-  void attach(unsigned rank);
-  bool attached() const { return self_ >= 0; }
-
-  /// Worker rank, after its rank function returned: block until the
-  /// server thread exits (on a SHUTDOWN request or when every client
-  /// hung up).
-  void join_server();
-
-  /// Launcher, after the run: post a SHUTDOWN to every server.
-  void shutdown_servers();
-
-  /// Launcher, after the run and before shutdown_servers(): fetch every
-  /// row from its effective owner into the local array, making row()/
-  /// read_row() serve locally from the final image.
-  void pull_all_rows();
 
   // -- DkvStore -----------------------------------------------------------
   std::uint64_t num_rows() const override { return partition_.num_rows(); }
@@ -121,72 +93,21 @@ class ProcDkv final : public dkv::ShardedDkv {
   unsigned effective_owner(std::uint64_t key) const override;
 
  private:
-  /// One remote batch: `keys` (all owned by `shard` post-remap) moved
-  /// to/from the contiguous staging area `rows` of keys.size() slots.
-  void remote_get(unsigned shard, std::span<const std::uint64_t> keys,
-                  std::span<std::byte> rows);
-  void remote_put(unsigned shard, std::span<const std::uint64_t> keys,
-                  std::span<const std::byte> rows);
-  /// Group `keys` by effective owner and move each group, local slots
-  /// via memcpy, remote groups via one coalesced request per shard.
-  /// `scatter[i]` is the slot of keys[i] in the caller's buffer.
-  void route_get(std::span<const std::uint64_t> keys, std::byte* out);
-  void route_put(std::span<const std::uint64_t> keys, const std::byte* values);
-
-  void serve();
-  /// Handle one request frame on `fd`; false when the client hung up or
-  /// asked for shutdown.
-  bool serve_one(int fd, bool& shutdown);
-
-  bool row_is_local(std::uint64_t key) const;
-  std::byte* slot(std::uint64_t key) {
-    return data_.data() + key * value_bytes_;
-  }
-  const std::byte* slot(std::uint64_t key) const {
-    return data_.data() + key * value_bytes_;
-  }
+  /// Range-checked slot of `key` in the shared region.
+  std::byte* slot(std::uint64_t key) const;
 
   dkv::RowPartition partition_;
   std::uint32_t row_width_;
   quant::RowCodec codec_;
   std::size_t value_bytes_;
   float sparse_eps_;
-  double recv_timeout_s_;
-  unsigned num_ranks_;
-  int self_ = -1;
-  bool pulled_ = false;
 
-  std::vector<std::byte> data_;
-  /// data_ guard within one process: the shard server thread and the
-  /// rank's main thread both touch the array (barrier-separated across
-  /// processes, but the intra-process overlap needs a real lock).
-  mutable std::mutex data_mu_;
-
-  /// Pre-attach: mesh_[shard][rank] = {client end, server end} of the
-  /// rank->shard channel (unused when rank hosts the shard).
-  struct Channel {
-    int client = -1;
-    int server = -1;
-  };
-  std::vector<std::vector<Channel>> mesh_;
-  /// Post-attach: this rank's client fd per shard (-1 for its own).
-  std::vector<int> client_fds_;
-  /// Post-attach, worker ranks: server-side fd per client rank.
-  std::vector<int> serve_fds_;
-  std::thread server_;
-  std::atomic<bool> stop_{false};
-
-  /// shard -> effective shard, updated by REHOME on every process.
-  /// Atomics because the server thread remaps while the main thread
-  /// routes; a plain array would be a formal data race.
-  std::unique_ptr<std::atomic<unsigned>[]> remap_;
-
-  // Reused batch scratch (client side, single-threaded per rank).
-  std::vector<std::uint64_t> group_keys_;
-  std::vector<std::uint32_t> group_slot_;
-  std::vector<std::byte> stage_;
-  std::vector<std::byte> io_stage_;
-  std::vector<std::byte> encode_scratch_;
+  /// The shared mapping, region_bytes_ long: the shard -> effective
+  /// shard remap at its start (written by rehome_shard on any rank),
+  /// the row slots at rows_.
+  std::size_t region_bytes_ = 0;
+  std::atomic<unsigned>* remap_ = nullptr;
+  std::byte* rows_ = nullptr;
 };
 
 }  // namespace scd::proc

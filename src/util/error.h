@@ -34,6 +34,10 @@ namespace detail {
 [[noreturn]] void fail_check(const char* kind, const char* expr,
                              const char* file, int line,
                              const std::string& msg);
+/// Print the message fail_check("invariant", ...) would throw to stderr,
+/// then std::abort — for SCD_KERNEL_ASSERT (util/isa_clones.h).
+[[noreturn]] void abort_check(const char* expr, const char* file, int line,
+                              const char* msg) noexcept;
 }  // namespace detail
 
 }  // namespace scd

@@ -13,14 +13,27 @@
 //     dispatcher as non-throwing and drops the handlers around it, so a
 //     throw from a clone escapes past them, to an outer frame or to
 //     std::terminate. Report failures through the return value and
-//     throw in an unmarked caller.
+//     throw in an unmarked caller. An internal invariant anywhere in the
+//     flattened call tree uses SCD_KERNEL_ASSERT, never SCD_ASSERT or
+//     SCD_REQUIRE: it prints the same "invariant" message and calls
+//     std::abort. Keep such checks out of the hot loops.
 // ThreadSanitizer builds keep only the baseline body: the loader runs
 // ifunc resolvers before the TSan runtime is up, and the instrumented
 // resolvers crash the process at start.
 #pragma once
+
+#include "util/error.h"
 
 #if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
 #define SCD_KERNEL __attribute__((target_clones("avx2", "default"), flatten))
 #else
 #define SCD_KERNEL
 #endif
+
+/// Non-throwing invariant check for SCD_KERNEL bodies (see above).
+#define SCD_KERNEL_ASSERT(cond, msg)                                  \
+  do {                                                                \
+    if (!(cond)) {                                                    \
+      ::scd::detail::abort_check(#cond, __FILE__, __LINE__, (msg));   \
+    }                                                                 \
+  } while (0)

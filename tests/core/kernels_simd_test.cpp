@@ -161,5 +161,19 @@ TEST(KernelsSimdTest, UpdatePhiRowMatchesScalar) {
   }
 }
 
+// No exception may leave an SCD_KERNEL clone (util/isa_clones.h): a
+// failed invariant inside one prints the invariant message and aborts.
+TEST(KernelsSimdDeathTest, InvariantFailureAborts) {
+  rng::Xoshiro256 rng(23);
+  constexpr std::uint32_t k = 8;
+  const LikelihoodTerms terms = random_terms(rng, k);
+  const std::vector<float> row_a = random_row(rng, k, 2.0f);
+  const std::vector<float> row_b = random_row(rng, k, 2.0f);
+  std::vector<double> grad(k - 1);  // one entry short
+  std::vector<float> w(k);
+  EXPECT_DEATH(fast_accumulate_phi_grad(row_a, row_b, terms, true, grad, w),
+               "invariant violated.*gradient size mismatch");
+}
+
 }  // namespace
 }  // namespace scd::core

@@ -101,9 +101,11 @@ TEST(ProcDistributedTest, CrashPlanMatchesSimulatorRecoveryBitExact) {
   // cross-backend crash anchor); both backends must detect it at the
   // same seam, re-home the same shard, roll back to the same snapshot,
   // and land on identical numbers. Swept over every crash point, early
-  // and mid-run anchors, and two rollback intervals. A before-eval crash
-  // can only fire on an eval iteration (9, with eval_interval 10); run()
-  // refuses it at any other anchor (ChaosTest covers the refusal).
+  // and mid-run anchors, redo-in-place (rollback 0: the pi writes the
+  // dead worker made before the crash stay) and two rollback intervals.
+  // A before-eval crash can only fire on an eval iteration (9, with
+  // eval_interval 10); run() refuses it at any other anchor (ChaosTest
+  // covers the refusal).
   constexpr unsigned kWorkers = 3;
   constexpr std::uint64_t kIterations = 15;
 
@@ -113,7 +115,7 @@ TEST(ProcDistributedTest, CrashPlanMatchesSimulatorRecoveryBitExact) {
           anchor != 9) {
         continue;
       }
-      for (const std::uint64_t rollback_interval : {1, 3}) {
+      for (const std::uint64_t rollback_interval : {0, 1, 3}) {
         SCOPED_TRACE("point " + std::to_string(point) + " at iteration " +
                      std::to_string(anchor) + ", rollback every " +
                      std::to_string(rollback_interval));
@@ -141,7 +143,14 @@ TEST(ProcDistributedTest, CrashPlanMatchesSimulatorRecoveryBitExact) {
         EXPECT_EQ(proc.result.crashed_ranks, sim.result.crashed_ranks);
         EXPECT_EQ(proc.result.redone_iterations,
                   sim.result.redone_iterations);
-        EXPECT_GE(sim.result.redone_iterations, 1u);
+        if (rollback_interval == 0 &&
+            point == static_cast<unsigned>(fault::CrashPoint::kBeforeEval)) {
+          // Redo-in-place has nothing to redo: the crashed iteration's
+          // pi and theta updates had all landed before the eval round.
+          EXPECT_EQ(sim.result.redone_iterations, 0u);
+        } else {
+          EXPECT_GE(sim.result.redone_iterations, 1u);
+        }
         EXPECT_EQ(proc.result.iterations, sim.result.iterations);
         expect_bit_identical(sim, proc);
       }
@@ -162,23 +171,6 @@ TEST(ProcDistributedTest, WallBackendRejectsSimOnlyFeatures) {
     DistributedOptions options;
     options.base = f.options;
     options.fault_plan = &plan;
-    DistributedSampler dist(cluster, f.split->training(), f.split.get(),
-                            f.hyper, options);
-    EXPECT_THROW(dist.run(2), scd::UsageError);
-  }
-  // Crash plans without rollback would keep the dead worker's partial
-  // pi writes: the restart does not replay them, so it is refused.
-  {
-    proc::ProcCluster::Config config;
-    config.num_ranks = 3;
-    proc::ProcCluster cluster(config);
-    fault::FaultPlan plan;
-    plan.crashes.push_back(
-        {.rank = 1, .at_iteration = 1, .at_point = fault::CrashPoint::kAfterPi});
-    DistributedOptions options;
-    options.base = f.options;
-    options.fault_plan = &plan;
-    options.rollback_interval = 0;
     DistributedSampler dist(cluster, f.split->training(), f.split.get(),
                             f.hyper, options);
     EXPECT_THROW(dist.run(2), scd::UsageError);

@@ -1,8 +1,9 @@
 // ProcDkv over real forked processes: cross-shard batched get/put with
-// the barrier-separated stage discipline, encoded rows on the socket,
-// rehoming through live servers, and the end-of-run local pull. Worker
-// rank s + 1 serves shard s; assertions outside rank 0 throw instead of
-// using gtest (only the parent's failures reach the test binary).
+// the barrier-separated stage discipline, encoded rows in the shared
+// slots, rehoming as a remap every rank sees, and the launcher reading
+// the final image after the run. Worker rank s + 1 owns shard s;
+// assertions outside rank 0 throw instead of using gtest (only the
+// parent's failures reach the test binary).
 #include "proc/proc_dkv.h"
 
 #include <gtest/gtest.h>
@@ -63,8 +64,8 @@ TEST(ProcDkvTest, CrossShardBatchesRoundTripAtFp32) {
   cluster.run([&](comm::Context& ctx) {
     comm::Transport& net = ctx.transport();
     if (ctx.rank() == 1) {
-      // One batch mixing a local row (0) with remote ones (4, 6): the
-      // router must split it per owner and coalesce the remote pair.
+      // One batch mixing an own-shard row (0) with rows of shard 1
+      // (4, 6).
       const std::vector<std::uint64_t> keys = {0, 4, 6};
       std::vector<float> values;
       for (const std::uint64_t key : keys) {
@@ -90,7 +91,7 @@ TEST(ProcDkvTest, CrossShardBatchesRoundTripAtFp32) {
       }
     }
     if (ctx.rank() == 0) {
-      // Master mid-run reads fetch single rows through the servers.
+      // The master reads single rows mid-run.
       std::vector<float> row(kWidth);
       store->read_row(6, row);
       EXPECT_EQ(row, updated_row(6));
@@ -98,8 +99,8 @@ TEST(ProcDkvTest, CrossShardBatchesRoundTripAtFp32) {
     net.barrier(ctx.rank());
   });
 
-  // After the run the image was pulled local: row() serves the final
-  // bytes without sockets, bit-exact at fp32.
+  // After the run the launcher's row() serves the final bytes,
+  // bit-exact at fp32.
   for (std::uint64_t key = 0; key < kRows; ++key) {
     const bool written = key == 0 || key == 4 || key == 6;
     const std::vector<float> expect =
@@ -113,7 +114,7 @@ TEST(ProcDkvTest, CrossShardBatchesRoundTripAtFp32) {
 }
 
 TEST(ProcDkvTest, LossyCodecMatchesLocalEncodeDecodeReference) {
-  // Rows travel encoded; what a reader sees must equal the local
+  // Rows are stored encoded; what a reader sees must equal the local
   // encode->decode roundtrip of the written values, nothing lossier.
   ProcCluster cluster(cluster_config(3));
   auto store = cluster.make_store({.num_rows = kRows,
@@ -156,10 +157,9 @@ TEST(ProcDkvTest, LossyCodecMatchesLocalEncodeDecodeReference) {
 }
 
 TEST(ProcDkvTest, RehomeRoutesReadsAndWritesToTheHeir) {
-  // The FT re-homing step: the master re-points shard 0 onto shard 1 on
-  // every live server, restores a row through the new owner (the
-  // attached init_row path the rollback restore uses), and every rank's
-  // subsequent traffic for shard-0 rows lands on the heir.
+  // The FT re-homing step: the master re-points shard 0 onto shard 1
+  // for every rank, restores a row (the mid-run init_row the rollback
+  // restore uses), and every rank then reads the restored row.
   ProcCluster cluster(cluster_config(3));
   auto store = cluster.make_store(
       {.num_rows = kRows, .row_width = kWidth, .phantom = false});
@@ -172,7 +172,7 @@ TEST(ProcDkvTest, RehomeRoutesReadsAndWritesToTheHeir) {
     if (ctx.rank() == 0) {
       store->rehome_shard(/*shard=*/0, /*new_owner=*/1);
       EXPECT_EQ(store->effective_owner(1), 1u);
-      store->init_row(1, updated_row(1));  // routed write to the heir
+      store->init_row(1, updated_row(1));  // the rollback restore write
     }
     net.barrier(ctx.rank());
     if (ctx.rank() != 0) {
@@ -187,7 +187,41 @@ TEST(ProcDkvTest, RehomeRoutesReadsAndWritesToTheHeir) {
     net.barrier(ctx.rank());
   });
 
-  // pull_all_rows followed the remap too.
+  // The launcher sees the restored row after the run too.
+  const std::span<const float> got = store->row(1);
+  EXPECT_EQ(std::vector<float>(got.begin(), got.end()), updated_row(1));
+}
+
+TEST(ProcDkvTest, HeirSeesTheOwnersWritesAfterRehome) {
+  // Redo-in-place recovery: the heir of a re-homed shard must serve the
+  // rows as its previous owner last wrote them, with no restore between
+  // the write and the read.
+  ProcCluster cluster(cluster_config(3));
+  auto store = cluster.make_store(
+      {.num_rows = kRows, .row_width = kWidth, .phantom = false});
+  for (std::uint64_t key = 0; key < kRows; ++key) {
+    store->init_row(key, initial_row(key));
+  }
+
+  cluster.run([&](comm::Context& ctx) {
+    comm::Transport& net = ctx.transport();
+    if (ctx.rank() == 1) {
+      // Row 1 belongs to rank 1's own shard 0.
+      store->put_rows(0, std::vector<std::uint64_t>{1}, updated_row(1));
+    }
+    net.barrier(ctx.rank());
+    if (ctx.rank() == 0) store->rehome_shard(/*shard=*/0, /*new_owner=*/1);
+    net.barrier(ctx.rank());
+    if (ctx.rank() == 2) {
+      require(store->effective_owner(1) == 1, "rank 2 missed the rehome");
+      std::vector<float> out(kWidth);
+      store->get_rows(1, std::vector<std::uint64_t>{1}, out);
+      require(out == updated_row(1),
+              "the heir served a stale row 1 after rehome");
+    }
+    net.barrier(ctx.rank());
+  });
+
   const std::span<const float> got = store->row(1);
   EXPECT_EQ(std::vector<float>(got.begin(), got.end()), updated_row(1));
 }

@@ -13,6 +13,7 @@ Run: check_cli.py /path/to/scd
 """
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -74,6 +75,13 @@ def write_v1_checkpoint(path, pi_at=None, theta=None):
     data += struct.pack(f"<{2 * k}d", *thetas)
     with open(path, "wb") as f:
         f.write(data)
+
+
+def perplexity_lines(stdout):
+    """(iteration, perplexity) of every `scd run` history line; the
+    clock columns between them differ by backend."""
+    return [(m.group(1), m.group(2)) for m in re.finditer(
+        r"^\s*iter\s+(\d+)\s.*perplexity\s+(\S+)$", stdout, re.M)]
 
 
 def main():
@@ -234,6 +242,28 @@ def main():
           f"exit={r.returncode}")
     check("run missing fault plan diagnoses on stderr",
           "error" in r.stderr, repr(r.stderr[:120]))
+
+    # Redo-in-place crash recovery (no rollback) runs on both backends
+    # and lands on the same numbers: the proc heir reads the live rows.
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = os.path.join(tmp, "crash.json")
+        with open(plan, "w") as f:
+            f.write('{"seed": 5, "crashes": '
+                    '[{"rank": 1, "at_iteration": 6, "at_point": 1}]}\n')
+        runs = {}
+        for backend in ("sim", "proc"):
+            r = run([scd, "run", "--backend", backend, "--workers", "2",
+                     "--iterations", "20", "--fault-plan", plan,
+                     "--rollback-interval", "0"])
+            check(f"run {backend} crash plan without rollback exits 0",
+                  r.returncode == 0,
+                  f"exit={r.returncode} {r.stderr[:160]!r}")
+            runs[backend] = perplexity_lines(r.stdout)
+        check("run crash plan without rollback prints perplexities",
+              len(runs["sim"]) > 0, repr(runs["sim"]))
+        check("run crash plan without rollback: proc perplexities == sim",
+              runs["proc"] == runs["sim"],
+              repr((runs["proc"], runs["sim"])))
 
     if failures:
         print(f"\n{len(failures)} failure(s)")

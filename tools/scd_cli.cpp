@@ -476,10 +476,10 @@ int cmd_run(int argc, const char* const* argv) {
                   "sparse codecs: top-R mass tolerance per row")
       .add_string("fault-plan", &fault_plan_path,
                   "JSON fault schedule (proc: crash-only plans with"
-                  " iteration-triggered crashes and rollback)")
+                  " iteration-triggered crashes)")
       .add_uint("rollback-interval", &rollback_interval,
                 "snapshot every N iterations for crash rollback"
-                " (0 = off; proc crash plans require > 0)");
+                " (0 = off: redo the interrupted iteration in place)");
   if (!parser.parse(argc, argv)) return 0;
   SCD_REQUIRE(backend == "sim" || backend == "proc",
               "unknown --backend '" + backend + "' (want sim or proc)");
