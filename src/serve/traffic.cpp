@@ -9,6 +9,7 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "core/checkpoint.h"
 #include "core/state.h"
@@ -146,7 +147,8 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
   const unsigned threads = options.threads;
   std::vector<std::vector<std::uint64_t>> latencies(threads);
   // Per-worker results, each stored once after the worker's loop so
-  // adjacent slots never share a cache line while queries run.
+  // adjacent slots never share a cache line while queries run. That
+  // includes the latency vectors, whose headers sit side by side.
   std::vector<double> digests(threads, 0.0);
   std::vector<std::array<std::uint64_t, 3>> kind_counts(threads);
   std::atomic<std::uint64_t> progress{0};
@@ -188,7 +190,7 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
   pool.parallel_for(0, options.ops, [&](unsigned t, std::uint64_t lo,
                                         std::uint64_t hi) {
     rng::Xoshiro256 rng = core::derive_rng(options.seed, kTrafficLabel, t);
-    std::vector<std::uint64_t>& lat = latencies[t];
+    std::vector<std::uint64_t> lat;
     lat.reserve(hi - lo);
     std::vector<TopEntry> top_out(options.top_k);
     std::vector<MemberEntry> member_out(options.members_k);
@@ -231,6 +233,7 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
       }
     }
     progress.fetch_add(unflushed, std::memory_order_relaxed);
+    latencies[t] = std::move(lat);
     digests[t] = digest;
     kind_counts[t] = kinds;
   });

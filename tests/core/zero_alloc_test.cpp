@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -285,6 +286,56 @@ TEST(ZeroAllocTest, ServingQueriesAreAllocationFreeAfterWarmup) {
   }
   EXPECT_EQ(guard.count(), 0u)
       << "span queries, the k > R fallback included, must reuse scratch";
+  EXPECT_GT(written, 0u);
+  EXPECT_GT(sink, 0.0);
+}
+
+TEST(ZeroAllocTest, FreshQueryThreadIsAllocationFreeFromItsFirstAcquire) {
+  // A query thread takes its snapshot reader stripe at its first
+  // acquire(). Counting from before that acquire, on a thread that has
+  // never queried, pins that the stripe assignment allocates nothing,
+  // and neither do index-path queries (k <= R), link and members.
+  constexpr std::uint32_t kN = 40;
+  constexpr std::uint32_t kK = 32;
+  constexpr std::uint32_t kR = 8;
+  Checkpoint model;
+  model.hyper.num_communities = kK;
+  model.hyper.delta = 1e-3;
+  model.pi = PiMatrix(kN, kK);
+  model.pi.init_random(7);
+  model.global = GlobalState(kK);
+  model.global.init_random(7, model.hyper);
+  threading::ThreadPool pool(1);
+  serve::ServingIndexOptions options;
+  options.top_r = kR;
+  options.membership_threshold = 0.0;
+  serve::ServingSnapshots snapshots(
+      serve::build_serving_index(std::move(model), options, pool));
+  serve::QueryEngine engine(snapshots);
+  std::vector<serve::TopEntry> top(kR);
+  std::vector<serve::MemberEntry> members(kN);
+  const std::span<serve::TopEntry> top_span(top);
+
+  std::uint64_t allocations = ~std::uint64_t{0};
+  std::uint64_t written = 0;
+  double sink = 0.0;
+  // The thread's own start-up allocations happen before its body runs;
+  // the guard spans only the queries. The spawning thread sits in join().
+  std::thread fresh([&] {
+    AllocationGuard guard;
+    for (std::uint32_t u = 0; u < kN; ++u) {
+      for (const std::uint32_t k : {1u, 4u, kR}) {
+        written += engine.top_communities(u, top_span.first(k));
+      }
+      sink += engine.link_probability(u, (u + 3) % kN);
+      written += engine.community_members(u % kK, members);
+    }
+    allocations = guard.count();
+  });
+  fresh.join();
+  EXPECT_EQ(allocations, 0u)
+      << "a thread's first acquire and its index-path queries must not "
+         "allocate";
   EXPECT_GT(written, 0u);
   EXPECT_GT(sink, 0.0);
 }

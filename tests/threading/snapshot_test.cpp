@@ -21,6 +21,16 @@ struct Tracked {
 };
 std::atomic<int> Tracked::live{0};
 
+/// Payload whose destructor bumps a counter of the test's choosing, so a
+/// test can tell when (and how often) one particular snapshot was freed.
+struct CountsFrees {
+  explicit CountsFrees(std::atomic<int>* counter) : frees(counter) {}
+  ~CountsFrees() { frees->fetch_add(1); }
+  std::atomic<int>* frees;
+};
+
+using CountingManager = SnapshotManager<CountsFrees>;
+
 TEST(SnapshotManagerTest, EmptyBeforeFirstPublish) {
   SnapshotManager<int> manager;
   const auto ref = manager.acquire();
@@ -98,11 +108,97 @@ TEST(SnapshotManagerTest, RefMoveTransfersOwnership) {
   EXPECT_EQ(*c, 5);
 }
 
+// Threads take stripes round-robin, so 2 * kStripes + 1 fresh reader
+// threads cover every stripe at least twice. Each holds a Ref to the
+// first snapshot while another thread publishes the second; the readers
+// then let go one at a time, and the old snapshot must outlive every
+// Ref but the last — wherever that last reader's stripe is.
+TEST(SnapshotManagerTest, PublishWaitsForReadersOnEveryStripe) {
+  constexpr unsigned kHolders = 2 * CountingManager::kStripes + 1;
+  std::atomic<int> old_frees{0};
+  std::atomic<int> new_frees{0};
+  {
+    CountingManager manager(std::make_unique<const CountsFrees>(&old_frees));
+    std::atomic<unsigned> holding{0};
+    std::atomic<unsigned> release_below{0};  // holders < this let go
+    std::atomic<unsigned> released{0};
+    std::vector<std::thread> holders;
+    holders.reserve(kHolders);
+    for (unsigned h = 0; h < kHolders; ++h) {
+      holders.emplace_back([&, h] {
+        auto ref = manager.acquire();
+        EXPECT_EQ(ref->frees, &old_frees);
+        holding.fetch_add(1);
+        while (release_below.load() <= h) std::this_thread::yield();
+        ref = {};
+        released.fetch_add(1);
+      });
+    }
+    while (holding.load() != kHolders) std::this_thread::yield();
+
+    std::thread publisher([&] {
+      manager.publish(std::make_unique<const CountsFrees>(&new_frees));
+    });
+    while (manager.epoch() != 2) std::this_thread::yield();
+    for (unsigned h = 0; h + 1 < kHolders; ++h) {
+      release_below.store(h + 1);
+      while (released.load() != h + 1) std::this_thread::yield();
+      // Holders h+1.. still pin the old snapshot.
+      EXPECT_EQ(old_frees.load(), 0)
+          << "freed with " << kHolders - h - 1 << " readers still holding it";
+    }
+    release_below.store(kHolders);
+    publisher.join();
+    for (auto& t : holders) t.join();
+    EXPECT_EQ(old_frees.load(), 1);
+    EXPECT_EQ(new_frees.load(), 0);
+    EXPECT_EQ(manager.stalled_acquires(), 0u);
+  }
+  EXPECT_EQ(old_frees.load(), 1);
+  EXPECT_EQ(new_frees.load(), 1);
+}
+
+// A Ref remembers the stripe it incremented, not its releasing thread's:
+// acquired on thread A and released on thread B (which has a stripe of
+// its own), it must drain A's stripe so the pending publish completes
+// and frees the old snapshot exactly once.
+TEST(SnapshotManagerTest, RefReleasedOnAnotherThreadDrainsItsStripe) {
+  std::atomic<int> old_frees{0};
+  std::atomic<int> new_frees{0};
+  {
+    CountingManager manager(std::make_unique<const CountsFrees>(&old_frees));
+    CountingManager::Ref handed_over;
+    std::thread a([&] { handed_over = manager.acquire(); });
+    a.join();
+    ASSERT_TRUE(handed_over);
+
+    std::thread publisher([&] {
+      manager.publish(std::make_unique<const CountsFrees>(&new_frees));
+    });
+    while (manager.epoch() != 2) std::this_thread::yield();
+    EXPECT_EQ(old_frees.load(), 0);
+
+    std::thread b([&] {
+      const auto own = manager.acquire();  // takes B's own stripe
+      EXPECT_EQ(own->frees, &new_frees);
+      CountingManager::Ref moved = std::move(handed_over);
+      EXPECT_EQ(moved->frees, &old_frees);
+    });  // `moved` releases here, on B
+    b.join();
+    publisher.join();
+    EXPECT_EQ(old_frees.load(), 1);
+    EXPECT_EQ(new_frees.load(), 0);
+  }
+  EXPECT_EQ(old_frees.load(), 1);
+  EXPECT_EQ(new_frees.load(), 1);
+}
+
 // The headline concurrency property: readers hammer acquire() while a
 // writer publishes many generations; every observed snapshot is
 // coherent (value == generation stamp), nothing is read after free
-// (asan would catch it), and no acquire ever stalls. Run under the tsan
-// preset this is also the data-race proof.
+// (asan would catch it), and no acquire ever stalls. More readers than
+// stripes, so some stripes carry two readers. Run under the tsan preset
+// this is also the data-race proof.
 constexpr std::uint64_t kStampMask = 0x5ca1ab1e5ca1ab1eULL;
 
 TEST(SnapshotManagerTest, ConcurrentPublishAndReadHammering) {
@@ -116,7 +212,7 @@ TEST(SnapshotManagerTest, ConcurrentPublishAndReadHammering) {
   manager.publish(std::make_unique<const Stamped>(0));
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
-  constexpr unsigned kReaders = 4;
+  constexpr unsigned kReaders = SnapshotManager<Stamped>::kStripes + 3;
   constexpr std::uint64_t kGenerations = 400;
 
   std::vector<std::thread> readers;

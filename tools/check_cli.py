@@ -12,6 +12,7 @@ The contract, uniform across every subcommand:
 Run: check_cli.py /path/to/scd
 """
 
+import json
 import os
 import re
 import struct
@@ -227,6 +228,41 @@ def main():
               f"exit={r.returncode}")
         check("serve 33-bit --threads diagnoses on stderr",
               "threads" in r.stderr, repr(r.stderr[:160]))
+
+        # Synthetic load on three workers: op streams are fixed per
+        # (seed, worker), so the checksum repeats run to run, and an fp32
+        # refresh rebuilds a bit-identical index, so two mid-load
+        # refreshes leave it unchanged and no reader ever stalls.
+        load = [scd, "serve", "--checkpoint", good, "--ops", "20000",
+                "--threads", "3", "--json"]
+        reports = []
+        for label, extra in (("first", []), ("second", []),
+                             ("refreshed", ["--refreshes", "2"])):
+            r = run(load + extra)
+            check(f"serve --threads 3 {label} load exits 0",
+                  r.returncode == 0,
+                  f"exit={r.returncode} {r.stderr[:160]!r}")
+            try:
+                reports.append(json.loads(r.stdout))
+            except ValueError:
+                reports.append({})
+                check(f"serve --threads 3 {label} load prints JSON", False,
+                      repr(r.stdout[:160]))
+        first, second, refreshed = reports
+        check("serve --threads 3 checksum repeats",
+              "checksum" in first and
+              first.get("checksum") == second.get("checksum"),
+              repr((first.get("checksum"), second.get("checksum"))))
+        check("serve --refreshes 2 publishes two refreshes",
+              refreshed.get("refreshes") == 2,
+              repr(refreshed.get("refreshes")))
+        check("serve --refreshes 2 stalls no reader",
+              refreshed.get("reader_stalls") == 0,
+              repr(refreshed.get("reader_stalls")))
+        check("serve --refreshes 2 keeps the checksum",
+              "checksum" in first and
+              refreshed.get("checksum") == first.get("checksum"),
+              repr((refreshed.get("checksum"), first.get("checksum"))))
 
     # `scd run` backend selection: an unknown backend is a usage error
     # (1), an unreadable fault plan a data error (2) — the same split
