@@ -364,7 +364,8 @@ struct DistributedSampler::WorkerRank {
     ws.reserve_real(share_vertices, share_adjacency, share_pairs,
                     pi_row_width(s.hyper_.num_communities), vbytes,
                     set_bound, stage_refs_bound,
-                    s.options_.base.num_neighbors);
+                    s.options_.base.num_neighbors,
+                    static_cast<graph::Vertex>(s.num_vertices_));
   }
 
   /// Deduplicated stage read: fetch each distinct row of ws.keys once

@@ -43,7 +43,12 @@ struct MasterWorkspace {
     const std::size_t max_vertices = minibatch.max_vertices_bound();
     mb.pairs.reserve(max_pairs);
     mb.vertices.reserve(max_vertices);
-    mb_scratch.chosen.reset(max_pairs);
+    if (minibatch.options().strategy ==
+        graph::MinibatchStrategy::kRandomPair) {
+      mb_scratch.chosen.reset(max_pairs);
+    } else {
+      mb_scratch.marks.reserve(graph.num_vertices());
+    }
     const std::size_t workers = shares.size();
     const std::size_t share_vertices = max_vertices / workers + 1;
     const std::size_t share_adjacency =
@@ -80,18 +85,19 @@ struct WorkerWorkspace {
   /// the largest neighbor set a vertex can draw (max_degree + n for
   /// link-aware sets), `stage_refs_bound` the most row references any
   /// single read stage can issue, `value_bytes` the store's encoded
-  /// row size.
+  /// row size, `num_vertices` the graph's N.
   void reserve_real(std::size_t share_vertices, std::size_t share_adjacency,
                     std::size_t share_pairs, std::size_t row_width,
                     std::size_t value_bytes, std::size_t set_bound,
-                    std::size_t stage_refs_bound, std::size_t num_neighbors) {
+                    std::size_t stage_refs_bound, std::size_t num_neighbors,
+                    graph::Vertex num_vertices) {
     share.reserve(share_vertices, share_adjacency, share_pairs);
     staged.reserve(share_vertices * row_width);
     keys.reserve(stage_refs_bound);
     rows_enc.reserve(stage_refs_bound * value_bytes);
     key_index.reserve(stage_refs_bound);
     nbr_scratch.raw.reserve(num_neighbors);
-    nbr_scratch.chosen.reset(num_neighbors);
+    nbr_scratch.marks.reserve(num_vertices);
     ensure_neighbor_sets(share_vertices, set_bound);
   }
 

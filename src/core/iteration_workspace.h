@@ -72,7 +72,12 @@ struct IterationWorkspace {
     const std::size_t max_vertices = minibatch.max_vertices_bound();
     mb.pairs.reserve(max_pairs);
     mb.vertices.reserve(max_vertices);
-    mb_scratch.chosen.reset(max_pairs);
+    if (minibatch.options().strategy ==
+        graph::MinibatchStrategy::kRandomPair) {
+      mb_scratch.chosen.reset(max_pairs);
+    } else {
+      mb_scratch.marks.reserve(graph.num_vertices());
+    }
     staged.reserve(max_vertices * row_width);
     if (blocked_theta) {
       theta_stride = padded_doubles(std::size_t{k} * 2);
@@ -85,7 +90,7 @@ struct IterationWorkspace {
       ThreadSlot& slot = slots.emplace_back(k);
       slot.set.samples.reserve(max_neighbors);
       slot.nbr.raw.reserve(num_neighbors);
-      slot.nbr.chosen.reset(num_neighbors);
+      slot.nbr.marks.reserve(graph.num_vertices());
     }
   }
 };

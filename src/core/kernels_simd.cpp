@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "random/distributions.h"
 #include "util/isa_clones.h"
@@ -185,47 +186,84 @@ double fused_pair_likelihood_t(RowA pa, RowB pb, std::size_t k,
   return std::max(z, kMinZ);
 }
 
-template <typename RowB>
-double fused_accumulate_phi_grad_t(const float* SCD_RESTRICT pa,
-                                   double phi_sum, RowB pb, std::size_t k,
-                                   const LikelihoodTerms& terms, bool y,
-                                   std::span<double> grad,
-                                   std::span<float> w_scratch) {
+/// Gradient entries held in registers while phase B of the tiled phi
+/// gradient folds a tile's neighbors into them.
+constexpr std::size_t kPhiGradChunk = 16;
+
+/// The phi gradient of Eqn 6 for one vertex (`pa`, `phi_sum`) against
+/// the n neighbors row_of(0..n-1) with link flags `links`, in two
+/// phases. Phase A stages each neighbor's w_k = dt + pi_bk * btd_k into
+/// its row of the w tile while its Z accumulates in the lane/block
+/// order of every fused body. Phase B walks `grad` in kPhiGradChunk
+/// columns and adds (w_tk / Z_t - 1) / phi_sum for t = 0..n-1 in order,
+/// so each entry receives exactly the additions a per-neighbor loop
+/// would make: the tile changes where the sum lives (registers instead
+/// of memory), not what is summed.
+template <typename RowOf>
+void fused_phi_grad_tile_t(const float* SCD_RESTRICT pa, double phi_sum,
+                           RowOf&& row_of, const bool* links, std::size_t n,
+                           std::size_t k, const LikelihoodTerms& terms,
+                           std::span<double> grad, std::span<float> w_scratch,
+                           double* z_out) {
   SCD_KERNEL_ASSERT(grad.size() == k, "gradient size mismatch");
-  SCD_KERNEL_ASSERT(w_scratch.size() >= k, "w scratch too small");
-  const float* SCD_RESTRICT d = terms.btd(y).data();
-  float* SCD_RESTRICT w = w_scratch.data();
-  const float dtf = static_cast<float>(terms.dt(y));
+  SCD_KERNEL_ASSERT(n <= kPhiTileMax, "phi tile too wide");
+  SCD_KERNEL_ASSERT(w_scratch.size() >= n * k, "w scratch too small");
   SCD_KERNEL_ASSERT(phi_sum > 0.0, "phi_sum must be positive");
 
-  double z = 0.0;
-  std::size_t i = 0;
-  for (; i + kFusedBlock <= k; i += kFusedBlock) {
-    float lanes[kFusedLanes] = {0.0f};
-    for (std::size_t j = 0; j < kFusedBlock; j += kFusedLanes) {
-      for (std::size_t l = 0; l < kFusedLanes; ++l) {
-        const std::size_t idx = i + j + l;
-        const float wi = dtf + pb[idx] * d[idx];
-        w[idx] = wi;
-        lanes[l] += pa[idx] * wi;
+  double inv_z[kPhiTileMax] = {};
+  for (std::size_t t = 0; t < n; ++t) {
+    const auto pb = row_of(t);
+    const float* SCD_RESTRICT d = terms.btd(links[t]).data();
+    const float dtf = static_cast<float>(terms.dt(links[t]));
+    float* SCD_RESTRICT w = w_scratch.data() + t * k;
+    double z = 0.0;
+    std::size_t i = 0;
+    for (; i + kFusedBlock <= k; i += kFusedBlock) {
+      float lanes[kFusedLanes] = {0.0f};
+      for (std::size_t j = 0; j < kFusedBlock; j += kFusedLanes) {
+        for (std::size_t l = 0; l < kFusedLanes; ++l) {
+          const std::size_t idx = i + j + l;
+          const float wi = dtf + pb[idx] * d[idx];
+          w[idx] = wi;
+          lanes[l] += pa[idx] * wi;
+        }
+      }
+      z += lane_sum(lanes);
+    }
+    for (; i < k; ++i) {
+      const float wi = dtf + pb[i] * d[i];
+      w[i] = wi;
+      z += static_cast<double>(pa[i]) * wi;
+    }
+    z = std::max(z, kMinZ);
+    z_out[t] = z;
+    inv_z[t] = 1.0 / z;
+  }
+
+  const double inv_phi_sum = 1.0 / phi_sum;
+  const float* SCD_RESTRICT w = w_scratch.data();
+  double* SCD_RESTRICT g = grad.data();
+  std::size_t j = 0;
+  for (; j + kPhiGradChunk <= k; j += kPhiGradChunk) {
+    double acc[kPhiGradChunk];
+    for (std::size_t c = 0; c < kPhiGradChunk; ++c) acc[c] = g[j + c];
+    for (std::size_t t = 0; t < n; ++t) {
+      const float* SCD_RESTRICT wt = w + t * k + j;
+      const double iz = inv_z[t];
+      for (std::size_t c = 0; c < kPhiGradChunk; ++c) {
+        acc[c] += (static_cast<double>(wt[c]) * iz - 1.0) * inv_phi_sum;
       }
     }
-    z += lane_sum(lanes);
+    for (std::size_t c = 0; c < kPhiGradChunk; ++c) g[j + c] = acc[c];
   }
-  for (; i < k; ++i) {
-    const float wi = dtf + pb[i] * d[i];
-    w[i] = wi;
-    z += static_cast<double>(pa[i]) * wi;
+  for (; j < k; ++j) {
+    double acc = g[j];
+    for (std::size_t t = 0; t < n; ++t) {
+      acc += (static_cast<double>(w[t * k + j]) * inv_z[t] - 1.0) *
+             inv_phi_sum;
+    }
+    g[j] = acc;
   }
-  z = std::max(z, kMinZ);
-
-  const double inv_z = 1.0 / z;
-  const double inv_phi_sum = 1.0 / phi_sum;
-  double* SCD_RESTRICT g = grad.data();
-  for (std::size_t j = 0; j < k; ++j) {
-    g[j] += (static_cast<double>(w[j]) * inv_z - 1.0) * inv_phi_sum;
-  }
-  return z;
 }
 
 template <typename RowA, typename RowB>
@@ -297,24 +335,47 @@ double with_readers(quant::RowCodec codec, std::span<const std::byte> row_a,
   return 0.0;
 }
 
-/// Invoke `fn(reader_b)` with the reader type for `codec` (dense only).
+/// Invoke `fn(std::type_identity<Reader>{})` with the reader type for
+/// `codec` (dense only), for bodies that build one reader per row.
 template <typename Fn>
-double with_reader(quant::RowCodec codec, std::span<const std::byte> row,
-                   Fn&& fn) {
+void with_reader_type(quant::RowCodec codec, Fn&& fn) {
   switch (codec) {
     case quant::RowCodec::kFloat32:
-      return fn(Fp32Reader(row.data()));
+      return fn(std::type_identity<Fp32Reader>{});
     case quant::RowCodec::kFp16:
-      return fn(Fp16Reader(row.data()));
+      return fn(std::type_identity<Fp16Reader>{});
     case quant::RowCodec::kInt8:
-      return fn(Int8Reader(row.data()));
+      return fn(std::type_identity<Int8Reader>{});
     case quant::RowCodec::kSparseTopR:
     case quant::RowCodec::kSparseTopRFp16:
     case quant::RowCodec::kSparseTopRInt8:
       break;
   }
   SCD_KERNEL_ASSERT(false, "dense reader requested for a sparse codec");
-  return 0.0;
+}
+
+/// Shared body of the two enc phi-gradient entry points (dense codecs).
+void dense_phi_grad_tile_enc(
+    quant::RowCodec codec, std::span<const float> row_a,
+    std::span<const std::span<const std::byte>> rows_b,
+    std::span<const bool> links, const LikelihoodTerms& terms,
+    std::span<double> grad, std::span<float> w_scratch,
+    std::span<double> z_out) {
+  const std::size_t k = k_of(row_a);
+  SCD_KERNEL_ASSERT(links.size() == rows_b.size() &&
+                        z_out.size() >= rows_b.size(),
+                    "phi tile size mismatch");
+  for (std::span<const std::byte> row : rows_b) {
+    check_encoded(codec, row, static_cast<std::uint32_t>(k));
+  }
+  with_reader_type(codec, [&](auto reader) {
+    using Reader = typename decltype(reader)::type;
+    fused_phi_grad_tile_t(
+        row_a.data(), row_a[k],
+        [&](std::size_t t) { return Reader(rows_b[t].data()); },
+        links.data(), rows_b.size(), k, terms, grad, w_scratch,
+        z_out.data());
+  });
 }
 
 // --- sparse row parsing and kernels ------------------------------------
@@ -862,8 +923,31 @@ double fast_accumulate_phi_grad(std::span<const float> row_a,
                                 std::span<double> grad,
                                 std::span<float> w_scratch) {
   const std::size_t k = k_of(row_a);
-  return fused_accumulate_phi_grad_t(row_a.data(), row_a[k], row_b.data(), k,
-                                     terms, y, grad, w_scratch);
+  double z = 0.0;
+  fused_phi_grad_tile_t(
+      row_a.data(), row_a[k], [&](std::size_t) { return row_b.data(); }, &y,
+      1, k, terms, grad, w_scratch, &z);
+  return z;
+}
+
+SCD_KERNEL
+void fast_accumulate_phi_grad_tile(
+    std::span<const float> row_a,
+    std::span<const std::span<const float>> rows_b,
+    std::span<const bool> links, const LikelihoodTerms& terms,
+    std::span<double> grad, std::span<float> w_scratch,
+    std::span<double> z_out) {
+  const std::size_t k = k_of(row_a);
+  SCD_KERNEL_ASSERT(links.size() == rows_b.size() &&
+                        z_out.size() >= rows_b.size(),
+                    "phi tile size mismatch");
+  for (std::span<const float> row : rows_b) {
+    SCD_KERNEL_ASSERT(k_of(row) == k, "row width mismatch");
+  }
+  fused_phi_grad_tile_t(
+      row_a.data(), row_a[k],
+      [&](std::size_t t) { return rows_b[t].data(); }, links.data(),
+      rows_b.size(), k, terms, grad, w_scratch, z_out.data());
 }
 
 SCD_KERNEL
@@ -908,10 +992,21 @@ double fast_accumulate_phi_grad_enc(quant::RowCodec codec,
   if (quant::is_sparse(codec)) {
     return sparse_phi_grad_single(codec, row_a, row_b, terms, y, grad);
   }
-  return with_reader(codec, row_b, [&](auto rb) {
-    return fused_accumulate_phi_grad_t(row_a.data(), row_a[k], rb, k, terms,
-                                       y, grad, w_scratch);
-  });
+  double z = 0.0;
+  dense_phi_grad_tile_enc(codec, row_a, {&row_b, 1}, {&y, 1}, terms, grad,
+                          w_scratch, {&z, 1});
+  return z;
+}
+
+SCD_KERNEL
+void fast_accumulate_phi_grad_tile_enc(
+    quant::RowCodec codec, std::span<const float> row_a,
+    std::span<const std::span<const std::byte>> rows_b,
+    std::span<const bool> links, const LikelihoodTerms& terms,
+    std::span<double> grad, std::span<float> w_scratch,
+    std::span<double> z_out) {
+  dense_phi_grad_tile_enc(codec, row_a, rows_b, links, terms, grad,
+                          w_scratch, z_out);
 }
 
 SCD_KERNEL

@@ -35,6 +35,7 @@
 // compare these against; no sampler selects between the two at run time.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -71,12 +72,41 @@ double fast_pair_likelihood(std::span<const float> row_a,
 
 /// Phi gradient (Eqn 6): w_k staged into `w_scratch` while Z accumulates,
 /// then the gradient is read back from the scratch — one pass over the
-/// input rows instead of two. Returns Z.
+/// input rows instead of two. The one-neighbor case of
+/// fast_accumulate_phi_grad_tile below. Returns Z.
 double fast_accumulate_phi_grad(std::span<const float> row_a,
                                 std::span<const float> row_b,
                                 const LikelihoodTerms& terms, bool y,
                                 std::span<double> grad,
                                 std::span<float> w_scratch);
+
+/// Most neighbors one tiled phi-gradient call takes.
+inline constexpr std::size_t kPhiTileMax = 32;
+
+/// Neighbors per phi-gradient tile at community count `k`: as many as
+/// keep the staged w tile (width x k floats) within 32 KB, so it stays
+/// in L1 between the two phases; 32 at K <= 256, 1 at K >= 8192.
+inline constexpr std::size_t phi_tile_width(std::size_t k) {
+  return std::min(kPhiTileMax, std::max<std::size_t>(1, 8192 / k));
+}
+
+/// Tiled phi gradient: one vertex `row_a` against the tile of
+/// n = rows_b.size() <= kPhiTileMax neighbors `rows_b` with link flags
+/// `links`. Phase A stages each neighbor's w row into `w_scratch`
+/// (n * K floats) and forms its Z exactly as fast_accumulate_phi_grad
+/// does; phase B walks `grad` in register-held column chunks and adds
+/// the n neighbors' terms to each entry in tile order. Every entry thus
+/// receives the same double additions, in the same order, as n
+/// successive fast_accumulate_phi_grad calls, so the result is
+/// bit-identical; the vertex-side loads and the gradient's memory
+/// round trip are paid once per tile instead of once per neighbor.
+/// Writes each neighbor's Z to z_out[t].
+void fast_accumulate_phi_grad_tile(
+    std::span<const float> row_a,
+    std::span<const std::span<const float>> rows_b,
+    std::span<const bool> links, const LikelihoodTerms& terms,
+    std::span<double> grad, std::span<float> w_scratch,
+    std::span<double> z_out);
 
 /// Theta ratio (factored Eqn 4 form): f_ab(k,k) staged into `f_scratch`
 /// while Z accumulates from the same products. Returns Z.
@@ -135,6 +165,16 @@ double fast_accumulate_phi_grad_enc(quant::RowCodec codec,
                                     const LikelihoodTerms& terms, bool y,
                                     std::span<double> grad,
                                     std::span<float> w_scratch);
+
+/// Tiled phi gradient (see fast_accumulate_phi_grad_tile) against
+/// encoded neighbor rows of a dense codec. The sparse codecs keep their
+/// batched O(nnz) path below.
+void fast_accumulate_phi_grad_tile_enc(
+    quant::RowCodec codec, std::span<const float> row_a,
+    std::span<const std::span<const std::byte>> rows_b,
+    std::span<const bool> links, const LikelihoodTerms& terms,
+    std::span<double> grad, std::span<float> w_scratch,
+    std::span<double> z_out);
 
 /// Theta ratio from two encoded rows.
 double fast_accumulate_theta_ratio_enc(quant::RowCodec codec,

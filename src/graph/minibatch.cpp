@@ -9,6 +9,12 @@ namespace scd::graph {
 
 namespace {
 
+void sort_unique_vertices(Minibatch& mb) {
+  std::sort(mb.vertices.begin(), mb.vertices.end());
+  mb.vertices.erase(std::unique(mb.vertices.begin(), mb.vertices.end()),
+                    mb.vertices.end());
+}
+
 void finalize_vertices(Minibatch& mb) {
   mb.vertices.clear();
   mb.vertices.reserve(mb.pairs.size() * 2);
@@ -16,9 +22,17 @@ void finalize_vertices(Minibatch& mb) {
     mb.vertices.push_back(p.a);
     mb.vertices.push_back(p.b);
   }
-  std::sort(mb.vertices.begin(), mb.vertices.end());
-  mb.vertices.erase(std::unique(mb.vertices.begin(), mb.vertices.end()),
-                    mb.vertices.end());
+  sort_unique_vertices(mb);
+}
+
+/// finalize_vertices for pairs that all share the anchor `a`.
+void finalize_anchored_vertices(Minibatch& mb, Vertex a) {
+  mb.vertices.clear();
+  if (mb.pairs.empty()) return;
+  mb.vertices.reserve(mb.pairs.size() + 1);
+  mb.vertices.push_back(a);
+  for (const MinibatchPair& p : mb.pairs) mb.vertices.push_back(p.b);
+  sort_unique_vertices(mb);
 }
 
 }  // namespace
@@ -128,37 +142,40 @@ void MinibatchSampler::draw_stratified_node_into(
     const std::size_t want = static_cast<std::size_t>(
         std::max<std::uint64_t>(1, (num_nonlinks + m - 1) / m));
     mb.pairs.reserve(want);
-    EdgeSet& chosen = scratch.chosen;
-    chosen.reset(want);
     // Rejection against links / held-out / duplicates; acceptance is high
-    // because the graph is sparse.
+    // because the graph is sparse. Links and accepted candidates are the
+    // set bits of `marks`.
+    VertexBitmap& marks = scratch.marks;
+    marks.reserve(n);
+    const auto nbrs = graph_.neighbors(a);
+    for (Vertex b : nbrs) marks.set(b);
     std::size_t attempts = 0;
     const std::size_t max_attempts = 64 * want + 1024;
     while (mb.pairs.size() < want && attempts++ < max_attempts) {
       auto b = static_cast<Vertex>(rng.next_below(n - 1));
       if (b >= a) ++b;
-      if (graph_.has_edge(a, b) || excluded(a, b) || chosen.contains(a, b)) {
-        continue;
-      }
-      chosen.insert(a, b);
+      if (marks.test(b) || excluded(a, b)) continue;
+      marks.set(b);
       mb.pairs.push_back({a, b, false});
     }
+    for (Vertex b : nbrs) marks.clear_word(b);
+    for (const MinibatchPair& p : mb.pairs) marks.clear_word(p.b);
     SCD_ASSERT(!mb.pairs.empty(), "non-link stratum came up empty");
     // Scale by the true inverse inclusion fraction rather than the nominal
     // m: keeps the estimator unbiased when `want` was clipped.
     mb.scale = nd * static_cast<double>(num_nonlinks) /
                static_cast<double>(mb.pairs.size());
   }
-  finalize_vertices(mb);
+  finalize_anchored_vertices(mb, a);
 }
 
 namespace {
 
 /// Shared body of the link-aware neighbor draw; fills `set` using
-/// `chosen` for dedup.
+/// `marks` for the link and duplicate rejections.
 void link_aware_into(rng::Xoshiro256& rng, Vertex num_vertices, Vertex a,
                      std::span<const Vertex> adj_a, std::size_t count,
-                     NeighborSet& set, EdgeSet& chosen) {
+                     NeighborSet& set, VertexBitmap& marks) {
   const std::uint64_t num_nonlinks =
       static_cast<std::uint64_t>(num_vertices) - 1 - adj_a.size();
   // A near-complete vertex may have fewer non-links than requested;
@@ -167,20 +184,21 @@ void link_aware_into(rng::Xoshiro256& rng, Vertex num_vertices, Vertex a,
   set.samples.clear();
   set.exact_prefix = adj_a.size();
   set.samples.reserve(adj_a.size() + count);
-  for (Vertex b : adj_a) set.samples.push_back({b, true});
+  marks.reserve(num_vertices);
+  for (Vertex b : adj_a) {
+    marks.set(b);
+    set.samples.push_back({b, true});
+  }
   // Rejection against self, links, and duplicates: acceptance is high on
   // sparse graphs, and count <= num_nonlinks guarantees termination.
-  chosen.reset(count);
   while (set.samples.size() < set.exact_prefix + count) {
     auto b = static_cast<Vertex>(rng.next_below(num_vertices - 1));
     if (b >= a) ++b;
-    if (std::binary_search(adj_a.begin(), adj_a.end(), b) ||
-        chosen.contains(a, b)) {
-      continue;
-    }
-    chosen.insert(a, b);
+    if (marks.test(b)) continue;
+    marks.set(b);
     set.samples.push_back({b, false});
   }
+  for (const NeighborSample& s : set.samples) marks.clear_word(s.b);
   set.sampled_scale = count > 0 ? static_cast<double>(num_nonlinks) /
                                       static_cast<double>(count)
                                 : 0.0;
@@ -193,8 +211,8 @@ NeighborSet sample_neighbors_link_aware(rng::Xoshiro256& rng,
                                         std::span<const Vertex> adj_a,
                                         std::size_t count) {
   NeighborSet set;
-  EdgeSet chosen(count);
-  link_aware_into(rng, num_vertices, a, adj_a, count, set, chosen);
+  VertexBitmap marks;
+  link_aware_into(rng, num_vertices, a, adj_a, count, set, marks);
   return set;
 }
 
@@ -203,7 +221,7 @@ void draw_neighbor_set_into(rng::Xoshiro256& rng, NeighborMode mode,
                             std::span<const Vertex> adj_a, std::size_t count,
                             NeighborSet& set, NeighborScratch& scratch) {
   if (mode == NeighborMode::kLinkAware) {
-    link_aware_into(rng, num_vertices, a, adj_a, count, set, scratch.chosen);
+    link_aware_into(rng, num_vertices, a, adj_a, count, set, scratch.marks);
     return;
   }
   SCD_REQUIRE(count <= num_vertices - 1,

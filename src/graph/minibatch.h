@@ -49,11 +49,36 @@ struct Minibatch {
 
 enum class MinibatchStrategy { kRandomPair, kStratifiedRandomNode };
 
-/// Reusable scratch for MinibatchSampler::draw_into: the dedup set used
-/// while drawing. Construct once, pass to every draw; no steady-state
-/// allocation after the first few draws warm its capacity.
+/// One bit per vertex for the rejection loops of the anchored draws
+/// (stratified non-links, link-aware neighbors): a draw sets the bits of
+/// the anchor's links, tests and sets one bit per candidate, and before
+/// returning zeroes the words it touched, so the map is all clear
+/// between draws and a draw costs O(links + candidates), not O(N).
+/// Grow-only: reserve(N) once up front, or the first draw sizes it.
+class VertexBitmap {
+ public:
+  void reserve(Vertex num_vertices) {
+    const std::size_t words = (std::size_t{num_vertices} + 63) / 64;
+    if (words_.size() < words) words_.resize(words, 0);
+  }
+  bool test(Vertex v) const { return (words_[v >> 6] >> (v & 63)) & 1; }
+  void set(Vertex v) { words_[v >> 6] |= std::uint64_t{1} << (v & 63); }
+  /// Zero the whole word holding v's bit.
+  void clear_word(Vertex v) { words_[v >> 6] = 0; }
+  std::span<const std::uint64_t> words() const { return words_; }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
+/// Reusable scratch for MinibatchSampler::draw_into. Construct once, pass
+/// to every draw; no steady-state allocation after the first few draws
+/// warm its capacity.
 struct MinibatchScratch {
+  /// Dedup set of the random-pair draw.
   EdgeSet chosen{16};
+  /// The anchor's links and drawn non-links of the stratified draw.
+  VertexBitmap marks;
 };
 
 class MinibatchSampler {
@@ -165,8 +190,9 @@ NeighborSet draw_neighbor_set(rng::Xoshiro256& rng, NeighborMode mode,
 struct NeighborScratch {
   /// Raw Floyd draws for the uniform mode.
   std::vector<std::uint64_t> raw;
-  /// Dedup set for the link-aware rejection loop.
-  EdgeSet chosen{16};
+  /// The vertex's links and drawn non-links, for the link-aware
+  /// rejection loop.
+  VertexBitmap marks;
 };
 
 /// Allocation-free form of draw_neighbor_set: refills `set` reusing its

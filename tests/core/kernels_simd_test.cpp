@@ -10,11 +10,15 @@
 // absolute/relative bound.
 #include "core/kernels_simd.h"
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/phi_kernel.h"
+#include "quant/row_codec.h"
 #include "random/xoshiro.h"
 
 namespace scd::core {
@@ -130,6 +134,109 @@ TEST(KernelsSimdTest, FusedKernelsAccumulate) {
   fast_accumulate_phi_grad(row_a, row_b, terms, true, twice, w);
   for (std::uint32_t i = 0; i < k; ++i) {
     EXPECT_NEAR(twice[i], 2.0 * once[i], 1e-12) << i;
+  }
+}
+
+// -- tiled phi gradient ----------------------------------------------------
+// The tiled kernel must add, to every gradient entry, the same doubles in
+// the same order as one single-neighbor call per neighbor in set order,
+// so exact, sampled and each Z are compared bit for bit.
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+TEST(KernelsSimdTest, PhiTileWidthKeepsTheWTileWithin32KB) {
+  EXPECT_EQ(phi_tile_width(1), kPhiTileMax);
+  EXPECT_EQ(phi_tile_width(64), 32u);
+  EXPECT_EQ(phi_tile_width(256), 32u);
+  EXPECT_EQ(phi_tile_width(257), 31u);
+  EXPECT_EQ(phi_tile_width(1024), 8u);
+  EXPECT_EQ(phi_tile_width(8192), 1u);
+  EXPECT_EQ(phi_tile_width(12288), 1u);
+  for (std::size_t k : {1u, 63u, 300u, 5000u}) {
+    EXPECT_LE(phi_tile_width(k) * k * sizeof(float), 32u * 1024u) << k;
+  }
+}
+
+TEST(KernelsSimdTest, PhiGradTileEqualsPerNeighborCalls) {
+  rng::Xoshiro256 rng(31);
+  constexpr std::size_t kMaxSet = 97;
+  for (std::uint32_t k : {1u, 7u, 63u, 64u, 65u, 256u}) {
+    const LikelihoodTerms terms = random_terms(rng, k);
+    const std::vector<float> row_a = random_row(rng, k, 2.5f);
+    std::vector<std::vector<float>> rows;
+    for (std::size_t i = 0; i < kMaxSet; ++i) {
+      rows.push_back(random_row(rng, k, 1.0f + 0.1f * i));
+    }
+    // (codec, encoded rows); kFloat32 also drives the float-span path.
+    const quant::RowCodec codecs[] = {quant::RowCodec::kFloat32,
+                                      quant::RowCodec::kFp16,
+                                      quant::RowCodec::kInt8};
+    for (std::size_t size : {0u, 1u, 31u, 32u, 33u, 97u}) {
+      graph::NeighborSet set;
+      for (std::size_t i = 0; i < size; ++i) {
+        set.samples.push_back(
+            {static_cast<graph::Vertex>(i), rng.next_double() < 0.4});
+      }
+      // Prefixes ending inside the first and the second tile, plus the
+      // all-sampled and all-exact sets.
+      for (std::size_t prefix : {std::size_t{0}, std::min<std::size_t>(5, size),
+                                 std::min<std::size_t>(45, size), size}) {
+        set.exact_prefix = prefix;
+        for (quant::RowCodec codec : codecs) {
+          const std::size_t vb = quant::encoded_bytes(codec, k + 1);
+          std::vector<std::byte> enc(kMaxSet * vb);
+          for (std::size_t i = 0; i < kMaxSet; ++i) {
+            quant::encode_row(codec, rows[i], {enc.data() + i * vb, vb});
+          }
+          auto enc_row = [&](std::size_t i) {
+            return std::span<const std::byte>(enc.data() + i * vb, vb);
+          };
+          std::vector<double> ref_exact(k, 0.0), ref_sampled(k, 0.0);
+          std::vector<double> ref_z;
+          std::vector<float> w(k);
+          for (std::size_t i = 0; i < size; ++i) {
+            auto& target = i < prefix ? ref_exact : ref_sampled;
+            ref_z.push_back(fast_accumulate_phi_grad_enc(
+                codec, row_a, enc_row(i), terms, set.samples[i].link,
+                target, w));
+          }
+          PhiScratch scratch(k);
+          std::vector<double> z(size, -1.0);
+          accumulate_phi_grad_set_enc(codec, row_a, set, enc_row, terms,
+                                      scratch, z);
+          const std::string where = std::string(quant::codec_name(codec)) +
+                                    " K=" + std::to_string(k) +
+                                    " n=" + std::to_string(size) +
+                                    " prefix=" + std::to_string(prefix);
+          EXPECT_EQ(bits(scratch.exact), bits(ref_exact)) << where;
+          EXPECT_EQ(bits(scratch.sampled), bits(ref_sampled)) << where;
+          EXPECT_EQ(bits(z), bits(ref_z)) << where;
+          if (codec != quant::RowCodec::kFloat32) continue;
+
+          // The float-span path against the float single-neighbor calls,
+          // on a scratch that already holds a previous set's sums.
+          std::fill(ref_exact.begin(), ref_exact.end(), 0.0);
+          std::fill(ref_sampled.begin(), ref_sampled.end(), 0.0);
+          ref_z.clear();
+          for (std::size_t i = 0; i < size; ++i) {
+            auto& target = i < prefix ? ref_exact : ref_sampled;
+            ref_z.push_back(fast_accumulate_phi_grad(
+                row_a, rows[i], terms, set.samples[i].link, target, w));
+          }
+          accumulate_phi_grad_set(
+              row_a, set,
+              [&](std::size_t i) { return std::span<const float>(rows[i]); },
+              terms, scratch, z);
+          EXPECT_EQ(bits(scratch.exact), bits(ref_exact)) << where;
+          EXPECT_EQ(bits(scratch.sampled), bits(ref_sampled)) << where;
+          EXPECT_EQ(bits(z), bits(ref_z)) << where;
+        }
+      }
+    }
   }
 }
 

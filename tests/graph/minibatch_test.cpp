@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "graph/builder.h"
+#include "graph/edge_set.h"
 #include "graph/generator.h"
 #include "util/error.h"
 
@@ -332,6 +334,194 @@ TEST(MinibatchTest, AliasAnchorPreservesStratumAndScaleDistribution) {
   for (Vertex v = 0; v < n; ++v) {
     EXPECT_NEAR(anchor_counts[v], expect, 5.0 * sigma) << "vertex " << v;
   }
+}
+
+// -- bitmap draws against the EdgeSet rejection loops ----------------------
+// The link-aware neighbor draw and the stratified non-link draw reject
+// candidates against a vertex bitmap. The oracles below are the
+// binary_search + EdgeSet loops the bitmaps replaced, kept here verbatim:
+// the same candidates must be rejected in the same order, so every
+// output and the post-draw rng state must match exactly.
+
+NeighborSet reference_link_aware(rng::Xoshiro256& rng, Vertex num_vertices,
+                                 Vertex a, std::span<const Vertex> adj_a,
+                                 std::size_t count) {
+  NeighborSet set;
+  const std::uint64_t num_nonlinks =
+      static_cast<std::uint64_t>(num_vertices) - 1 - adj_a.size();
+  count = std::min<std::size_t>(count, num_nonlinks);
+  set.exact_prefix = adj_a.size();
+  for (Vertex b : adj_a) set.samples.push_back({b, true});
+  EdgeSet chosen(count);
+  while (set.samples.size() < set.exact_prefix + count) {
+    auto b = static_cast<Vertex>(rng.next_below(num_vertices - 1));
+    if (b >= a) ++b;
+    if (std::binary_search(adj_a.begin(), adj_a.end(), b) ||
+        chosen.contains(a, b)) {
+      continue;
+    }
+    chosen.insert(a, b);
+    set.samples.push_back({b, false});
+  }
+  set.sampled_scale = count > 0 ? static_cast<double>(num_nonlinks) /
+                                      static_cast<double>(count)
+                                : 0.0;
+  return set;
+}
+
+bool all_clear(const VertexBitmap& marks) {
+  const auto words = marks.words();
+  return std::all_of(words.begin(), words.end(),
+                     [](std::uint64_t w) { return w == 0; });
+}
+
+/// A planted graph of average degree about 10 plus one hub, vertex
+/// `hub`, linked to every vertex but the last three: it has fewer
+/// non-links than most draws request.
+Graph graph_with_hub(Vertex n, Vertex hub, std::uint64_t seed) {
+  rng::Xoshiro256 rng(seed);
+  PlantedConfig config;
+  config.num_vertices = n;
+  config.num_communities = 4;
+  config.beta_lo = 15.0 / n;
+  config.beta_hi = 37.5 / n;
+  config.delta = 0.45 / n;
+  const GeneratedGraph gen = generate_planted(rng, config);
+  GraphBuilder builder(n);
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v : gen.graph.neighbors(u)) {
+      if (u < v && u != hub && v != hub) builder.add_edge(u, v);
+    }
+  }
+  for (Vertex v = 0; v + 3 < n; ++v) {
+    if (v != hub) builder.add_edge(hub, v);
+  }
+  return std::move(builder).build();
+}
+
+TEST(NeighborSamplingTest, LinkAwareBitmapDrawMatchesEdgeSetOracle) {
+  // N = 150, 97 and 1000 are not multiples of 64; 64 is. One scratch
+  // serves every graph, so the bitmap is reused across different N both
+  // ways; at N = 1000 a draw touches only some of the 16 words.
+  const Graph graphs[] = {graph_with_hub(150, 7, 21),
+                          graph_with_hub(97, 0, 22),
+                          graph_with_hub(1000, 500, 25),
+                          graph_with_hub(64, 63, 23),
+                          graph_with_hub(150, 149, 24)};
+  NeighborScratch scratch;
+  NeighborSet set;
+  std::size_t cases = 0;
+  std::size_t clamped = 0;
+  for (const Graph& g : graphs) {
+    const Vertex n = g.num_vertices();
+    const Vertex vertices[] = {0, 1, 7, n / 2, n - 4, n - 1};
+    for (Vertex a : vertices) {
+      for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+        const std::size_t count = 1 + seed % 3 * 20;  // 1, 21, 41
+        rng::Xoshiro256 rng_ref(seed * 1000 + a);
+        rng::Xoshiro256 rng_new = rng_ref;
+        const NeighborSet ref =
+            reference_link_aware(rng_ref, n, a, g.neighbors(a), count);
+        draw_neighbor_set_into(rng_new, NeighborMode::kLinkAware, n, a,
+                               g.neighbors(a), count, set, scratch);
+        ASSERT_EQ(set.samples.size(), ref.samples.size())
+            << "N=" << n << " a=" << a << " seed=" << seed;
+        for (std::size_t i = 0; i < ref.samples.size(); ++i) {
+          ASSERT_EQ(set.samples[i].b, ref.samples[i].b) << "i=" << i;
+          ASSERT_EQ(set.samples[i].link, ref.samples[i].link) << "i=" << i;
+        }
+        ASSERT_EQ(set.exact_prefix, ref.exact_prefix);
+        ASSERT_EQ(set.sampled_scale, ref.sampled_scale);
+        ASSERT_TRUE(rng_new == rng_ref);
+        ASSERT_TRUE(all_clear(scratch.marks));
+        clamped += ref.samples.size() < ref.exact_prefix + count;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GE(cases, 1000u);
+  EXPECT_GT(clamped, 0u);  // the hubs hit the count clamp
+}
+
+/// The stratified draw as it was written against Graph::has_edge and an
+/// EdgeSet, with the vertex list built from both endpoints of every pair.
+/// `excluded_hits` counts candidates rejected only as held-out.
+Minibatch reference_stratified(const Graph& g, const HeldOutSplit& split,
+                               std::size_t m, rng::Xoshiro256& rng,
+                               std::size_t& excluded_hits) {
+  Minibatch mb;
+  const Vertex n = g.num_vertices();
+  const double nd = static_cast<double>(n);
+  const auto a = static_cast<Vertex>(rng.next_below(n));
+  if (rng.next_double() < 0.5) {
+    for (Vertex b : g.neighbors(a)) mb.pairs.push_back({a, b, true});
+    mb.scale = nd;
+  } else {
+    const std::uint64_t num_nonlinks =
+        static_cast<std::uint64_t>(n) - 1 - g.degree(a);
+    if (num_nonlinks == 0) {
+      mb.scale = 0.0;
+      return mb;
+    }
+    const std::size_t want = static_cast<std::size_t>(
+        std::max<std::uint64_t>(1, (num_nonlinks + m - 1) / m));
+    EdgeSet chosen(want);
+    std::size_t attempts = 0;
+    const std::size_t max_attempts = 64 * want + 1024;
+    while (mb.pairs.size() < want && attempts++ < max_attempts) {
+      auto b = static_cast<Vertex>(rng.next_below(n - 1));
+      if (b >= a) ++b;
+      if (g.has_edge(a, b) || chosen.contains(a, b)) continue;
+      if (split.is_held_out(a, b)) {
+        ++excluded_hits;
+        continue;
+      }
+      chosen.insert(a, b);
+      mb.pairs.push_back({a, b, false});
+    }
+    mb.scale = nd * static_cast<double>(num_nonlinks) /
+               static_cast<double>(mb.pairs.size());
+  }
+  for (const MinibatchPair& p : mb.pairs) {
+    mb.vertices.push_back(p.a);
+    mb.vertices.push_back(p.b);
+  }
+  std::sort(mb.vertices.begin(), mb.vertices.end());
+  mb.vertices.erase(std::unique(mb.vertices.begin(), mb.vertices.end()),
+                    mb.vertices.end());
+  return mb;
+}
+
+TEST(MinibatchTest, StratifiedBitmapDrawMatchesEdgeSetOracle) {
+  const GeneratedGraph gen = make_graph();
+  rng::Xoshiro256 hrng(77);
+  const HeldOutSplit split(hrng, gen.graph, 2000);
+  MinibatchSampler::Options options;
+  options.strategy = MinibatchStrategy::kStratifiedRandomNode;
+  options.nonlink_partitions = 2;  // large non-link strata
+  const MinibatchSampler sampler(split.training(), &split, options);
+  Minibatch mb;
+  MinibatchScratch scratch;
+  std::size_t excluded_hits = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    rng::Xoshiro256 rng_ref(seed);
+    rng::Xoshiro256 rng_new(seed);
+    const Minibatch ref = reference_stratified(
+        split.training(), split, options.nonlink_partitions, rng_ref,
+        excluded_hits);
+    sampler.draw_into(rng_new, mb, scratch);
+    ASSERT_EQ(mb.pairs.size(), ref.pairs.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < ref.pairs.size(); ++i) {
+      ASSERT_EQ(mb.pairs[i].a, ref.pairs[i].a) << "seed " << seed;
+      ASSERT_EQ(mb.pairs[i].b, ref.pairs[i].b) << "seed " << seed;
+      ASSERT_EQ(mb.pairs[i].link, ref.pairs[i].link) << "seed " << seed;
+    }
+    ASSERT_EQ(mb.scale, ref.scale) << "seed " << seed;
+    ASSERT_EQ(mb.vertices, ref.vertices) << "seed " << seed;
+    ASSERT_TRUE(rng_new == rng_ref) << "seed " << seed;
+    ASSERT_TRUE(all_clear(scratch.marks)) << "seed " << seed;
+  }
+  EXPECT_GT(excluded_hits, 0u);  // held-out rejections were exercised
 }
 
 }  // namespace

@@ -301,6 +301,31 @@ def main():
               runs["proc"] == runs["sim"],
               repr((runs["proc"], runs["sim"])))
 
+    # `scd fit` results do not depend on the thread count: the same seed
+    # and iterations write byte-identical checkpoints at 1 and 3 threads.
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = os.path.join(tmp, "planted.txt")
+        r = run([scd, "generate", "--vertices", "300", "--communities", "6",
+                 "--degree", "10", "--seed", "4", "--out", edges])
+        check("generate small planted graph exits 0", r.returncode == 0,
+              f"exit={r.returncode} {r.stderr[:160]!r}")
+        checkpoints = {}
+        for threads in ("1", "3"):
+            out = os.path.join(tmp, f"fit{threads}.bin")
+            r = run([scd, "fit", "--graph", edges, "--communities", "6",
+                     "--iterations", "400", "--heldout", "100",
+                     "--seed", "9", "--threads", threads,
+                     "--checkpoint-out", out])
+            check(f"fit --threads {threads} exits 0", r.returncode == 0,
+                  f"exit={r.returncode} {r.stderr[:160]!r}")
+            if os.path.exists(out):
+                with open(out, "rb") as f:
+                    checkpoints[threads] = f.read()
+        check("fit --threads 1 and 3 write byte-identical checkpoints",
+              len(checkpoints) == 2 and
+              checkpoints["1"] == checkpoints["3"],
+              repr({t: len(b) for t, b in checkpoints.items()}))
+
     if failures:
         print(f"\n{len(failures)} failure(s)")
         return 1
