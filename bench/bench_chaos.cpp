@@ -1,12 +1,10 @@
-// Chaos study: cost and convergence impact of the fault-tolerant
-// protocol and of injected faults.
+// Chaos study: cost and convergence impact of injected faults.
 //
-// Two questions. First, what does fault tolerance cost when nothing
-// fails? The FT protocol (per-stage heartbeats + master-coordinated
-// rounds) replaces the collectives of the legacy path; with an empty
-// plan its numbers are bit-identical (asserted here) and the virtual-time
-// overhead must stay within noise — the committed baseline drift-guards
-// it. Second, how does convergence degrade as fault intensity rises?
+// Two questions. First, does arming fault injection cost anything when
+// nothing fails? A run with an empty plan must equal the run without a
+// plan in numbers (asserted here) and in virtual time — the committed
+// baseline drift-guards the 0% overhead. Second, how does convergence
+// degrade as fault intensity rises?
 // Each intensity level runs the same planted-graph workload under
 // progressively harsher plans (lossy links -> straggler + DKV stall ->
 // worker crashes) and reports the virtual-time overhead and the gap in
@@ -65,7 +63,6 @@ Workload make_workload() {
   w.options.base.step.b = 512.0;
   w.options.base.step.c = 0.55;
   w.options.base.seed = 4244;
-  w.options.pipeline = false;  // FT does not pipeline; compare like-for-like
   w.options.chunk_vertices = 8;
   return w;
 }
@@ -88,28 +85,29 @@ Arm run_arm(const fault::FaultPlan* plan) {
 int main(int argc, char** argv) {
   bench::BenchIo io;
   if (!io.parse(argc, argv, "bench_chaos",
-                "Chaos study: FT overhead and fault-intensity degradation"))
+                "Chaos study: empty-plan parity and fault-intensity "
+                "degradation"))
     return 0;
 
-  // ---- no-fault parity: legacy collectives vs FT with an empty plan ----
-  const Arm legacy = run_arm(nullptr);
+  // ---- no-fault parity: no plan vs an empty plan ----------------------
+  const Arm no_plan = run_arm(nullptr);
   const fault::FaultPlan empty;
   const Arm nofault = run_arm(&empty);
-  SCD_REQUIRE(nofault.final_perplexity == legacy.final_perplexity,
-              "FT no-fault run is not bit-identical to the legacy path");
+  SCD_REQUIRE(nofault.final_perplexity == no_plan.final_perplexity,
+              "an empty fault plan changed the numbers");
   const double overhead_pct = 100.0 *
                               (nofault.result.virtual_seconds -
-                               legacy.result.virtual_seconds) /
-                              legacy.result.virtual_seconds;
+                               no_plan.result.virtual_seconds) /
+                              no_plan.result.virtual_seconds;
 
   Table parity({"arm", "virtual_s", "final_perplexity",
                 "nofault_overhead_pct"});
-  parity.add_row({std::string("legacy"), legacy.result.virtual_seconds,
-                  legacy.final_perplexity, 0.0});
-  parity.add_row({std::string("ft_nofault"),
+  parity.add_row({std::string("no_plan"), no_plan.result.virtual_seconds,
+                  no_plan.final_perplexity, 0.0});
+  parity.add_row({std::string("empty_plan"),
                   nofault.result.virtual_seconds, nofault.final_perplexity,
                   overhead_pct});
-  io.emit(parity, "nofault_parity", "FT protocol overhead, no faults");
+  io.emit(parity, "nofault_parity", "Empty fault plan overhead, no faults");
 
   // ---- fault-intensity sweep ------------------------------------------
   const double total = nofault.result.virtual_seconds;

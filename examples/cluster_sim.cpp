@@ -149,8 +149,10 @@ int main(int argc, char** argv) {
     };
     fault_summary("pipelined", pipelined);
     fault_summary("single-buffered", serial);
-    // Crash times are virtual-time triggers, and the two modes run on
-    // different virtual clocks — their faulted trajectories may differ.
+    // Both modes deploy and recover alike, so crashes anchored at an
+    // (iteration, point) give them the same numbers; crash *times* are
+    // virtual-time triggers, and the two modes run on different virtual
+    // clocks, so such crashes may land elsewhere and change the numbers.
     std::printf("perplexity trace (pipelined run):\n");
   } else {
     std::printf("perplexity trace (identical in both modes — pipelining"

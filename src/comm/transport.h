@@ -1,10 +1,12 @@
 // Backend-neutral transport seam.
 //
-// The distributed sampler's four loops (legacy/FT master/worker) are
-// written against this interface: MPI-style tagged point-to-point
-// messages plus the three collectives the algorithm needs (barrier,
-// reduce-sum, broadcast) and the failure-aware receive the FT master's
-// heartbeat machinery is built on. Two implementations exist:
+// The distributed sampler's master and worker loops are written against
+// this interface: MPI-style tagged point-to-point messages and the
+// failure-aware receive its gathers and stage barriers detect deaths
+// with. The sampler joins no collective; barrier, reduce-sum and
+// broadcast stay for callers that need static-membership
+// synchronization (the transport tests and benches). Two
+// implementations exist:
 //
 //  * sim::SimTransport — threads in one address space, virtual-time cost
 //    accounting per the NetworkModel (src/sim/transport.h);
@@ -20,7 +22,8 @@
 //    non-zero count P names the *last* P ranks (the worker channel);
 //  * after mark_rank_dead(r), messages r sent before dying remain
 //    deliverable; once drained, blocking receives from r throw
-//    TransportError and recv_bytes_or_dead returns std::nullopt.
+//    TransportError and recv_bytes_or_dead returns std::nullopt;
+//  * a send to a dead rank is not an error; nobody receives it.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +68,8 @@ class Transport {
 
   /// Failure-aware receive: like recv_raw, but when `from` has been
   /// detected dead and no matching message remains it returns
-  /// std::nullopt instead of blocking forever — the master's
-  /// heartbeat-timeout primitive.
+  /// std::nullopt instead of blocking forever — the sampler's
+  /// failure detector.
   virtual std::optional<std::vector<std::byte>> recv_bytes_or_dead(
       unsigned self, unsigned from, int tag) = 0;
 

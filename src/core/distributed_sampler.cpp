@@ -20,40 +20,43 @@ namespace scd::core {
 
 namespace {
 
-constexpr int kTagDeploy = 1;
-constexpr unsigned kChannelGlobal = 0;   // master + all workers
-constexpr unsigned kChannelWorkers = 1;  // workers only (DKV consistency)
+// The protocol's message tags. The master drives each iteration with Ctrl
+// records; the workers pass the two stage barriers among themselves with
+// beats and answer the master with partial sums.
+constexpr int kTagDeploy = 1;  // master -> worker deploy/stop records
+constexpr int kTagCtrl = 2;    // master -> worker beta/eval/restart records
+constexpr int kTagBeat = 3;    // worker -> worker stage-barrier beats
+constexpr int kTagRatios = 4;  // worker -> master 2K ratio partials
+constexpr int kTagEval = 5;    // worker -> master perplexity partials
 
-// Fault-tolerant protocol tags. FT mode replaces the collectives with
-// master-coordinated point-to-point rounds (collectives require static
-// membership; these survive a shrinking live set).
-constexpr int kTagCtrl = 2;       // master -> worker FtCtrl records
-constexpr int kTagHeartbeat = 3;  // worker -> master stage-done beacons
-constexpr int kTagRatios = 4;     // worker -> master 2K ratio partials
-constexpr int kTagBeta = 5;       // master -> worker fresh beta
-constexpr int kTagEval = 6;       // worker -> master perplexity partials
-
-enum FtOp : std::uint32_t {
-  kFtDeploy = 1,  // new iteration: share follows (and beta, when flagged)
-  kFtPiGo,        // all live workers finished update_phi — write pi
-  kFtBetaGo,      // all live workers finished update_pi — compute ratios
-  kFtBeta,        // theta stepped; beta payload follows
-  kFtRestart,     // membership changed — discard stage, await new deploy
-  kFtStop,        // run complete
+enum Op : std::uint32_t {
+  kDeploy = 1,  // new iteration: the minibatch share follows
+  kBeta,        // theta stepped; the fresh beta follows
+  kEvalDone,    // every live eval partial folded — next iteration
+  kRestart,     // membership changed — the live ranks follow; await a
+                // new deploy
+  kStop,        // run complete
 };
 
-/// One master->worker control record. live_count/member_index tell the
-/// worker which slice of the minibatch and held-out set is now its own —
-/// reassignment after a death is just these two fields changing.
-struct FtCtrl {
+/// One master->worker control record, at the front of its message.
+/// live_count/member_index tell the worker which slice of the minibatch
+/// and held-out set is now its own — reassignment after a death is just
+/// these two fields changing. `epoch` counts membership changes: a
+/// worker drops messages whose record is from an epoch older than its
+/// own.
+struct Ctrl {
   std::uint64_t iteration = 0;
   std::uint32_t op = 0;
   std::uint32_t live_count = 0;
   std::uint32_t member_index = 0;
   std::uint32_t eval = 0;           // this iteration ends with an eval round
-  std::uint32_t beta_follows = 0;   // a kTagBeta payload precedes the share
+  std::uint32_t beta_follows = 0;   // beta follows (before any share)
+  std::uint32_t epoch = 0;
 };
-static_assert(std::is_trivially_copyable_v<FtCtrl>);
+static_assert(std::is_trivially_copyable_v<Ctrl>);
+
+/// Modeled wire size of a stage-barrier beat (it carries no payload).
+constexpr std::uint64_t kBeatBytes = 16;
 
 using threading::ThreadPool;
 
@@ -192,29 +195,31 @@ DistributedResult DistributedSampler::run(std::uint64_t iterations) {
   if (options_.base.eval_interval > 0) {
     history_.reserve(iterations / options_.base.eval_interval + 1);
   }
+  comm::Transport& net = cluster_.transport();
   if (real()) {
-    // Pre-warm the transport's payload pool: with pipelining, up to two
-    // deploy shares per worker are in flight while the master serializes
-    // a third batch.
+    // Pre-warm the transport's payload pool past the most messages in
+    // flight: per worker, two pipelined deploys behind a beta record,
+    // the record it holds, and its replies.
     const std::size_t max_vertices = minibatch_->max_vertices_bound();
     const std::size_t share_vertices = max_vertices / num_workers_ + 1;
     const std::size_t share_adjacency = std::min<std::size_t>(
         share_vertices * graph_->max_degree(), 2 * graph_->num_edges());
     const std::size_t share_pairs =
         minibatch_->max_pairs_bound() / num_workers_ + 1;
-    cluster_.transport().reserve_buffers(
-        2 * num_workers_ + 2,
+    net.reserve_buffers(
+        8 * std::size_t{num_workers_} + 4,
         phantom_share_bytes(share_vertices, share_adjacency, share_pairs));
   }
-  // Pre-warm the collective slot pool and deploy mailboxes past their
-  // worst-case in-flight depth: each rank can hold one undeparted slot
-  // and each channel one partially-arrived slot, and the pipelined
-  // master stays at most a couple of deploys ahead of any worker.
-  cluster_.transport().reserve_collectives(
-      num_workers_ + 4, 2 * std::size_t{hyper_.num_communities} + 2,
-      std::size_t{hyper_.num_communities} * sizeof(float));
-  for (unsigned wi = 0; wi < num_workers_; ++wi) {
-    cluster_.transport().reserve_mailbox(0, wi + 1, kTagDeploy, 8);
+  for (unsigned rank = 1; rank <= num_workers_; ++rank) {
+    net.reserve_mailbox(0, rank, kTagDeploy, 8);
+    net.reserve_mailbox(0, rank, kTagCtrl, 4);
+    for (const int tag : {kTagRatios, kTagEval}) {
+      net.reserve_mailbox(rank, 0, tag, 4);
+    }
+    if (rank != 1) {  // the first stage-barrier coordinator is rank 1
+      net.reserve_mailbox(rank, 1, kTagBeat, 2);
+      net.reserve_mailbox(1, rank, kTagBeat, 2);
+    }
   }
 
   if (options_.fault_plan != nullptr) {
@@ -244,23 +249,24 @@ DistributedResult DistributedSampler::run(std::uint64_t iterations) {
       rec.set_lane_name(wi + 1, "rank " + std::to_string(wi + 1) +
                                     " (worker " + std::to_string(wi) + ")");
     }
-    // Worst case per rank-iteration: ~12 spans (workers touch every
-    // stage) and ~8 message/collective edges. Reserving up front keeps
-    // recording allocation-free for the whole run.
-    rec.reserve(iterations * 12 + 16, iterations * 8 + 16);
+    // Worst case per iteration: ~16 spans on any lane; the master
+    // receives 2 messages per worker (ratios, eval), a worker at most 3
+    // records plus 2 beats per other worker (the barrier coordinator).
+    // Reserving up front keeps recording allocation-free for the whole
+    // run.
+    const std::size_t w = num_workers_;
+    rec.reserve_lane(0, iterations * 16 + 16, iterations * 2 * w + 16);
+    for (unsigned rank = 1; rank <= num_workers_; ++rank) {
+      rec.reserve_lane(rank, iterations * 16 + 16,
+                       iterations * (2 * w + 1) + 16);
+    }
   }
 
   cluster_.run([this, iterations](comm::Context& ctx) {
-    if (injector_ != nullptr) {
-      if (ctx.is_master()) {
-        ft_master_loop(ctx, iterations);
-      } else {
-        ft_worker_loop(ctx);
-      }
-    } else if (ctx.is_master()) {
+    if (ctx.is_master()) {
       master_loop(ctx, iterations);
     } else {
-      worker_loop(ctx, iterations);
+      worker_loop(ctx);
     }
   });
 
@@ -293,10 +299,8 @@ DistributedSampler::~DistributedSampler() = default;
 // ---------------------------------------------------------------------
 // Stage helpers
 //
-// One SG-MCMC iteration, written once; the two protocols below only
-// decide how the ranks synchronize between stages. A stage's charges,
-// books, spans and sends run in the same order under either protocol,
-// so modeled virtual time does not depend on which one drives it.
+// One SG-MCMC iteration's stages; the loops below only decide how the
+// ranks synchronize between them.
 // ---------------------------------------------------------------------
 
 /// The master's state for one run: its workspace and the beta it ships.
@@ -408,9 +412,10 @@ double DistributedSampler::draw_minibatch(MasterRank& m, std::uint64_t t) {
 
 void DistributedSampler::send_share(MasterRank& m, unsigned slot,
                                     unsigned parts, unsigned rank,
-                                    std::uint64_t t) {
+                                    std::uint64_t t, ByteWriter& message) {
   if (!real()) {
-    // Cost-only: a phantom share of the right size.
+    // Cost-only: the record, priced with a phantom share of the right
+    // size behind it.
     const auto [vlo, vhi] =
         ThreadPool::chunk_bounds(0, phantom_.minibatch_vertices, slot, parts);
     const auto [plo, phi] =
@@ -418,8 +423,9 @@ void DistributedSampler::send_share(MasterRank& m, unsigned slot,
     const std::uint64_t vertices = vhi - vlo;
     const auto adjacency = static_cast<std::uint64_t>(
         static_cast<double>(vertices) * phantom_.avg_degree);
-    m.net.send_phantom(0, rank, kTagDeploy,
-                       phantom_share_bytes(vertices, adjacency, phi - plo));
+    const std::uint64_t bytes =
+        message.size() + phantom_share_bytes(vertices, adjacency, phi - plo);
+    m.net.send_raw(0, rank, kTagDeploy, message.take(), bytes);
     return;
   }
   const graph::Minibatch& mb = m.ws.mb;
@@ -442,12 +448,8 @@ void DistributedSampler::send_share(MasterRank& m, unsigned slot,
     share.pair_b.push_back(mb.pairs[i].b);
     share.pair_y.push_back(mb.pairs[i].link ? 1 : 0);
   }
-  // Serialize into a pooled payload buffer; the receiving worker
-  // recycles it after deserializing.
-  std::vector<std::byte> payload = m.net.acquire_buffer();
-  ByteWriter writer(payload);
-  serialize_share(share, writer);
-  m.net.send_bytes(0, rank, kTagDeploy, std::move(payload));
+  serialize_share(share, message);
+  m.net.send_bytes(0, rank, kTagDeploy, message.take());
 }
 
 void DistributedSampler::step_theta(MasterRank& m, std::uint64_t t,
@@ -476,20 +478,16 @@ void DistributedSampler::step_theta(MasterRank& m, std::uint64_t t,
 
 // ---- worker stages ---------------------------------------------------
 
-void DistributedSampler::recv_share(WorkerRank& r, std::uint64_t t) {
+void DistributedSampler::unpack_share(WorkerRank& r, std::uint64_t t,
+                                      std::span<const std::byte> bytes) {
   comm::Context& ctx = r.ctx;
-  const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
   const double before = ctx.now();
   if (real()) {
-    std::vector<std::byte> payload =
-        r.net.recv_bytes(ctx.rank(), 0, kTagDeploy);
-    deserialize_share_into(payload, r.ws.share);
-    r.net.recycle_buffer(std::move(payload));
+    deserialize_share_into(bytes, r.ws.share);
     SCD_ASSERT(r.ws.share.iteration == t, "deploy out of order");
     r.n_local = r.ws.share.vertices.size();
     r.p_local = r.ws.share.pair_a.size();
   } else {
-    r.net.recv_discard(ctx.rank(), 0, kTagDeploy);
     const auto [vlo, vhi] = ThreadPool::chunk_bounds(
         0, phantom_.minibatch_vertices, r.wi, num_workers_);
     const auto [plo, phi] = ThreadPool::chunk_bounds(
@@ -606,7 +604,7 @@ void DistributedSampler::update_phi(WorkerRank& r, std::uint64_t t) {
   // covers the overlapped load+compute pipeline — the kLoadPi
   // sub-stage view lives only in PhaseStats, since the two interleave
   // within the same virtual interval. The pipeline total bypasses
-  // charge(), so an FT straggler's slowdown is applied here explicitly
+  // charge(), so a straggler's slowdown is applied here explicitly
   // (without a fault plan the factor is 1.0, and x * 1.0 == x).
   const auto sp = ctx.trace_span(comm::Phase::kUpdatePhi, t);
   const double factor =
@@ -773,192 +771,81 @@ double DistributedSampler::phantom_read_cost(WorkerRank& r, double refs) {
 }
 
 // ---------------------------------------------------------------------
-// Legacy protocol: barriers and collectives
+// Protocol
+//
+// The master deploys each iteration with Ctrl records, gathers the
+// workers' partial sums and ships the stepped beta back; the workers
+// pass the two stage barriers (phi before pi, pi before beta) among
+// themselves, through the lowest live worker. No rank joins a
+// collective, so membership can shrink mid-run: a missing message
+// (recv_bytes_or_dead) is the failure detector. Each stage barrier, gather and beta release
+// charges the collective skew once, as the collective it stands for
+// would (4 per iteration + 1 per eval). Under options_.pipeline the
+// master deploys iteration t+1 before it gathers t's ratio partials, so
+// its draw and deploy overlap all of the workers' stages of t.
+//
+// Recovery (fault plan only; without one a dead worker is a
+// TransportError): a worker that dies before a stage barrier is missed
+// there by every survivor alike, and they abandon the iteration with an
+// empty ratio partial; one that dies later is missed by the master's
+// gather. Either way the master finds the dead rank's partial missing. It
+// redoes an interrupted iteration over the survivors (pi writes that
+// landed before the crash are kept — SG-MCMC tolerates the
+// perturbation), re-homes the dead rank's DKV shard to the lowest
+// surviving worker, and re-slices its minibatch/held-out slices by
+// (member_index, live_count). With rollback_interval > 0 the master
+// instead restores the last in-memory core/checkpoint snapshot. Each
+// recovery starts a new membership epoch; the survivors learn it and the
+// live ranks from the restart record and drop the deploy prefetched in
+// the old one. Workers fail-stop only at fixed protocol points when
+// their virtual clock passes the plan's crash time, after completing all
+// earlier sends — which makes detection, and therefore the whole faulted
+// trajectory, deterministic.
 // ---------------------------------------------------------------------
 
 void DistributedSampler::master_loop(comm::Context& ctx,
                                      std::uint64_t iterations) {
-  const std::uint32_t k = hyper_.num_communities;
-  MasterRank m(*this, ctx);
-  comm::Transport& net = m.net;
-
-  // Initial beta so workers can form likelihood terms.
-  {
-    const auto sp = ctx.trace_span(trace::Stage::kSetup);
-    net.broadcast(0, 0, std::span<float>(m.beta_buf), kChannelGlobal);
-  }
-
-  // Draw + scatter one minibatch; returns its h(E_n) scale.
-  auto deploy = [&](std::uint64_t t) -> double {
-    const double scale = draw_minibatch(m, t);
-    const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
-    for (unsigned wi = 0; wi < num_workers_; ++wi) {
-      send_share(m, wi, num_workers_, wi + 1, t);
-    }
-    return scale;
-  };
-
-  double scale_current = deploy(0);
-  double scale_next = 0.0;
-
-  for (std::uint64_t t = 0; t < iterations; ++t) {
-    if (options_.master_iteration_hook) options_.master_iteration_hook(t);
-
-    // Pipelined: prepare iteration t+1 while workers run update_phi of t.
-    if (options_.pipeline && t + 1 < iterations) {
-      scale_next = deploy(t + 1);
-    }
-
-    // update_beta/theta: collect the workers' ratio partials.
-    m.ws.ratios.assign(std::size_t{k} * 2, 0.0);
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
-      const double before = ctx.now();
-      net.reduce_sum(0, 0, m.ws.ratios, kChannelGlobal);
-      ctx.book(comm::Phase::kBarrierWait, ctx.now() - before);
-    }
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
-      step_theta(m, t, scale_current);
-      const double before = ctx.now();
-      net.broadcast(0, 0, std::span<float>(m.beta_buf), kChannelGlobal);
-      ctx.book(comm::Phase::kUpdateBetaTheta, ctx.now() - before);
-    }
-
-    // Non-pipelined: the next draw serializes after this iteration.
-    if (!options_.pipeline && t + 1 < iterations) {
-      scale_next = deploy(t + 1);
-    }
-
-    if (eval_due(t)) {
-      std::vector<double>& acc = m.ws.eval_acc;
-      acc.assign(2, 0.0);  // [sum log avg, pair count]
-      const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
-      const double before = ctx.now();
-      net.reduce_sum(0, 0, acc, kChannelGlobal);
-      ctx.book(comm::Phase::kBarrierWait, ctx.now() - before);
-      if (real()) {
-        const double perp = PerplexityEvaluator::perplexity(
-            acc[0], static_cast<std::uint64_t>(acc[1]));
-        history_.push_back({t + 1, ctx.now(), perp});
-      }
-    }
-
-    scale_current = scale_next;
-  }
-}
-
-void DistributedSampler::worker_loop(comm::Context& ctx,
-                                     std::uint64_t iterations) {
-  const unsigned w = num_workers_;
-  const auto [eh_lo, eh_hi] =
-      ThreadPool::chunk_bounds(0, heldout_size_, ctx.rank() - 1, w);
-  WorkerRank r(*this, ctx, eh_hi - eh_lo);
-  comm::Transport& net = r.net;
-
-  // Initial beta.
-  {
-    const auto sp = ctx.trace_span(trace::Stage::kSetup);
-    net.broadcast(ctx.rank(), 0, std::span<float>(r.beta_buf),
-                  kChannelGlobal);
-  }
-  r.terms.refresh(r.beta_buf, hyper_.delta);
-
-  // This worker's held-out slice and its persistent running averages.
-  std::unique_ptr<PerplexityEvaluator> evaluator;
-  if (real() && heldout_ != nullptr && heldout_size_ > 0) {
-    evaluator = std::make_unique<PerplexityEvaluator>(
-        std::span<const graph::HeldOutPair>(heldout_->pairs().data() + eh_lo,
-                                            eh_hi - eh_lo));
-  }
-
-  for (std::uint64_t t = 0; t < iterations; ++t) {
-    recv_share(r, t);
-    sample_neighbors(r, t);
-    update_phi(r, t);
-
-    // phi must be fully read cluster-wide before anyone writes pi.
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
-      ctx.timed_barrier(kChannelWorkers, w);
-    }
-
-    write_pi(r, t);
-
-    // pi must be visible cluster-wide before update_beta reads it.
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
-      ctx.timed_barrier(kChannelWorkers, w);
-    }
-
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
-      ratio_partials(r);
-      const double before = ctx.now();
-      net.reduce_sum(ctx.rank(), 0, r.ws.ratios, kChannelGlobal);
-      net.broadcast(ctx.rank(), 0, std::span<float>(r.beta_buf),
-                    kChannelGlobal);
-      ctx.book(comm::Phase::kUpdateBetaTheta, ctx.now() - before);
-      if (real()) r.terms.refresh(r.beta_buf, hyper_.delta);
-    }
-
-    if (eval_due(t)) {
-      const auto sp = ctx.trace_span(comm::Phase::kPerplexity, t);
-      eval_partial(r, evaluator.get());
-      net.reduce_sum(ctx.rank(), 0, r.ws.eval_acc, kChannelGlobal);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Fault-tolerant protocol (options_.fault_plan != nullptr)
-//
-// The collectives of the legacy loops assume static membership, so FT
-// mode replaces them with master-coordinated point-to-point rounds: the
-// master drives every stage with FtCtrl records, workers answer with
-// per-stage heartbeats, and a missing heartbeat (recv_bytes_or_dead) is
-// the failure detector. Virtual-time parity with the legacy path is kept
-// by charging the collective skew once per replaced collective (4 per
-// iteration + 1 per eval). Recovery: the interrupted iteration is redone
-// over the survivors (pi writes that landed before the crash are kept —
-// SG-MCMC tolerates the perturbation), the dead rank's DKV shard is
-// re-homed to the lowest surviving worker, and its minibatch/held-out
-// slices are re-sliced by (member_index, live_count). With
-// rollback_interval > 0 the master instead restores the last in-memory
-// core/checkpoint snapshot. Workers fail-stop only at fixed protocol
-// points when their virtual clock passes the plan's crash time, after
-// completing all earlier sends — which makes detection, and therefore
-// the whole faulted trajectory, deterministic.
-// ---------------------------------------------------------------------
-
-void DistributedSampler::ft_master_loop(comm::Context& ctx,
-                                        std::uint64_t iterations) {
   const std::uint32_t k = hyper_.num_communities;
   const unsigned w = num_workers_;
   MasterRank m(*this, ctx);
   comm::Transport& net = m.net;
   std::vector<float>& beta_buf = m.beta_buf;
   const double skew = ctx.network().collective_skew_s;
+  const bool rollback =
+      injector_ != nullptr && options_.rollback_interval > 0;
 
   std::vector<unsigned> live(w);
   for (unsigned wi = 0; wi < w; ++wi) live[wi] = wi + 1;
+  std::uint32_t epoch = 0;
 
-  auto send_beta = [&](unsigned rank) {
-    net.send<float>(0, rank, kTagBeta, std::span<const float>(beta_buf));
+  // A message starts with a record stamped with the current epoch, and
+  // carries beta after it when the record says so.
+  std::vector<std::byte> out;
+  auto start_message = [&](Ctrl c) {
+    c.epoch = epoch;
+    out = net.acquire_buffer();
+    ByteWriter message(out);
+    message.put(c);
+    if (c.beta_follows != 0) {
+      message.put_span(std::span<const float>(beta_buf));
+    }
+    return message;
   };
-  auto send_ctrl = [&](unsigned rank, const FtCtrl& c) {
-    net.send<FtCtrl>(0, rank, kTagCtrl, std::span<const FtCtrl>(&c, 1));
+  auto release = [&](std::uint64_t t, Op op, int tag, bool beta) {
+    for (unsigned rank : live) {
+      ByteWriter message = start_message({t, op, 0, 0, 0, beta ? 1u : 0u});
+      if (op == kRestart) message.put_span(std::span<const unsigned>(live));
+      net.send_bytes(0, rank, tag, message.take());
+    }
   };
-  {
-    const auto sp = ctx.trace_span(trace::Stage::kSetup);
-    for (unsigned rank : live) send_beta(rank);
-  }
 
   // Rollback snapshots: a full checkpoint serialized to memory. Taking
-  // one costs the master a wire-read of every pi row (workers are
-  // quiescent — blocked on the next deploy — whenever this runs).
-  // Evaluated per snapshot: sparse rows' average wire bytes drift as
-  // the model concentrates.
+  // one costs the master a wire-read of every pi row. The snapshot of
+  // boundary t is taken before the master's last release of iteration
+  // t - 1 (its beta, or the eval release): every pi write of t - 1 has
+  // landed and every worker waits for that release, so no rank touches
+  // pi while it is read. Evaluated per snapshot: sparse rows' average
+  // wire bytes drift as the model concentrates.
   std::string snap_bytes;
   auto snap_wire_s = [&]() {
     return ctx.network().transfer_time(static_cast<std::uint64_t>(
@@ -966,6 +853,9 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
                      store_->avg_row_wire_bytes())));
   };
   auto take_snapshot = [&](std::uint64_t t) {
+    if (!rollback || t >= iterations || t % options_.rollback_interval != 0) {
+      return;
+    }
     const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
     Checkpoint cp;
     cp.iteration = t;
@@ -980,35 +870,67 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
                                      options_.sparse_eps);
     ctx.charge(comm::Phase::kBarrierWait, snap_wire_s());
   };
-  if (options_.rollback_interval > 0) take_snapshot(0);
+  take_snapshot(0);
 
-  // Rank-ordered gather from every live worker; consume(rank, payload)
-  // runs per arrival, so reductions fold in rank order (deterministic).
+  // Rank-ordered gather from every live worker; consume(payload) runs per
+  // arrival, so reductions fold in rank order (deterministic). An empty
+  // payload is a worker that abandoned the iteration at a stage barrier.
   // Returns true when at least one worker turned out dead instead.
   std::vector<unsigned> dead_now;
   auto gather = [&](int tag, auto&& consume) {
     dead_now.clear();
+    bool abandoned = false;
     const double before = ctx.now();
     for (unsigned rank : live) {
       auto payload = net.recv_bytes_or_dead(0, rank, tag);
       if (!payload.has_value()) {
+        if (injector_ == nullptr) {
+          throw comm::TransportError("worker rank " + std::to_string(rank) +
+                                     " died and no fault plan is set");
+        }
         dead_now.push_back(rank);
         continue;
       }
-      consume(rank, *payload);
+      if (payload->empty()) {
+        abandoned = true;
+      } else {
+        consume(*payload);
+      }
       net.recycle_buffer(std::move(*payload));
     }
     ctx.book(comm::Phase::kBarrierWait, ctx.now() - before);
+    SCD_ASSERT(!abandoned || !dead_now.empty(),
+               "a worker abandoned the iteration, but no worker died");
     return !dead_now.empty();
   };
 
-  bool beta_follows = false;  // next deploy must re-ship beta (rollback)
+  bool beta_follows = true;  // the next deploy ships beta: initial or
+                             // restored by a rollback
+  bool prefetched = false;   // iteration t was deployed during t - 1
+  double scale_next = 0.0;   // h(E_n) of the prefetched minibatch
+
+  // Draw iteration t's minibatch and ship it: per live worker one
+  // message of the deploy record, beta when due, and the worker's share.
+  // Returns the minibatch's h(E_n) scale.
+  auto deploy = [&](std::uint64_t t) -> double {
+    const double scale = draw_minibatch(m, t);
+    const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
+    const auto lw = static_cast<std::uint32_t>(live.size());
+    for (std::uint32_t li = 0; li < lw; ++li) {
+      ByteWriter message =
+          start_message({t, kDeploy, lw, li, eval_due(t) ? 1u : 0u,
+                         beta_follows ? 1u : 0u});
+      send_share(m, li, lw, live[li], t, message);
+    }
+    beta_follows = false;
+    return scale;
+  };
 
   // Failure detected at iteration `t`: charge the heartbeat timeout,
   // shrink membership, re-home the dead shards, optionally roll back,
-  // and tell the survivors to restart. `lost` = the iteration was still
-  // in flight (vs. fully applied, eval round aside). Returns the next
-  // iteration to run.
+  // and tell the survivors to restart in a new epoch. `lost` = the
+  // iteration was still in flight (vs. fully applied, eval round aside).
+  // Returns the next iteration to run.
   auto handle_death = [&](bool lost, std::uint64_t t) -> std::uint64_t {
     const auto sp = ctx.trace_span(trace::Stage::kRecovery, t);
     const double start = ctx.now();  // wall clocks advance between reads
@@ -1034,7 +956,7 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
       store_->rehome_shard(rank - 1, heir);
     }
     std::uint64_t next = lost ? t : t + 1;
-    if (options_.rollback_interval > 0) {
+    if (rollback) {
       const Checkpoint cp = checkpoint_from_bytes(snap_bytes);
       for (std::uint64_t v = 0; v < num_vertices_; ++v) {
         store_->init_row(v, cp.pi.row(static_cast<std::uint32_t>(v)));
@@ -1053,75 +975,20 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
       rec->metrics().count(trace::Metric::kRedoneIterations, ctx.rank(),
                            (t + 1) - next);
     }
-    for (std::size_t li = 0; li < live.size(); ++li) {
-      send_ctrl(live[li], {next, kFtRestart,
-                           static_cast<std::uint32_t>(live.size()),
-                           static_cast<std::uint32_t>(li), 0, 0});
-    }
+    ++epoch;
+    prefetched = false;
+    release(next, kRestart, kTagCtrl, false);
     return next;
-  };
-
-  auto beat_check = [&](std::uint64_t t) {
-    return [t](unsigned, const std::vector<std::byte>& payload) {
-      SCD_ASSERT(payload.size() == sizeof(std::uint64_t),
-                 "malformed heartbeat");
-      std::uint64_t beat;
-      std::memcpy(&beat, payload.data(), sizeof(beat));
-      SCD_ASSERT(beat == t, "heartbeat from a stale iteration");
-    };
   };
 
   std::uint64_t t = 0;
   while (t < iterations) {
     if (options_.master_iteration_hook) options_.master_iteration_hook(t);
-    const unsigned lw = static_cast<unsigned>(live.size());
-    const bool ev = eval_due(t);
 
-    // ---- deploy: ctrl (+ beta after rollback) + minibatch share --------
-    const double scale = draw_minibatch(m, t);
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kDeployMinibatch, t);
-      for (unsigned li = 0; li < lw; ++li) {
-        send_ctrl(live[li], {t, kFtDeploy, lw, li, ev ? 1u : 0u,
-                             beta_follows ? 1u : 0u});
-        if (beta_follows) send_beta(live[li]);
-        send_share(m, li, lw, live[li], t);
-      }
-      beta_follows = false;
-    }
-
-    // ---- phi done? -----------------------------------------------------
-    bool death;
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
-      death = gather(kTagHeartbeat, beat_check(t));
-      if (!death) {
-        ctx.charge(comm::Phase::kBarrierWait, skew);
-        for (unsigned rank : live) {
-          send_ctrl(rank, {t, kFtPiGo, lw, 0, 0, 0});
-        }
-      }
-    }
-    if (death) {
-      t = handle_death(/*lost=*/true, t);
-      continue;
-    }
-
-    // ---- pi done? ------------------------------------------------------
-    {
-      const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
-      death = gather(kTagHeartbeat, beat_check(t));
-      if (!death) {
-        ctx.charge(comm::Phase::kBarrierWait, skew);
-        for (unsigned rank : live) {
-          send_ctrl(rank, {t, kFtBetaGo, lw, 0, 0, 0});
-        }
-      }
-    }
-    if (death) {
-      t = handle_death(/*lost=*/true, t);
-      continue;
-    }
+    // ---- deploy t (unless prefetched), and prefetch t+1 when pipelined --
+    const double scale = prefetched ? scale_next : deploy(t);
+    prefetched = options_.pipeline && t + 1 < iterations;
+    if (prefetched) scale_next = deploy(t + 1);
 
     // ---- gather ratio partials, step theta -----------------------------
     std::vector<double>& ratios = m.ws.ratios;
@@ -1129,49 +996,47 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
     bool ratio_death;
     {
       const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
-      ratio_death =
-          gather(kTagRatios, [&](unsigned, const std::vector<std::byte>& p) {
-            SCD_ASSERT(p.size() == ratios.size() * sizeof(double),
-                       "malformed ratio partial");
-            for (std::size_t i = 0; i < ratios.size(); ++i) {
-              double part;
-              std::memcpy(&part, p.data() + i * sizeof(double),
-                          sizeof(part));
-              ratios[i] += part;
-            }
-          });
+      ratio_death = gather(kTagRatios, [&](const std::vector<std::byte>& p) {
+        SCD_ASSERT(p.size() == ratios.size() * sizeof(double),
+                   "malformed ratio partial");
+        for (std::size_t i = 0; i < ratios.size(); ++i) {
+          double part;
+          std::memcpy(&part, p.data() + i * sizeof(double), sizeof(part));
+          ratios[i] += part;
+        }
+      });
       if (!ratio_death) ctx.charge(comm::Phase::kBarrierWait, skew);
     }
     if (ratio_death) {
       t = handle_death(/*lost=*/true, t);
       continue;
     }
+    const bool eval = eval_due(t);
     {
       const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
       step_theta(m, t, scale);
-      for (unsigned rank : live) {
-        send_ctrl(rank, {t, kFtBeta, lw, 0, 0, 0});
-        send_beta(rank);
-      }
+    }
+    if (!eval) take_snapshot(t + 1);
+    {
+      const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
       ctx.charge(comm::Phase::kUpdateBetaTheta, skew);
+      release(t, kBeta, kTagCtrl, /*beta=*/true);
     }
 
     // ---- perplexity over the live ranks' held-out slices ---------------
-    if (ev) {
+    if (eval) {
       std::vector<double>& acc = m.ws.eval_acc;
       acc.assign(2, 0.0);
       bool eval_death;
       {
         const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
-        eval_death =
-            gather(kTagEval, [&](unsigned, const std::vector<std::byte>& p) {
-              SCD_ASSERT(p.size() == 2 * sizeof(double),
-                         "malformed eval partial");
-              double part[2];
-              std::memcpy(part, p.data(), sizeof(part));
-              acc[0] += part[0];
-              acc[1] += part[1];
-            });
+        eval_death = gather(kTagEval, [&](const std::vector<std::byte>& p) {
+          SCD_ASSERT(p.size() == 2 * sizeof(double), "malformed eval partial");
+          double part[2];
+          std::memcpy(part, p.data(), sizeof(part));
+          acc[0] += part[0];
+          acc[1] += part[1];
+        });
         ctx.charge(comm::Phase::kBarrierWait, skew);
       }
       if (acc[1] > 0.0) {
@@ -1184,63 +1049,136 @@ void DistributedSampler::ft_master_loop(comm::Context& ctx,
         t = handle_death(/*lost=*/false, t);
         continue;
       }
+      take_snapshot(t + 1);
+      // Workers wait for this release, so none starts the prefetched
+      // deploy while a death could still void it.
+      const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
+      release(t, kEvalDone, kTagCtrl, false);
     }
-
     ++t;
-    if (options_.rollback_interval > 0 && t < iterations &&
-        t % options_.rollback_interval == 0) {
-      take_snapshot(t);
-    }
   }
 
   {
     const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, iterations);
-    for (unsigned rank : live) {
-      send_ctrl(rank, {iterations, kFtStop, 0, 0, 0, 0});
-    }
+    release(iterations, kStop, kTagDeploy, false);
   }
 }
 
-void DistributedSampler::ft_worker_loop(comm::Context& ctx) {
-  // Reserve for the full held-out set: a survivor's slice grows after a
-  // death (FT mode does not promise an allocation-free steady state).
-  WorkerRank r(*this, ctx, heldout_size_);
+void DistributedSampler::worker_loop(comm::Context& ctx) {
+  // Under a fault plan a survivor's held-out slice grows after a death,
+  // so its workspace is sized for the whole held-out set.
+  const auto [eh_lo, eh_hi] =
+      ThreadPool::chunk_bounds(0, heldout_size_, ctx.rank() - 1, num_workers_);
+  WorkerRank r(*this, ctx,
+               injector_ != nullptr ? heldout_size_ : eh_hi - eh_lo);
   comm::Transport& net = r.net;
+  const double skew = ctx.network().collective_skew_s;
+  std::uint32_t epoch = 0;
+  // The live worker ranks, as of the latest restart record.
+  std::vector<unsigned> live(num_workers_);
+  for (unsigned wi = 0; wi < num_workers_; ++wi) live[wi] = wi + 1;
 
-  auto recv_beta = [&]() {
-    const std::vector<float> fresh = net.recv<float>(ctx.rank(), 0, kTagBeta);
-    SCD_ASSERT(fresh.size() == r.beta_buf.size(), "malformed beta payload");
-    std::copy(fresh.begin(), fresh.end(), r.beta_buf.begin());
-    r.terms.refresh(r.beta_buf, hyper_.delta);
-  };
-  {
-    const auto sp = ctx.trace_span(trace::Stage::kSetup);
-    recv_beta();
-  }
-
-  auto recv_ctrl = [&](comm::Phase p) -> FtCtrl {
+  // The next record on `tag`, booking the wait to `p`. A message whose
+  // record is from an older epoch — a deploy prefetched before a
+  // restart — is dropped whole. Beta behind the record is installed;
+  // `msg` keeps the message and `rest` the bytes after it (a deploy's
+  // share, a restart's live ranks) until the next call.
+  std::vector<std::byte> msg;
+  std::span<const std::byte> rest;
+  auto recv_record = [&](int tag, comm::Phase p) -> Ctrl {
     const auto sp = ctx.trace_span(p);
     const double before = ctx.now();
-    const std::vector<FtCtrl> msg =
-        net.recv<FtCtrl>(ctx.rank(), 0, kTagCtrl);
-    SCD_ASSERT(msg.size() == 1, "malformed ctrl record");
+    Ctrl c;
+    for (;;) {
+      net.recycle_buffer(std::move(msg));
+      msg = net.recv_bytes(ctx.rank(), 0, tag);
+      ByteReader in(msg);
+      c = in.get<Ctrl>();
+      if (c.epoch < epoch) continue;
+      if (c.beta_follows != 0) {
+        in.get_into(r.beta_buf);
+        SCD_ASSERT(r.beta_buf.size() == hyper_.num_communities,
+                   "malformed beta payload");
+        r.terms.refresh(r.beta_buf, hyper_.delta);
+      }
+      rest = in.rest();
+      break;
+    }
     ctx.book(p, ctx.now() - before);
-    return msg[0];
+    return c;
+  };
+  // Wait for the master's record `op` of iteration t. False when a
+  // restart arrives instead: this rank adopts its epoch and live ranks.
+  auto await_release = [&](comm::Phase p, Op op, std::uint64_t t) {
+    const Ctrl c = recv_record(kTagCtrl, p);
+    if (c.op == kRestart) {
+      epoch = c.epoch;
+      ByteReader in(rest);
+      in.get_into(live);
+      return false;
+    }
+    SCD_ASSERT(c.op == op && c.iteration == t, "unexpected stage record");
+    return true;
+  };
+  // Stage barrier among the live workers, through the lowest live one
+  // (the coordinator): every other worker sends it a beat and waits for
+  // its release. A worker that died before its beat is missed by the
+  // coordinator, which then releases the others with a one-byte abandon
+  // verdict; a dead coordinator is missed by all of them. Either way
+  // every survivor abandons the iteration: each tells the master with an
+  // empty ratio partial and waits for the restart record. Returns false
+  // then.
+  auto stage_barrier = [&](std::uint64_t t) {
+    const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
+    const double before = ctx.now();
+    const unsigned self = ctx.rank();
+    const unsigned coordinator = live.front();
+    bool all_in = true;
+    auto take = [&](unsigned from) {  // the beat's payload, or dead
+      auto beat = net.recv_bytes_or_dead(self, from, kTagBeat);
+      if (!beat.has_value() && injector_ == nullptr) {
+        throw comm::TransportError("worker rank " + std::to_string(from) +
+                                   " died and no fault plan is set");
+      }
+      if (!beat.has_value() || !beat->empty()) all_in = false;
+      if (beat.has_value()) net.recycle_buffer(std::move(*beat));
+    };
+    if (self == coordinator) {
+      for (unsigned rank : live) {
+        if (rank != self) take(rank);
+      }
+      if (all_in) ctx.advance(skew);
+      const std::uint8_t abandon = 1;
+      for (unsigned rank : live) {
+        if (rank == self) continue;
+        if (all_in) {
+          net.send_phantom(self, rank, kTagBeat, kBeatBytes);
+        } else {
+          net.send<std::uint8_t>(self, rank, kTagBeat,
+                                 std::span<const std::uint8_t>(&abandon, 1));
+        }
+      }
+    } else {
+      net.send_phantom(self, coordinator, kTagBeat, kBeatBytes);
+      take(coordinator);
+    }
+    ctx.book(comm::Phase::kBarrierWait, ctx.now() - before);
+    if (all_in) return true;
+    net.send_phantom(self, 0, kTagRatios, 0);
+    await_release(comm::Phase::kBarrierWait, kRestart, t);
+    return false;
   };
   // Fail-stop point: past the plan's crash time — or exactly at a
   // plan-scheduled (iteration, point) trigger — this rank dies here,
   // after completing every earlier send, before the upcoming one, which
-  // is what makes the master's detection order deterministic.
+  // is what makes detection deterministic.
   auto fail_stop = [&](std::uint64_t t, fault::CrashPoint point) -> bool {
-    if (!injector_->crashed(ctx.rank(), ctx.now(), t, point)) return false;
+    if (injector_ == nullptr ||
+        !injector_->crashed(ctx.rank(), ctx.now(), t, point)) {
+      return false;
+    }
     net.mark_rank_dead(ctx.rank());
     return true;
-  };
-  auto send_beat = [&](std::uint64_t t) {
-    const auto sp = ctx.trace_span(comm::Phase::kBarrierWait, t);
-    const std::uint64_t beat = t;
-    net.send<std::uint64_t>(ctx.rank(), 0, kTagHeartbeat,
-                            std::span<const std::uint64_t>(&beat, 1));
   };
 
   // Held-out slice of the current membership; rebuilt when (live_count,
@@ -1252,42 +1190,28 @@ void DistributedSampler::ft_worker_loop(comm::Context& ctx) {
   unsigned eval_member = 0;
 
   for (;;) {
-    const FtCtrl c = recv_ctrl(comm::Phase::kDeployMinibatch);
-    if (c.op == kFtStop) return;
-    if (c.op == kFtRestart) continue;  // stale membership; await deploy
-    SCD_ASSERT(c.op == kFtDeploy, "unexpected ctrl op at deploy point");
+    const Ctrl c = recv_record(kTagDeploy, comm::Phase::kDeployMinibatch);
+    if (c.op == kStop) {
+      net.recycle_buffer(std::move(msg));
+      return;
+    }
+    SCD_ASSERT(c.op == kDeploy && c.live_count == live.size(),
+               "unexpected record at the deploy point");
     const std::uint64_t t = c.iteration;
     const unsigned lw = c.live_count;
     const unsigned li = c.member_index;
-    if (c.beta_follows != 0) {
-      // Re-shipped beta after a rollback — part of the recovery.
-      const auto sp = ctx.trace_span(trace::Stage::kRecovery, t);
-      recv_beta();
-    }
 
-    recv_share(r, t);
+    unpack_share(r, t, rest);
     sample_neighbors(r, t);
     update_phi(r, t);
 
     if (fail_stop(t, fault::CrashPoint::kAfterPhi)) return;
-    send_beat(t);
-    {
-      const FtCtrl go = recv_ctrl(comm::Phase::kBarrierWait);
-      if (go.op == kFtRestart) continue;
-      SCD_ASSERT(go.op == kFtPiGo && go.iteration == t,
-                 "unexpected ctrl op at pi point");
-    }
+    if (!stage_barrier(t)) continue;
 
     write_pi(r, t);
 
     if (fail_stop(t, fault::CrashPoint::kAfterPi)) return;
-    send_beat(t);
-    {
-      const FtCtrl go = recv_ctrl(comm::Phase::kBarrierWait);
-      if (go.op == kFtRestart) continue;
-      SCD_ASSERT(go.op == kFtBetaGo && go.iteration == t,
-                 "unexpected ctrl op at beta point");
-    }
+    if (!stage_barrier(t)) continue;
 
     {
       const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
@@ -1299,34 +1223,32 @@ void DistributedSampler::ft_worker_loop(comm::Context& ctx) {
       net.send<double>(ctx.rank(), 0, kTagRatios,
                        std::span<const double>(r.ws.ratios));
     }
-    {
-      const FtCtrl go = recv_ctrl(comm::Phase::kUpdateBetaTheta);
-      if (go.op == kFtRestart) continue;
-      SCD_ASSERT(go.op == kFtBeta && go.iteration == t,
-                 "unexpected ctrl op at beta receive point");
-      const auto sp = ctx.trace_span(comm::Phase::kUpdateBetaTheta, t);
-      recv_beta();
-    }
+    if (!await_release(comm::Phase::kUpdateBetaTheta, kBeta, t)) continue;
 
     if (c.eval != 0) {  // eval_due(t) on the master
-      const auto sp = ctx.trace_span(comm::Phase::kPerplexity, t);
-      if (evaluator == nullptr || eval_live != lw || eval_member != li) {
-        const auto [lo, hi] =
-            ThreadPool::chunk_bounds(0, heldout_size_, li, lw);
-        evaluator = std::make_unique<PerplexityEvaluator>(
-            std::span<const graph::HeldOutPair>(
-                heldout_->pairs().data() + lo, hi - lo));
-        eval_live = lw;
-        eval_member = li;
+      {
+        const auto sp = ctx.trace_span(comm::Phase::kPerplexity, t);
+        if (real() &&
+            (evaluator == nullptr || eval_live != lw || eval_member != li)) {
+          const auto [lo, hi] =
+              ThreadPool::chunk_bounds(0, heldout_size_, li, lw);
+          evaluator = std::make_unique<PerplexityEvaluator>(
+              std::span<const graph::HeldOutPair>(
+                  heldout_->pairs().data() + lo, hi - lo));
+          eval_live = lw;
+          eval_member = li;
+        }
+        eval_partial(r, evaluator.get());
+        if (fail_stop(t, fault::CrashPoint::kBeforeEval)) return;
+        net.send<double>(ctx.rank(), 0, kTagEval,
+                         std::span<const double>(r.ws.eval_acc));
       }
-      eval_partial(r, evaluator.get());
-      if (fail_stop(t, fault::CrashPoint::kBeforeEval)) return;
-      net.send<double>(ctx.rank(), 0, kTagEval,
-                       std::span<const double>(r.ws.eval_acc));
+      if (!await_release(comm::Phase::kBarrierWait, kEvalDone, t)) {
+        continue;
+      }
     }
   }
 }
-
 
 PiMatrix DistributedSampler::snapshot_pi() const {
   SCD_REQUIRE(real(), "no pi state in cost-only mode");

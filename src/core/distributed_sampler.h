@@ -4,29 +4,35 @@
 //
 // Topology: rank 0 is the master (owns E, draws and deploys minibatches,
 // updates theta/beta); ranks 1..W are workers (own a static shard of the
-// pi DKV rows and a slice of E_h). One iteration:
+// pi DKV rows and a slice of E_h). The master deploys each iteration and
+// gathers the partial sums; the workers pass the two stage barriers
+// among themselves through the lowest live worker. No rank joins a
+// collective, so a dead worker is detected where its message is
+// missing. One iteration:
 //
 //   master                         workers
 //   ------------------------------ ---------------------------------------
-//   draw E_n (t) [or already done  recv minibatch share + touched E subset
-//   during t-1 when pipelined]       (kDeployMinibatch books the wait)
-//   scatter shares                 sample V_n per local vertex
-//   [pipelined: draw+send t+1 now] update_phi: chunked DKV loads of pi
+//   draw E_n (t) [or already done  recv deploy record + minibatch share
+//   during t-1 when pipelined]       + touched E subset (kDeployMinibatch
+//   deploy records + shares          books the wait)
+//   [pipelined: draw+deploy t+1]   sample V_n per local vertex
+//                                  update_phi: chunked DKV loads of pi
 //                                    rows double-buffered against compute
-//                                  ---- worker barrier (phi before pi) ----
+//                                  -- stage barrier (phi before pi) --
 //                                  update_pi: write [pi|phi_sum] rows
-//                                  ---- worker barrier (pi before beta) ---
+//                                  -- stage barrier (pi before beta) --
 //                                  update_beta: load pair rows, accumulate
 //                                    theta-ratio partials
-//   <------------- reduce_sum(2K ratio doubles) ------------->
+//   <------------- 2K ratio partials, folded in rank order ---------->
 //   theta SGRLD step, beta = f(theta)
-//   <------------- broadcast(beta) --------------------------->
-//   [every eval_interval] perplexity over the E_h slices, reduced.
+//   -------------- kBeta + beta to every live worker ---------------->
+//   [every eval_interval] perplexity partials over the E_h slices,
+//   folded in rank order, then kEvalDone releases the workers.
 //
 // Execution modes:
 //   * Real — full inference on an actual graph, from the same derive_rng
 //     streams as SequentialSampler. The theta-ratio partials fold one
-//     per worker (reduce_sum in rank order), so the trajectory depends
+//     per worker (the master's rank-order fold), so the trajectory depends
 //     on the worker count by summation order: it matches Sequential bit
 //     for bit on small fixtures only, and diverges at W >= 2 on N=600
 //     and at W=4 on N=4000 (ROADMAP item 1).
@@ -50,6 +56,10 @@
 #include "graph/graph.h"
 #include "graph/heldout.h"
 #include "graph/minibatch.h"
+
+namespace scd {
+class ByteWriter;
+}  // namespace scd
 
 namespace scd::fault {
 struct FaultPlan;
@@ -77,6 +87,8 @@ struct DistributedOptions {
   /// Pipelining (Section III-D): master draws/deploys iteration t+1
   /// during the workers' update_phi of t, and pi loads are
   /// double-buffered against the phi compute. Fig. 3 toggles this.
+  /// Changes modeled and wall time only, never the numbers — with or
+  /// without a fault plan.
   bool pipeline = true;
   /// Vertices per pipeline chunk in update_phi.
   std::uint32_t chunk_vertices = 32;
@@ -89,15 +101,14 @@ struct DistributedOptions {
   /// Called by the master rank at the top of every iteration (tests and
   /// progress reporting; leave empty for none).
   std::function<void(std::uint64_t)> master_iteration_hook;
-  /// Fault-tolerant mode: when non-null (even an *empty* plan) the run
-  /// uses the master-coordinated FT protocol — per-stage heartbeats with
-  /// dead-worker detection, minibatch reassignment over the surviving
-  /// ranks, and DKV shard re-homing — driven by this plan's injected
-  /// faults. Null keeps the legacy collectives path, bit-identical in
-  /// both numbers and virtual time to builds without the fault
-  /// subsystem. Real mode only; the plan must outlive run().
+  /// Fault injection and recovery: when non-null the run injects this
+  /// plan's faults and survives worker crashes — the master drops the
+  /// dead worker, reassigns its minibatch and held-out slices over the
+  /// survivors and re-homes its DKV shard. An *empty* plan gives the
+  /// same numbers and virtual time as none. Null: a dead worker is a
+  /// comm::TransportError. Real mode only; the plan must outlive run().
   const fault::FaultPlan* fault_plan = nullptr;
-  /// FT mode: every this many iterations the master serializes a
+  /// With a fault plan: every this many iterations the master serializes a
   /// core/checkpoint snapshot of pi + theta, and a worker death rolls
   /// the run back to the latest snapshot instead of accepting the dead
   /// worker's lost in-flight pi writes. 0 disables rollback (the default
@@ -142,7 +153,7 @@ struct DistributedOptions {
   const Checkpoint* resume_from = nullptr;
   /// When non-null, run() installs this recorder on the cluster,
   /// transport, and DKV store: every clock-advancing region is wrapped
-  /// in a virtual-time span on its rank's lane, message/collective edges
+  /// in a virtual-time span on its rank's lane, message edges
   /// are recorded for critical-path analysis, and the typed metrics
   /// (bytes, messages, DKV rows, recoveries) are counted. Recording only
   /// samples the clocks — trajectories and modeled virtual times are
@@ -161,10 +172,9 @@ struct DistributedResult {
   comm::PhaseStats critical_path;
   /// Perplexity trace (real mode; seconds are virtual cluster time).
   std::vector<HistoryPoint> history;
-  /// FT mode: worker ranks that fail-stopped during the run, in
-  /// detection order.
+  /// Worker ranks that fail-stopped during the run, in detection order.
   std::vector<unsigned> crashed_ranks;
-  /// FT mode: iterations redone after a crash (restart or rollback).
+  /// Iterations redone after a crash (restart or rollback).
   std::uint64_t redone_iterations = 0;
 };
 
@@ -199,28 +209,25 @@ class DistributedSampler {
   struct MasterRank;
   struct WorkerRank;
 
-  /// The two protocols. Both drive the same stage helpers below and hold
-  /// only their synchronization: the legacy loops use barriers and
-  /// collectives (and alone run cost-only mode and pipelined deploys);
-  /// the fault-tolerant loops, active when options_.fault_plan is set,
-  /// replace the collectives with master-coordinated heartbeat rounds so
-  /// membership can shrink mid-run. See "Fault model & recovery" in
-  /// DESIGN.md.
+  /// The protocol, one loop per role: the master deploys each iteration
+  /// and gathers its partial sums, the workers meet at two stage barriers
+  /// of their own, and a missing message is a death the master recovers
+  /// from. See "Fault model & recovery" in DESIGN.md.
   void master_loop(comm::Context& ctx, std::uint64_t iterations);
-  void worker_loop(comm::Context& ctx, std::uint64_t iterations);
-  void ft_master_loop(comm::Context& ctx, std::uint64_t iterations);
-  void ft_worker_loop(comm::Context& ctx);
+  void worker_loop(comm::Context& ctx);
 
-  /// Master stages: draw E_n (returns its h(E_n) scale), build and send
-  /// one worker's share (slice `slot` of `parts`), step theta from the
-  /// reduced ratios into the beta to ship.
+  /// Master stages: draw E_n (returns its h(E_n) scale), build one
+  /// worker's share (slice `slot` of `parts`) behind the deploy record
+  /// already in `message` and send it, step theta from the reduced
+  /// ratios into the beta to ship.
   double draw_minibatch(MasterRank& m, std::uint64_t t);
   void send_share(MasterRank& m, unsigned slot, unsigned parts,
-                  unsigned rank, std::uint64_t t);
+                  unsigned rank, std::uint64_t t, ByteWriter& message);
   void step_theta(MasterRank& m, std::uint64_t t, double scale);
-  /// Worker stages, in iteration order. `evaluator` is null in cost-only
-  /// mode.
-  void recv_share(WorkerRank& r, std::uint64_t t);
+  /// Worker stages, in iteration order. `bytes` is the serialized share
+  /// behind a deploy record; `evaluator` is null in cost-only mode.
+  void unpack_share(WorkerRank& r, std::uint64_t t,
+                    std::span<const std::byte> bytes);
   void sample_neighbors(WorkerRank& r, std::uint64_t t);
   void update_phi(WorkerRank& r, std::uint64_t t);
   void write_pi(WorkerRank& r, std::uint64_t t);
@@ -249,7 +256,7 @@ class DistributedSampler {
   GlobalState global_;
   std::optional<graph::MinibatchSampler> minibatch_;
 
-  std::unique_ptr<fault::FaultInjector> injector_;  // FT mode only
+  std::unique_ptr<fault::FaultInjector> injector_;  // with a fault plan
 
   bool ran_ = false;
   std::vector<HistoryPoint> history_;  // written by master rank only

@@ -20,7 +20,7 @@
 namespace scd::core {
 
 /// Master-side buffers: minibatch draw target + scratch, one reusable
-/// DeployShare per worker, and the collective payloads.
+/// DeployShare per worker, and the gathered sums.
 struct MasterWorkspace {
   graph::Minibatch mb;
   graph::MinibatchScratch mb_scratch;

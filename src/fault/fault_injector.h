@@ -35,7 +35,7 @@ class FaultInjector final : public comm::FaultHooks {
     return now >= crash_time_[rank];
   }
 
-  /// Full crash query for the FT worker's protocol points: a time
+  /// Full crash query for the worker's protocol points: a time
   /// trigger that has come due, or an iteration trigger matching this
   /// exact (iteration, point). `now` is in the backend's own time
   /// coordinate; iteration triggers never consult it, which is what

@@ -11,9 +11,8 @@
 //
 // Plans are built programmatically or parsed from a small JSON file
 // (see from_json for the schema); the CLI's --fault-plan flag feeds the
-// latter. An empty plan is valid and injects nothing — it is how the
-// fault-tolerant protocol itself is benchmarked against the legacy
-// collectives path.
+// latter. An empty plan is valid and injects nothing — a run with one
+// equals the run without a plan, virtual time included.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +24,13 @@
 namespace scd::fault {
 
 /// Protocol points at which an iteration-triggered crash can fire (the
-/// FT worker loop polls its fate exactly at these four seams). Crashes
+/// worker loop polls its fate exactly at these four seams). Crashes
 /// anchored to a (iteration, point) pair instead of a virtual time are
 /// what makes fault runs reproducible across execution backends — the
 /// process backend has no virtual clock to reach.
 enum class CrashPoint : unsigned {
-  kAfterPhi = 0,     // phi pipeline done, before the heartbeat
-  kAfterPi = 1,      // pi written back, before the heartbeat
+  kAfterPhi = 0,     // phi pipeline done, before the stage barrier
+  kAfterPi = 1,      // pi written back, before the stage barrier
   kBeforeRatios = 2, // theta grads computed, before sending ratios
   kBeforeEval = 3,   // perplexity partials computed, before sending them
                      // (eval iterations only; run() refuses other anchors)
@@ -90,7 +89,7 @@ struct ShardStall {
 struct FaultPlan {
   /// Seeds every probabilistic decision (drop/duplicate draws).
   std::uint64_t seed = 0;
-  /// The master declares a worker dead when its heartbeat is this far
+  /// The master declares a worker dead when its message is this far
   /// overdue (virtual seconds).
   double heartbeat_timeout_s = 0.25;
   /// Base retry backoff of a dropped transmission; attempt i waits

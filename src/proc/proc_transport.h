@@ -13,7 +13,7 @@
 // Liveness is the file descriptor itself. A rank that fail-stops (or is
 // SIGKILLed) closes its ends — by mark_rank_dead(self) or by the kernel
 // — and peers see EOF *after* draining everything it sent first, which
-// is exactly the dead-rank drain semantics the FT master depends on:
+// is exactly the dead-rank drain semantics the sampler depends on:
 // recv_bytes_or_dead returns queued frames until the stream is dry, then
 // std::nullopt. Blocking receives additionally carry a wall-clock
 // deadline (Options::recv_timeout_s) so a wedged peer surfaces as a

@@ -73,9 +73,9 @@ class SimTransport final : public comm::Transport {
 
   /// Failure-aware receive: like recv_bytes, but when `from` has been
   /// marked dead and no matching message remains it returns std::nullopt
-  /// instead of blocking forever — the master's heartbeat-timeout
-  /// primitive. Deterministic because ranks die only at virtual-time
-  /// points fixed by the fault plan, after finishing all earlier sends.
+  /// instead of blocking forever — the sampler's failure detector.
+  /// Deterministic because ranks die only at virtual-time points fixed
+  /// by the fault plan, after finishing all earlier sends.
   std::optional<std::vector<std::byte>> recv_bytes_or_dead(
       unsigned self, unsigned from, int tag) override;
 

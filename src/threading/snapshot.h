@@ -1,13 +1,11 @@
 // Lock-free snapshot publication for read-mostly services.
 //
 // The serving layer answers queries against an immutable model snapshot
-// while a refresh occasionally installs a new one. double_buffer.h solves
-// the two-party version of this (one loader, one computer, strict
-// alternation); SnapshotManager generalizes it to any number of readers
-// and rare writers: readers acquire the current snapshot wait-free in the
-// common case, and publish() retires the previous snapshot only after
-// every reader that could possibly hold it has let go — an epoch/
-// reader-count hybrid of RCU.
+// while a refresh occasionally installs a new one. SnapshotManager serves
+// any number of readers and rare writers: readers acquire the current
+// snapshot wait-free in the common case, and publish() retires the
+// previous snapshot only after every reader that could possibly hold it
+// has let go — an epoch/reader-count hybrid of RCU.
 //
 // Mechanics: a small ring of slots, each pairing an owning pointer with
 // kStripes reader counters, one per cache line. `current_` names the slot

@@ -40,11 +40,16 @@ TraceRecorder::TraceRecorder(unsigned num_ranks)
 
 void TraceRecorder::reserve(std::size_t spans_per_lane,
                             std::size_t events_per_lane) {
-  for (Lane& lane : lanes_) {
-    lane.spans.reserve(spans_per_lane);
-    lane.recvs.reserve(events_per_lane);
-    lane.collectives.reserve(events_per_lane);
+  for (unsigned lane = 0; lane < num_ranks_; ++lane) {
+    reserve_lane(lane, spans_per_lane, events_per_lane);
+    lanes_[lane].collectives.reserve(events_per_lane);
   }
+}
+
+void TraceRecorder::reserve_lane(unsigned lane, std::size_t spans,
+                                 std::size_t recvs) {
+  lanes_[lane].spans.reserve(spans);
+  lanes_[lane].recvs.reserve(recvs);
 }
 
 void TraceRecorder::clear() {

@@ -84,6 +84,9 @@ class TraceRecorder {
   /// Pre-size every lane so recording allocates nothing until a lane
   /// outgrows the reservation.
   void reserve(std::size_t spans_per_lane, std::size_t events_per_lane);
+  /// Pre-size one lane's spans and receives, for a run whose lanes see
+  /// different traffic and join no collectives.
+  void reserve_lane(unsigned lane, std::size_t spans, std::size_t recvs);
 
   /// Drop all recorded data (lane names and reservations survive).
   void clear();

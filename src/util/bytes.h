@@ -100,6 +100,8 @@ class ByteReader {
   }
 
   bool exhausted() const { return pos_ == bytes_.size(); }
+  /// The bytes not read yet.
+  std::span<const std::byte> rest() const { return bytes_.subspan(pos_); }
 
  private:
   std::span<const std::byte> bytes_;

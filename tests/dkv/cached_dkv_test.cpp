@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dkv/local_dkv.h"
 #include "dkv/sim_rdma_dkv.h"
 #include "random/xoshiro.h"
 #include "trace/recorder.h"
@@ -13,12 +12,14 @@ namespace {
 
 sim::ComputeModel node() { return sim::ComputeModel{}; }
 
+// Two shards, so requester shards 0 and 1 both exist.
 struct Fixture {
-  LocalDkv inner;
+  SimRdmaDkv inner;
   CachedDkv cache;
 
   explicit Fixture(std::uint64_t capacity)
-      : inner(100, 3, node()), cache(inner, capacity) {
+      : inner(100, 3, 2, comm::NetworkModel{}, node()),
+        cache(inner, capacity) {
     for (std::uint64_t v = 0; v < 100; ++v) {
       const auto f = static_cast<float>(v);
       inner.init_row(v, std::vector<float>{f, f + 0.5f, f + 0.25f});
@@ -132,7 +133,7 @@ TEST(CachedDkvTest, UniformRandomAccessHitRateIsCapacityOverN) {
 }
 
 TEST(CachedDkvTest, ZeroCapacityRejected) {
-  LocalDkv inner(4, 2, node());
+  SimRdmaDkv inner(4, 2, 1, comm::NetworkModel{}, node());
   EXPECT_THROW(CachedDkv(inner, 0), scd::UsageError);
 }
 

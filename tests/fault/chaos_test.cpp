@@ -1,10 +1,10 @@
 // Chaos integration tests for the fault-tolerant distributed sampler.
 //
-// The acceptance bar: with an empty plan the FT protocol reproduces the
-// legacy trajectory bit-for-bit at near-identical virtual cost; with a
-// plan, the faulted trajectory is a deterministic function of
-// (plan, seed); and a mid-run worker crash is detected, its shard and
-// slices re-homed, and the run still converges.
+// The acceptance bar: an empty plan reproduces the run without a plan
+// bit-for-bit, virtual time included; with a plan, the faulted
+// trajectory is a deterministic function of (plan, seed), pipelined or
+// not; and a mid-run worker crash is detected, its shard and slices
+// re-homed, and the run still converges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,13 +34,13 @@ DistributedResult run_sampler(
     const fault::FaultPlan* plan, std::uint64_t rollback_interval,
     PiMatrix* pi_out = nullptr, std::vector<float>* beta_out = nullptr,
     quant::RowCodec pi_codec = quant::RowCodec::kFloat32,
-    bool dedup_reads = true) {
+    bool dedup_reads = true, bool pipeline = false) {
   auto f = small_planted_fixture(1618, 150, 4, 80);
   f.options.eval_interval = 20;
   sim::SimCluster cluster(cluster_config());
   DistributedOptions options;
   options.base = f.options;
-  options.pipeline = false;  // FT does not pipeline deploys; compare flat
+  options.pipeline = pipeline;
   options.chunk_vertices = 8;
   options.fault_plan = plan;
   options.rollback_interval = rollback_interval;
@@ -72,56 +72,51 @@ void expect_identical(const DistributedResult& a,
   EXPECT_EQ(a.redone_iterations, b.redone_iterations);
 }
 
-// The FT protocol with an *empty* plan must reproduce the legacy
-// collectives path bit-for-bit in numbers, at <= 2% virtual-time
-// overhead (the heartbeats replace the collectives, skew for skew). Swept
-// over every pi codec, with and without deduplicated reads, so the dense
-// and sparse ratio paths and both row-loader modes run under both
-// protocols.
-TEST(ChaosTest, EmptyPlanMatchesLegacyNumbersBitExact) {
+// An *empty* plan installs the fault injector but injects nothing: the
+// run must equal the run without a plan bit-for-bit, in numbers and in
+// virtual time. Swept over every pi codec, with and without
+// deduplicated reads and pipelining, so the dense and sparse ratio
+// paths, both row-loader modes and both deploy schedules run.
+TEST(ChaosTest, EmptyPlanMatchesNoPlanBitExact) {
   const fault::FaultPlan empty;
   for (std::size_t c = 0; c < quant::kNumCodecs; ++c) {
     const auto codec = static_cast<quant::RowCodec>(c);
     for (const bool dedup : {true, false}) {
-      SCOPED_TRACE(std::string(quant::codec_name(codec)) +
-                   (dedup ? " dedup" : " no-dedup"));
-      PiMatrix legacy_pi(1, 1);
-      std::vector<float> legacy_beta;
-      const DistributedResult legacy =
-          run_sampler(nullptr, 0, &legacy_pi, &legacy_beta, codec, dedup);
+      for (const bool pipeline : {false, true}) {
+        SCOPED_TRACE(std::string(quant::codec_name(codec)) +
+                     (dedup ? " dedup" : " no-dedup") +
+                     (pipeline ? " pipelined" : " unpipelined"));
+        PiMatrix plain_pi(1, 1);
+        std::vector<float> plain_beta;
+        const DistributedResult plain = run_sampler(
+            nullptr, 0, &plain_pi, &plain_beta, codec, dedup, pipeline);
 
-      PiMatrix ft_pi(1, 1);
-      std::vector<float> ft_beta;
-      const DistributedResult ft =
-          run_sampler(&empty, 0, &ft_pi, &ft_beta, codec, dedup);
+        PiMatrix ft_pi(1, 1);
+        std::vector<float> ft_beta;
+        const DistributedResult ft = run_sampler(&empty, 0, &ft_pi, &ft_beta,
+                                                 codec, dedup, pipeline);
 
-      EXPECT_TRUE(ft.crashed_ranks.empty());
-      EXPECT_EQ(ft.redone_iterations, 0u);
-      ASSERT_EQ(ft.history.size(), legacy.history.size());
-      for (std::size_t i = 0; i < ft.history.size(); ++i) {
-        EXPECT_EQ(ft.history[i].iteration, legacy.history[i].iteration);
-        EXPECT_EQ(ft.history[i].perplexity, legacy.history[i].perplexity)
-            << "eval point " << i;
-      }
-      ASSERT_EQ(legacy_beta.size(), ft_beta.size());
-      for (std::size_t i = 0; i < ft_beta.size(); ++i) {
-        EXPECT_EQ(ft_beta[i], legacy_beta[i]) << "beta " << i;
-      }
-      ASSERT_EQ(ft_pi.num_vertices(), legacy_pi.num_vertices());
-      for (std::uint32_t v = 0; v < ft_pi.num_vertices(); ++v) {
-        for (std::uint32_t k = 0; k < ft_pi.num_communities(); ++k) {
-          ASSERT_EQ(ft_pi.pi(v, k), legacy_pi.pi(v, k)) << "v=" << v;
+        EXPECT_TRUE(ft.crashed_ranks.empty());
+        EXPECT_EQ(ft.redone_iterations, 0u);
+        expect_identical(ft, plain);
+        ASSERT_EQ(plain_beta.size(), ft_beta.size());
+        for (std::size_t i = 0; i < ft_beta.size(); ++i) {
+          EXPECT_EQ(ft_beta[i], plain_beta[i]) << "beta " << i;
+        }
+        ASSERT_EQ(ft_pi.num_vertices(), plain_pi.num_vertices());
+        for (std::uint32_t v = 0; v < ft_pi.num_vertices(); ++v) {
+          for (std::uint32_t k = 0; k < ft_pi.num_communities(); ++k) {
+            ASSERT_EQ(ft_pi.pi(v, k), plain_pi.pi(v, k)) << "v=" << v;
+          }
         }
       }
-      EXPECT_LE(ft.virtual_seconds, legacy.virtual_seconds * 1.02)
-          << "FT no-fault overhead above 2%";
     }
   }
 }
 
 // Transient link faults (drops, duplicates, delays) cost virtual time
 // via retries and backoff but never change delivered data: the numbers
-// stay bit-identical to the clean FT run.
+// stay bit-identical to the clean run.
 TEST(ChaosTest, LinkFaultsCostTimeNotNumbers) {
   const fault::FaultPlan empty;
   const DistributedResult clean = run_sampler(&empty, 0);
@@ -174,8 +169,8 @@ TEST(ChaosTest, DkvShardStallCostsTimeNotNumbers) {
   EXPECT_GT(faulted.virtual_seconds, clean.virtual_seconds);
 }
 
-// A worker dies mid-run: the master must detect it via the missing
-// heartbeat, re-home its DKV shard and slices onto the survivors, and
+// A worker dies mid-run: the run must detect it by its missing
+// message, re-home its DKV shard and slices onto the survivors, and
 // finish the run with held-out perplexity close to the no-fault run's.
 TEST(ChaosTest, WorkerCrashIsDetectedAndRecovered) {
   const fault::FaultPlan empty;
@@ -214,28 +209,36 @@ TEST(ChaosTest, BeforeEvalCrashOffAnEvalIterationIsRefused) {
 }
 
 // Same plan + same seed => bit-identical faulted trajectory, including
-// detection times, redone iterations and every perplexity point.
+// detection times, redone iterations and every perplexity point, with
+// and without pipelined deploys.
 TEST(ChaosTest, FaultedRunsAreDeterministic) {
-  const fault::FaultPlan empty;
-  const DistributedResult clean = run_sampler(&empty, 0);
+  for (const bool pipeline : {false, true}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "unpipelined");
+    const fault::FaultPlan empty;
+    const DistributedResult clean = run_sampler(
+        &empty, 0, nullptr, nullptr, quant::RowCodec::kFloat32, true,
+        pipeline);
 
-  fault::FaultPlan plan;
-  plan.seed = 21;
-  plan.heartbeat_timeout_s = clean.virtual_seconds / kIterations;
-  plan.crashes.push_back({3, clean.virtual_seconds / 3.0});
-  plan.links.push_back({0, 2, 0.0, 1e9, 0.25, 0.1, 1e-5});
-  plan.stragglers.push_back({1, 0.0, clean.virtual_seconds, 2.0});
-  plan.dkv_stalls.push_back({0, 0.0, 1e9, 5e-6});
+    fault::FaultPlan plan;
+    plan.seed = 21;
+    plan.heartbeat_timeout_s = clean.virtual_seconds / kIterations;
+    plan.crashes.push_back({3, clean.virtual_seconds / 3.0});
+    plan.links.push_back({0, 2, 0.0, 1e9, 0.25, 0.1, 1e-5});
+    plan.stragglers.push_back({1, 0.0, clean.virtual_seconds, 2.0});
+    plan.dkv_stalls.push_back({0, 0.0, 1e9, 5e-6});
 
-  PiMatrix pi_a(1, 1);
-  PiMatrix pi_b(1, 1);
-  const DistributedResult a = run_sampler(&plan, 0, &pi_a);
-  const DistributedResult b = run_sampler(&plan, 0, &pi_b);
-  expect_identical(a, b);
-  ASSERT_EQ(a.crashed_ranks, std::vector<unsigned>{3});
-  for (std::uint32_t v = 0; v < pi_a.num_vertices(); ++v) {
-    for (std::uint32_t k = 0; k < pi_a.num_communities(); ++k) {
-      ASSERT_EQ(pi_a.pi(v, k), pi_b.pi(v, k)) << "v=" << v;
+    PiMatrix pi_a(1, 1);
+    PiMatrix pi_b(1, 1);
+    const DistributedResult a = run_sampler(
+        &plan, 0, &pi_a, nullptr, quant::RowCodec::kFloat32, true, pipeline);
+    const DistributedResult b = run_sampler(
+        &plan, 0, &pi_b, nullptr, quant::RowCodec::kFloat32, true, pipeline);
+    expect_identical(a, b);
+    ASSERT_EQ(a.crashed_ranks, std::vector<unsigned>{3});
+    for (std::uint32_t v = 0; v < pi_a.num_vertices(); ++v) {
+      for (std::uint32_t k = 0; k < pi_a.num_communities(); ++k) {
+        ASSERT_EQ(pi_a.pi(v, k), pi_b.pi(v, k)) << "v=" << v;
+      }
     }
   }
 }

@@ -32,12 +32,12 @@ struct Trajectory {
 /// seed per call so both backends see identical inputs.
 Trajectory run_on(comm::Cluster& cluster, std::uint64_t iterations,
                   const fault::FaultPlan* plan,
-                  std::uint64_t rollback_interval) {
+                  std::uint64_t rollback_interval, bool pipeline = false) {
   auto f = small_planted_fixture(1618, 120, 4, 60);
   f.options.eval_interval = 10;
   DistributedOptions options;
   options.base = f.options;
-  options.pipeline = false;  // FT never pipelines; compare flat vs flat
+  options.pipeline = pipeline;
   options.chunk_vertices = 8;
   options.fault_plan = plan;
   options.rollback_interval = rollback_interval;
@@ -105,7 +105,9 @@ TEST(ProcDistributedTest, CrashPlanMatchesSimulatorRecoveryBitExact) {
   // dead worker made before the crash stay) and two rollback intervals.
   // A before-eval crash can only fire on an eval iteration (9, with
   // eval_interval 10); run() refuses it at any other anchor (ChaosTest
-  // covers the refusal).
+  // covers the refusal). Pipelining moves only the clocks: the deploy
+  // prefetched before a crash is dropped, so pipelined and unpipelined
+  // runs land on the same numbers too.
   constexpr unsigned kWorkers = 3;
   constexpr std::uint64_t kIterations = 15;
 
@@ -116,9 +118,6 @@ TEST(ProcDistributedTest, CrashPlanMatchesSimulatorRecoveryBitExact) {
         continue;
       }
       for (const std::uint64_t rollback_interval : {0, 1, 3}) {
-        SCOPED_TRACE("point " + std::to_string(point) + " at iteration " +
-                     std::to_string(anchor) + ", rollback every " +
-                     std::to_string(rollback_interval));
         fault::FaultPlan plan;
         plan.seed = 5;
         plan.crashes.push_back(
@@ -126,33 +125,49 @@ TEST(ProcDistributedTest, CrashPlanMatchesSimulatorRecoveryBitExact) {
              .at_iteration = anchor,
              .at_point = static_cast<fault::CrashPoint>(point)});
 
-        sim::SimCluster::Config sim_config;
-        sim_config.num_ranks = kWorkers + 1;
-        sim::SimCluster sim_cluster(sim_config);
-        const Trajectory sim =
-            run_on(sim_cluster, kIterations, &plan, rollback_interval);
+        std::vector<Trajectory> unpipelined;  // [sim, proc]
+        for (const bool pipeline : {false, true}) {
+          SCOPED_TRACE("point " + std::to_string(point) + " at iteration " +
+                       std::to_string(anchor) + ", rollback every " +
+                       std::to_string(rollback_interval) +
+                       (pipeline ? ", pipelined" : ", unpipelined"));
+          sim::SimCluster::Config sim_config;
+          sim_config.num_ranks = kWorkers + 1;
+          sim::SimCluster sim_cluster(sim_config);
+          const Trajectory sim = run_on(sim_cluster, kIterations, &plan,
+                                        rollback_interval, pipeline);
 
-        proc::ProcCluster::Config proc_config;
-        proc_config.num_ranks = kWorkers + 1;
-        proc_config.recv_timeout_s = 60.0;
-        proc::ProcCluster proc_cluster(proc_config);
-        const Trajectory proc =
-            run_on(proc_cluster, kIterations, &plan, rollback_interval);
+          proc::ProcCluster::Config proc_config;
+          proc_config.num_ranks = kWorkers + 1;
+          proc_config.recv_timeout_s = 60.0;
+          proc::ProcCluster proc_cluster(proc_config);
+          const Trajectory proc = run_on(proc_cluster, kIterations, &plan,
+                                         rollback_interval, pipeline);
 
-        EXPECT_EQ(sim.result.crashed_ranks, std::vector<unsigned>{2});
-        EXPECT_EQ(proc.result.crashed_ranks, sim.result.crashed_ranks);
-        EXPECT_EQ(proc.result.redone_iterations,
-                  sim.result.redone_iterations);
-        if (rollback_interval == 0 &&
-            point == static_cast<unsigned>(fault::CrashPoint::kBeforeEval)) {
-          // Redo-in-place has nothing to redo: the crashed iteration's
-          // pi and theta updates had all landed before the eval round.
-          EXPECT_EQ(sim.result.redone_iterations, 0u);
-        } else {
-          EXPECT_GE(sim.result.redone_iterations, 1u);
+          EXPECT_EQ(sim.result.crashed_ranks, std::vector<unsigned>{2});
+          EXPECT_EQ(proc.result.crashed_ranks, sim.result.crashed_ranks);
+          EXPECT_EQ(proc.result.redone_iterations,
+                    sim.result.redone_iterations);
+          if (rollback_interval == 0 &&
+              point ==
+                  static_cast<unsigned>(fault::CrashPoint::kBeforeEval)) {
+            // Redo-in-place has nothing to redo: the crashed iteration's
+            // pi and theta updates had all landed before the eval round.
+            EXPECT_EQ(sim.result.redone_iterations, 0u);
+          } else {
+            EXPECT_GE(sim.result.redone_iterations, 1u);
+          }
+          EXPECT_EQ(proc.result.iterations, sim.result.iterations);
+          expect_bit_identical(sim, proc);
+          if (!pipeline) {
+            unpipelined = {sim, proc};
+          } else {
+            EXPECT_EQ(sim.result.redone_iterations,
+                      unpipelined[0].result.redone_iterations);
+            expect_bit_identical(unpipelined[0], sim);
+            expect_bit_identical(unpipelined[1], proc);
+          }
         }
-        EXPECT_EQ(proc.result.iterations, sim.result.iterations);
-        expect_bit_identical(sim, proc);
       }
     }
   }

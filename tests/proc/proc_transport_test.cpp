@@ -155,7 +155,7 @@ TEST(ProcTransportTest, BarriersSeparateSendEpochs) {
 TEST(ProcTransportTest, DeadRankDrainsThenReportsDead) {
   // A rank that announces its death stays drainable: everything it sent
   // first must still arrive, and only then does recv_bytes_or_dead
-  // report the death — the FT master's detection primitive.
+  // report the death — the sampler's failure detector.
   ProcCluster cluster(cluster_config(2));
   cluster.run([](comm::Context& ctx) {
     comm::Transport& net = ctx.transport();

@@ -6,7 +6,6 @@
 
 #include "dkv/cached_dkv.h"
 #include "dkv/key_index.h"
-#include "dkv/local_dkv.h"
 #include "dkv/sim_rdma_dkv.h"
 #include "quant/row_codec.h"
 #include "random/xoshiro.h"
@@ -43,7 +42,8 @@ void fill(DkvStore& store, std::uint64_t rows, std::uint64_t seed) {
 TEST(QuantDkvTest, ValueBytesFollowsCodec) {
   for (const RowCodec codec :
        {RowCodec::kFloat32, RowCodec::kFp16, RowCodec::kInt8}) {
-    LocalDkv local(10, kWidth, node(), codec);
+    SimRdmaDkv local(10, kWidth, 1, comm::NetworkModel{}, node(), false,
+                     codec);
     SimRdmaDkv shard(10, kWidth, 4, comm::NetworkModel{}, node(), false,
                      codec);
     EXPECT_EQ(local.codec(), codec);

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "dkv/cached_dkv.h"
-#include "dkv/local_dkv.h"
 #include "dkv/sim_rdma_dkv.h"
 #include "quant/row_codec.h"
 #include "random/xoshiro.h"
@@ -77,7 +76,8 @@ TEST(SparseDkvTest, WireBytesTrackActualSparsity) {
     EXPECT_LT(store.avg_row_nnz(), 16.0) << quant::codec_name(codec);
     EXPECT_GE(store.avg_row_nnz(), 1.0) << quant::codec_name(codec);
 
-    LocalDkv local(32, kWidth, node(), codec);
+    SimRdmaDkv local(32, kWidth, 1, comm::NetworkModel{}, node(), false,
+                     codec);
     fill_concentrated(local, 32, 301);
     EXPECT_NEAR(local.avg_row_wire_bytes(), store.avg_row_wire_bytes(),
                 1e-9)

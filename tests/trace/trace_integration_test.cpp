@@ -107,7 +107,6 @@ TEST(TraceIntegrationTest, MetricsSeeTheTraffic) {
   const trace::MetricsRegistry& m = recorder.metrics();
   using trace::Metric;
   EXPECT_GT(m.counter_total(Metric::kMessagesSent), 0u);
-  EXPECT_GT(m.counter_total(Metric::kCollectives), 0u);
   EXPECT_GT(m.counter_total(Metric::kDkvRowsRead), 0u);
   EXPECT_GT(m.counter_total(Metric::kDkvRowsWritten), 0u);
   // Conservation: every posted byte is eventually received.

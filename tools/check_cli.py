@@ -279,8 +279,9 @@ def main():
     check("run missing fault plan diagnoses on stderr",
           "error" in r.stderr, repr(r.stderr[:120]))
 
-    # Redo-in-place crash recovery (no rollback) runs on both backends
-    # and lands on the same numbers: the proc heir reads the live rows.
+    # Redo-in-place crash recovery (no rollback) runs on both backends,
+    # pipelined or not, and lands on the same numbers: the proc heir reads
+    # the live rows, and the deploy prefetched before the crash is dropped.
     with tempfile.TemporaryDirectory() as tmp:
         plan = os.path.join(tmp, "crash.json")
         with open(plan, "w") as f:
@@ -288,18 +289,21 @@ def main():
                     '[{"rank": 1, "at_iteration": 6, "at_point": 1}]}\n')
         runs = {}
         for backend in ("sim", "proc"):
-            r = run([scd, "run", "--backend", backend, "--workers", "2",
-                     "--iterations", "20", "--fault-plan", plan,
-                     "--rollback-interval", "0"])
-            check(f"run {backend} crash plan without rollback exits 0",
-                  r.returncode == 0,
-                  f"exit={r.returncode} {r.stderr[:160]!r}")
-            runs[backend] = perplexity_lines(r.stdout)
+            for pipeline in (True, False):
+                name = f"{backend}{'' if pipeline else ' --no-pipeline'}"
+                r = run([scd, "run", "--backend", backend, "--workers", "2",
+                         "--iterations", "20", "--fault-plan", plan,
+                         "--rollback-interval", "0"] +
+                        ([] if pipeline else ["--no-pipeline"]))
+                check(f"run {name} crash plan without rollback exits 0",
+                      r.returncode == 0,
+                      f"exit={r.returncode} {r.stderr[:160]!r}")
+                runs[name] = perplexity_lines(r.stdout)
         check("run crash plan without rollback prints perplexities",
               len(runs["sim"]) > 0, repr(runs["sim"]))
-        check("run crash plan without rollback: proc perplexities == sim",
-              runs["proc"] == runs["sim"],
-              repr((runs["proc"], runs["sim"])))
+        for name, lines in runs.items():
+            check(f"run crash plan without rollback: {name} perplexities"
+                  " == sim", lines == runs["sim"], repr((lines, runs["sim"])))
 
     # `scd fit` results do not depend on the thread count: the same seed
     # and iterations write byte-identical checkpoints at 1 and 3 threads.
