@@ -28,15 +28,6 @@ constexpr std::uint64_t kTrafficLabel = 101;
 /// traffic without delaying refresh triggers meaningfully.
 constexpr std::uint64_t kProgressBatch = 256;
 
-double percentile(std::vector<std::uint64_t>& ns, double q) {
-  if (ns.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(ns.size() - 1));
-  std::nth_element(ns.begin(), ns.begin() + static_cast<std::ptrdiff_t>(rank),
-                   ns.end());
-  return static_cast<double>(ns[rank]) * 1e-3;  // ns -> us
-}
-
 }  // namespace
 
 std::vector<ScriptedQuery> parse_query_script(std::istream& in) {
@@ -93,6 +84,28 @@ std::vector<ScriptedQuery> load_query_script(const std::string& path) {
   return parse_query_script(in);
 }
 
+LatencyPercentiles latency_percentiles(std::vector<std::uint64_t>& ns) {
+  LatencyPercentiles out;
+  if (ns.empty()) return out;
+  // Select the ranks in ascending order, each over the part at or above
+  // the previous one: after nth_element puts rank r in place, [r, end)
+  // holds exactly the order statistics r..n-1, so rank r' >= r is found
+  // there with the same value a full pass would give.
+  auto lo = ns.begin();
+  const auto select = [&](double q) {
+    const auto rank = static_cast<std::ptrdiff_t>(
+        q * static_cast<double>(ns.size() - 1));
+    std::nth_element(lo, ns.begin() + rank, ns.end());
+    lo = ns.begin() + rank;
+    return static_cast<double>(*lo) * 1e-3;  // ns -> us
+  };
+  out.p50_us = select(0.50);
+  out.p95_us = select(0.95);
+  out.p99_us = select(0.99);
+  out.max_us = static_cast<double>(*std::max_element(lo, ns.end())) * 1e-3;
+  return out;
+}
+
 ZipfSampler::ZipfSampler(std::uint32_t n, double s) {
   SCD_REQUIRE(n >= 1, "Zipf sampler needs a non-empty domain");
   SCD_REQUIRE(s >= 0.0, "Zipf exponent must be >= 0");
@@ -104,14 +117,25 @@ ZipfSampler::ZipfSampler(std::uint32_t n, double s) {
   }
   for (double& c : cdf_) c /= total;
   cdf_.back() = 1.0;
-}
 
-std::uint32_t ZipfSampler::operator()(rng::Xoshiro256& rng) const {
-  const double x = rng.next_double();
-  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), x);
-  return static_cast<std::uint32_t>(
-      std::min<std::ptrdiff_t>(it - cdf_.begin(),
-                               static_cast<std::ptrdiff_t>(cdf_.size()) - 1));
+  // guide_[j] is the rank of the smallest double u with bucket(u) == j,
+  // found by stepping from j / n to the exact edge (the product u * n
+  // rounds, so the edge may sit an ulp or two off j / n). rank() is
+  // non-decreasing in u, so no u in bucket j maps below guide_[j], and
+  // the edges rise with j, so one forward walk over the CDF fills all n.
+  scale_ = static_cast<double>(n);
+  last_ = n - 1;
+  guide_.resize(n);
+  std::uint32_t r = 0;
+  for (std::uint32_t j = 0; j < n; ++j) {
+    double edge = static_cast<double>(j) / scale_;
+    while (edge > 0.0 && bucket(std::nextafter(edge, 0.0)) >= j) {
+      edge = std::nextafter(edge, 0.0);
+    }
+    while (bucket(edge) < j) edge = std::nextafter(edge, 1.0);
+    while (cdf_[r] <= edge) ++r;
+    guide_[j] = r;
+  }
 }
 
 TrafficReport run_traffic(ServingSnapshots& snapshots,
@@ -253,18 +277,17 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
                    ? static_cast<double>(report.ops) / report.wall_s
                    : 0.0;
 
-  std::vector<std::uint64_t> all;
+  // Worker 0's vector already holds all of a one-worker call's latencies.
+  std::vector<std::uint64_t> all = std::move(latencies[0]);
   all.reserve(options.ops);
-  for (auto& lat : latencies) {
-    all.insert(all.end(), lat.begin(), lat.end());
+  for (unsigned t = 1; t < threads; ++t) {
+    all.insert(all.end(), latencies[t].begin(), latencies[t].end());
   }
-  report.p50_us = percentile(all, 0.50);
-  report.p95_us = percentile(all, 0.95);
-  report.p99_us = percentile(all, 0.99);
-  report.max_us = all.empty()
-                      ? 0.0
-                      : static_cast<double>(
-                            *std::max_element(all.begin(), all.end())) * 1e-3;
+  const LatencyPercentiles pct = latency_percentiles(all);
+  report.p50_us = pct.p50_us;
+  report.p95_us = pct.p95_us;
+  report.p99_us = pct.p99_us;
+  report.max_us = pct.max_us;
   report.refreshes = refreshes_done.load();
   report.acquire_retries = snapshots.acquire_retries() - retries_before;
   report.reader_stalls = snapshots.stalled_acquires() - stalls_before;

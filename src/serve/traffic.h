@@ -18,6 +18,7 @@
 // Timing numbers (qps, percentiles) are the only wall-clock outputs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -96,16 +97,55 @@ struct TrafficReport {
 TrafficReport run_traffic(ServingSnapshots& snapshots,
                           const TrafficOptions& options);
 
+/// p50/p95/p99/max of per-query latencies, in microseconds. Each
+/// percentile q is the order statistic of rank floor(q * (n - 1)); all
+/// zero for no samples.
+struct LatencyPercentiles {
+  double p50_us = 0.0;
+  double p95_us = 0.0;
+  double p99_us = 0.0;
+  double max_us = 0.0;
+};
+
+/// Percentiles of nanosecond latencies. Reorders `ns`: each selection
+/// runs only over the part above the previous rank.
+LatencyPercentiles latency_percentiles(std::vector<std::uint64_t>& ns);
+
 /// Zipf(s) sampler over [0, n): rank r drawn with probability
-/// proportional to 1/(r+1)^s via a precomputed CDF + binary search.
+/// proportional to 1/(r+1)^s by exact inverse-CDF lookup through a
+/// guide table (Chen & Asau 1974). Bucket j of the n buckets holds the
+/// rank of the smallest u that lands in it, so a draw is one multiply,
+/// one table load and a forward scan of about one CDF entry, and it
+/// returns the first r with cdf[r] > u, as a binary search would.
 /// Deterministic per engine stream; s = 0 degenerates to uniform.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint32_t n, double s);
-  std::uint32_t operator()(rng::Xoshiro256& rng) const;
+  std::uint32_t operator()(rng::Xoshiro256& rng) const {
+    return rank(rng.next_double());
+  }
+  /// The rank a uniform u in [0, 1) maps to: the first r with
+  /// cdf[r] > u, at most n - 1.
+  std::uint32_t rank(double u) const {
+    std::uint32_t r = guide_[bucket(u)];
+    while (cdf_[r] <= u) ++r;  // cdf_.back() == 1.0 > u stops the scan
+    return r;
+  }
+  /// The normalised CDF the draws invert; back() is exactly 1.
+  const std::vector<double>& cdf() const { return cdf_; }
 
  private:
+  /// min(n - 1, floor(u * n)). For u <= 1 - 2^-53 the rounded product
+  /// stays below n (it is more than half an ulp short of n), so the min
+  /// only guards the table bound; it never changes a bucket.
+  std::uint32_t bucket(double u) const {
+    return std::min(last_, static_cast<std::uint32_t>(u * scale_));
+  }
+
   std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;
+  double scale_ = 0.0;     ///< n
+  std::uint32_t last_ = 0;  ///< n - 1
 };
 
 }  // namespace scd::serve

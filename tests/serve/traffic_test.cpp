@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint.h"
 #include "random/xoshiro.h"
@@ -142,6 +146,86 @@ TEST(ZipfSamplerTest, ZeroExponentIsUniformish) {
   EXPECT_LT(head, draws * 15 / 100);
 }
 
+// The guide-table lookup is an exact inverse CDF: at every probe point
+// it returns the rank a binary search over the same CDF gives, including
+// u = 0, both sides of every CDF value (where the bucket edges round),
+// the largest draw below 1, and a large n whose buckets are narrower than
+// the CDF steps.
+TEST(ZipfSamplerTest, GuideTableMatchesBinarySearch) {
+  struct Case {
+    std::uint32_t n;
+    double s;
+  };
+  for (const Case c : {Case{1, 0.99}, Case{2, 0.0}, Case{100, 0.0},
+                       Case{1000, 1.2}, Case{20000, 0.99},
+                       Case{1u << 20, 0.99}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " s=" + std::to_string(c.s));
+    const ZipfSampler zipf(c.n, c.s);
+    const std::vector<double>& cdf = zipf.cdf();
+    ASSERT_EQ(cdf.size(), c.n);
+    ASSERT_EQ(cdf.back(), 1.0);
+    const auto expected = [&](double u) {
+      const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+      return static_cast<std::uint32_t>(std::min<std::ptrdiff_t>(
+          it - cdf.begin(), static_cast<std::ptrdiff_t>(c.n) - 1));
+    };
+    std::uint64_t mismatches = 0;
+    const auto probe = [&](double u) {
+      if (!(u >= 0.0 && u < 1.0)) return;
+      if (zipf.rank(u) != expected(u) && ++mismatches <= 5) {
+        ADD_FAILURE() << "u=" << u << " rank " << zipf.rank(u)
+                      << " != " << expected(u);
+      }
+    };
+    probe(0.0);
+    probe(std::nextafter(1.0, 0.0));  // 1 - 2^-53, the largest draw
+    for (const double at : cdf) {
+      probe(std::nextafter(at, 0.0));
+      probe(at);
+      probe(std::nextafter(at, 1.0));
+    }
+    rng::Xoshiro256 rng(c.n);
+    for (int i = 0; i < 1'000'000; ++i) probe(rng.next_double());
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(LatencyPercentilesTest, EmptyIsZero) {
+  std::vector<std::uint64_t> none;
+  const LatencyPercentiles p = latency_percentiles(none);
+  EXPECT_EQ(p.p50_us, 0.0);
+  EXPECT_EQ(p.max_us, 0.0);
+}
+
+// The chained selection reports exactly the order statistics a full
+// sort gives, on tiny inputs and on a chunk-sized one, with latencies
+// drawn from a narrow range so most values repeat.
+TEST(LatencyPercentilesTest, MatchesSortOracle) {
+  rng::Xoshiro256 rng(3);
+  for (const std::size_t size : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{101}, std::size_t{500'000}}) {
+    for (const std::uint64_t range : {std::uint64_t{3}, std::uint64_t{200},
+                                      std::uint64_t{1} << 40}) {
+      SCOPED_TRACE("size=" + std::to_string(size) +
+                   " range=" + std::to_string(range));
+      std::vector<std::uint64_t> ns(size);
+      for (auto& v : ns) v = 100 + rng.next_below(range);
+      std::vector<std::uint64_t> sorted = ns;
+      std::sort(sorted.begin(), sorted.end());
+      const auto at = [&](double q) {
+        const auto rank = static_cast<std::size_t>(
+            q * static_cast<double>(size - 1));
+        return static_cast<double>(sorted[rank]) * 1e-3;
+      };
+      const LatencyPercentiles p = latency_percentiles(ns);
+      EXPECT_EQ(p.p50_us, at(0.50));
+      EXPECT_EQ(p.p95_us, at(0.95));
+      EXPECT_EQ(p.p99_us, at(0.99));
+      EXPECT_EQ(p.max_us, static_cast<double>(sorted.back()) * 1e-3);
+    }
+  }
+}
+
 TEST(RunTrafficTest, RequiresPublishedSnapshot) {
   ServingSnapshots empty;
   TrafficOptions options;
@@ -166,6 +250,25 @@ TEST(RunTrafficTest, DeterministicChecksumAndCounts) {
   EXPECT_GT(a.qps, 0.0);
   EXPECT_GE(a.p95_us, a.p50_us);
   EXPECT_GE(a.p99_us, a.p95_us);
+}
+
+// The query stream is pinned, not only repeatable: a change to which
+// queries a seed issues (the Zipf draw, the mix split, the per-worker RNG
+// streams) fails here, not only against the bench baseline.
+TEST(RunTrafficTest, PinnedStreamChecksumAndCounts) {
+  auto store = make_store(5000, 16, 11);
+  TrafficOptions options;
+  options.ops = 20'000;
+  options.threads = 3;
+  options.seed = 17;
+  options.mix_top = 0.5;
+  options.mix_link = 0.4;
+  options.mix_members = 0.1;
+  const TrafficReport r = run_traffic(*store, options);
+  EXPECT_EQ(r.ops_top, 9914u);
+  EXPECT_EQ(r.ops_link, 8083u);
+  EXPECT_EQ(r.ops_members, 2003u);
+  EXPECT_EQ(r.checksum, 28799142.186006896);
 }
 
 TEST(RunTrafficTest, SeedChangesTheStream) {

@@ -232,13 +232,22 @@ def main():
         # Synthetic load on three workers: op streams are fixed per
         # (seed, worker), so the checksum repeats run to run, and an fp32
         # refresh rebuilds a bit-identical index, so two mid-load
-        # refreshes leave it unchanged and no reader ever stalls.
+        # refreshes leave it unchanged and no reader ever stalls. The
+        # stream itself is pinned too: a change to which queries a seed
+        # issues moves the checksum or the per-kind op counts.
         load = [scd, "serve", "--checkpoint", good, "--ops", "20000",
-                "--threads", "3", "--json"]
+                "--threads", "3"]
+        pinned_checksum = 226868.8600523333
+        pinned_counts = "20000 queries (13950 top / 5014 link / 1036 members)"
+        r = run(load)
+        check("serve --threads 3 text load exits 0", r.returncode == 0,
+              f"exit={r.returncode} {r.stderr[:160]!r}")
+        check("serve --threads 3 per-kind op counts are pinned",
+              pinned_counts + "," in r.stdout, repr(r.stdout[:240]))
         reports = []
         for label, extra in (("first", []), ("second", []),
                              ("refreshed", ["--refreshes", "2"])):
-            r = run(load + extra)
+            r = run(load + ["--json"] + extra)
             check(f"serve --threads 3 {label} load exits 0",
                   r.returncode == 0,
                   f"exit={r.returncode} {r.stderr[:160]!r}")
@@ -249,6 +258,9 @@ def main():
                 check(f"serve --threads 3 {label} load prints JSON", False,
                       repr(r.stdout[:160]))
         first, second, refreshed = reports
+        check("serve --threads 3 checksum is pinned",
+              first.get("checksum") == pinned_checksum,
+              repr((first.get("checksum"), pinned_checksum)))
         check("serve --threads 3 checksum repeats",
               "checksum" in first and
               first.get("checksum") == second.get("checksum"),
