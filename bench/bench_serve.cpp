@@ -17,13 +17,20 @@
 // and pinned tight by tools/check_bench.py; the `latency` table (qps,
 // percentiles, build time) is wall-clock and carries loose per-metric
 // tolerance overrides — its committed values document magnitude, not a
-// regression gate. Retry counts and max latency are timing-raced, so
-// they go to stdout only, never into the baseline JSON.
+// regression gate. One arm's 40 000 ops take a few milliseconds, so a
+// single pass mostly times thread wake-up: every arm runs kReps times,
+// the arms interleaved, each pass must repeat the arm's counts and
+// checksum, and the latency table holds the per-arm medians. Their
+// interquartile ranges, retry counts and max latency are timing-raced,
+// so they go to stdout only, never into the baseline JSON.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/checkpoint.h"
@@ -42,6 +49,7 @@ constexpr std::uint32_t kTopR = 16;
 constexpr std::uint64_t kOpsPerArm = 40'000;
 constexpr unsigned kThreads = 4;
 constexpr unsigned kRefreshes = 4;
+constexpr int kReps = 21;
 
 /// Planted model state, built directly (no training run): each vertex
 /// holds two strong memberships above the auto threshold and a flat tail
@@ -79,6 +87,12 @@ struct Arm {
   double mix_members;
   unsigned refreshes;
 };
+
+/// The q-quantile of `values`, nearest rank below.
+double quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  return values[static_cast<std::size_t>(q * double(values.size() - 1))];
+}
 
 }  // namespace
 
@@ -127,43 +141,75 @@ int main(int argc, char** argv) {
       {"mixed_refresh", 0.70, 0.25, 0.05, kRefreshes},
   };
 
+  constexpr std::size_t kArms = std::size(arms);
+  std::vector<serve::TrafficReport> first(kArms);
+  std::vector<std::vector<double>> qps(kArms), p50(kArms), p95(kArms),
+      p99(kArms);
+  std::vector<std::uint64_t> retries(kArms, 0);
+  std::vector<double> max_us(kArms, 0.0);
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t a = 0; a < kArms; ++a) {
+      const Arm& arm = arms[a];
+      serve::TrafficOptions options;
+      options.ops = kOpsPerArm;
+      options.threads = kThreads;
+      options.mix_top = arm.mix_top;
+      options.mix_link = arm.mix_link;
+      options.mix_members = arm.mix_members;
+      options.refreshes = arm.refreshes;
+      options.refresh_codec = quant::RowCodec::kFloat32;
+      options.seed = 99;
+      const serve::TrafficReport r = serve::run_traffic(snapshots, options);
+
+      SCD_REQUIRE(r.ops_top + r.ops_link + r.ops_members == r.ops,
+                  "every op must be accounted to a kind");
+      SCD_REQUIRE(r.refreshes == arm.refreshes,
+                  "every requested refresh must complete under load");
+      SCD_REQUIRE(r.reader_stalls == 0,
+                  "the snapshot swap must never stall a reader");
+      if (rep == 0) {
+        first[a] = r;
+      } else {
+        SCD_REQUIRE(r.ops_top == first[a].ops_top &&
+                        r.ops_link == first[a].ops_link &&
+                        r.ops_members == first[a].ops_members &&
+                        r.checksum == first[a].checksum,
+                    "a repeated arm must issue and answer the same queries");
+      }
+      qps[a].push_back(r.qps);
+      p50[a].push_back(r.p50_us);
+      p95[a].push_back(r.p95_us);
+      p99[a].push_back(r.p99_us);
+      retries[a] += r.acquire_retries;
+      max_us[a] = std::max(max_us[a], r.max_us);
+    }
+  }
+
   Table traffic_table({"arm", "ops", "ops_top", "ops_link", "ops_members",
                        "refreshes", "reader_stalls", "checksum"});
   Table latency_table({"arm", "qps", "p50_us", "p95_us", "p99_us",
                        "build_ms"});
   double mixed_checksum = 0.0;
   double refresh_checksum = 0.0;
-  for (const Arm& arm : arms) {
-    serve::TrafficOptions options;
-    options.ops = kOpsPerArm;
-    options.threads = kThreads;
-    options.mix_top = arm.mix_top;
-    options.mix_link = arm.mix_link;
-    options.mix_members = arm.mix_members;
-    options.refreshes = arm.refreshes;
-    options.refresh_codec = quant::RowCodec::kFloat32;
-    options.seed = 99;
-    const serve::TrafficReport r = serve::run_traffic(snapshots, options);
-
-    SCD_REQUIRE(r.ops_top + r.ops_link + r.ops_members == r.ops,
-                "every op must be accounted to a kind");
-    SCD_REQUIRE(r.refreshes == arm.refreshes,
-                "every requested refresh must complete under load");
-    SCD_REQUIRE(r.reader_stalls == 0,
-                "the snapshot swap must never stall a reader");
-    if (arm.name == "mixed") mixed_checksum = r.checksum;
-    if (arm.name == "mixed_refresh") refresh_checksum = r.checksum;
-
-    traffic_table.add_row({arm.name, double(r.ops), double(r.ops_top),
+  for (std::size_t a = 0; a < kArms; ++a) {
+    const serve::TrafficReport& r = first[a];
+    if (arms[a].name == "mixed") mixed_checksum = r.checksum;
+    if (arms[a].name == "mixed_refresh") refresh_checksum = r.checksum;
+    traffic_table.add_row({arms[a].name, double(r.ops), double(r.ops_top),
                            double(r.ops_link), double(r.ops_members),
                            double(r.refreshes), double(r.reader_stalls),
                            r.checksum});
-    latency_table.add_row({arm.name, r.qps, r.p50_us, r.p95_us, r.p99_us,
-                           build_ms});
-    std::printf("%-14s wall %.3fs  acquire retries %llu  max %.1fus\n",
-                arm.name.c_str(), r.wall_s,
-                static_cast<unsigned long long>(r.acquire_retries),
-                r.max_us);
+    latency_table.add_row({arms[a].name, quantile(qps[a], 0.5),
+                           quantile(p50[a], 0.5), quantile(p95[a], 0.5),
+                           quantile(p99[a], 0.5), build_ms});
+    std::printf("%-14s median [IQR] of %d runs: qps %.3g [%.3g, %.3g]"
+                "  p50 %.3fus  p99 %.3fus [%.3f, %.3f]  acquire retries"
+                " %llu  max %.1fus\n",
+                arms[a].name.c_str(), kReps, quantile(qps[a], 0.5),
+                quantile(qps[a], 0.25), quantile(qps[a], 0.75),
+                quantile(p50[a], 0.5), quantile(p99[a], 0.5),
+                quantile(p99[a], 0.25), quantile(p99[a], 0.75),
+                static_cast<unsigned long long>(retries[a]), max_us[a]);
   }
 
   // The fp32 refresh round-trip rebuilds a bit-identical index, so the

@@ -38,8 +38,8 @@ class QueryEngine {
   /// served from the index in O(k); deeper asks fall back to the exact
   /// selection (select_top) over the dense pi row, O(K + k^2) up to
   /// k = 64 and O(K + k log k) above, so any k up to K is answerable.
-  /// Allocation-free after warm-up: select_top's thread-local scratch
-  /// grows on the thread's first fallback and first ask deeper than 64
+  /// Allocation-free after warm-up: select_top's thread-local scratch,
+  /// sized by the row alone, grows on the thread's first fallback
   /// (tests/core/zero_alloc_test.cpp).
   std::uint32_t top_communities(std::uint32_t u, std::span<TopEntry> out)
       const;

@@ -17,30 +17,36 @@ namespace scd::serve {
 namespace {
 
 /// Up to this many winners, select_top orders them by counting ranks
-/// (k^2 compares, no branches); above it, by sorting packed keys.
+/// (k^2 compares, no branches); above it, by sorting.
 constexpr std::uint32_t kRankCountLimit = 64;
 
-/// Histogram resolution of the threshold search.
-constexpr int kBucketBits = 8;
+/// Pivots per pass of the threshold search: each pass cuts the key
+/// interval that holds the k-th key into kPivots + 1 parts.
+constexpr std::uint32_t kPivots = 3;
 
-/// select_top's working memory, grown once per thread: order keys, the
-/// bucket being narrowed (later the winners' ids) and the winners' keys,
-/// plus packed keys for the sort above kRankCountLimit.
+/// The key array is padded with ~0u keys to a multiple of this, the width
+/// of the collect pass's winner bitmask. No pivot or threshold exceeds
+/// the largest finite key, so padding never counts and never wins.
+constexpr std::uint32_t kMaskBits = 32;
+
+/// The padded length of a key array for a row of `num` weights.
+constexpr std::uint32_t padded_length(std::uint32_t num) {
+  return (num + kMaskBits - 1) / kMaskBits * kMaskBits;
+}
+
+/// select_top's working memory, grown once per thread: the padded order
+/// keys, and one packed (key, id) word per winner.
 thread_local std::vector<std::uint32_t> t_select_keys;
 thread_local std::vector<std::uint64_t> t_select_packed;
 
 /// select_top's body. It returns false, writing nothing, when a weight is
 /// NaN or +-inf, and never throws (see util/isa_clones.h); select_top
-/// raises the error. `arena` holds at least 2 * num + k + 2 entries and
-/// `packed` at least k when k > kRankCountLimit.
+/// raises the error. `keys` holds padded_length(num) entries and `packed`
+/// at least k.
 SCD_KERNEL
 bool select_top_kernel(const float* row, std::uint32_t num, std::uint32_t k,
-                       TopEntry* out, std::uint32_t* arena,
+                       TopEntry* out, std::uint32_t* keys,
                        std::uint64_t* packed) noexcept {
-  std::uint32_t* const keys = arena;               // num
-  std::uint32_t* const work = keys + num;          // num + 1
-  std::uint32_t* const win_keys = work + num + 1;  // k + 1
-
   // 1. Order keys, their range, and whether any weight is NaN or +-inf.
   std::uint32_t lo = ~0u;
   std::uint32_t hi = 0;
@@ -54,90 +60,86 @@ bool select_top_kernel(const float* row, std::uint32_t num, std::uint32_t k,
     hi = std::max(hi, key);
   }
   if (non_finite != 0) return false;
+  const std::uint32_t padded = padded_length(num);
+  for (std::uint32_t c = num; c < padded; ++c) keys[c] = ~0u;
 
-  // 2. Threshold search. A histogram of (key - lo) >> shift over the
-  // candidates finds the bucket holding the k-th smallest key; `below`
-  // keys rank ahead of it and `need` more come from it. The search
-  // narrows to that bucket's keys until the bucket is taken whole or
-  // holds a single key value. Each narrowing drops kBucketBits of range,
-  // so there are at most four passes.
-  const std::uint32_t* candidates = keys;
-  std::uint32_t count = num;
+  // 2. Threshold search for the k-th smallest key. [lo, hi] always holds
+  // it and `below` keys lie under lo. Each pass counts, in one
+  // branch-free sweep, the keys under kPivots pivots spread over the
+  // interval. A pivot with exactly k keys under it ends the search: those
+  // keys win. Otherwise the interval shrinks to the part between the two
+  // pivots around the k-th key, until it holds one key value: the keys
+  // under it win, then the first `need` keys equal to it.
   std::uint32_t below = 0;
-  std::uint32_t need = 0;
   std::uint32_t threshold = 0;  // winners: key < threshold, then `need` ties
+  std::uint32_t need = 0;
   for (;;) {
-    const std::uint32_t range = hi - lo;
-    const int shift =
-        std::max(0, static_cast<int>(std::bit_width(range)) - kBucketBits);
-    std::uint32_t hist[1u << kBucketBits] = {};
-    for (std::uint32_t i = 0; i < count; ++i) {
-      ++hist[(candidates[i] - lo) >> shift];
-    }
-    std::uint32_t b = 0;
-    while (below + hist[b] < k) below += hist[b++];
-    need = k - below;
-    if (hist[b] == need) {  // the whole bucket wins
-      threshold = lo + static_cast<std::uint32_t>(std::min(
-                           (std::uint64_t{b} + 1) << shift,
-                           std::uint64_t{range} + 1));
-      need = 0;
+    if (lo == hi) {
+      threshold = lo;
+      need = k - below;
       break;
     }
-    if (shift == 0) {  // one key value: the first `need` of its ties win
-      threshold = lo + b;
+    const std::uint64_t width = std::uint64_t{hi} - lo + 1;
+    std::uint32_t pivot[kPivots];
+    std::uint32_t under[kPivots] = {};
+    for (std::uint32_t p = 0; p < kPivots; ++p) {
+      pivot[p] = lo + static_cast<std::uint32_t>(width * (p + 1) /
+                                                 (kPivots + 1));
+    }
+    for (std::uint32_t c = 0; c < padded; ++c) {
+      for (std::uint32_t p = 0; p < kPivots; ++p) {
+        under[p] += keys[c] < pivot[p] ? 1u : 0u;
+      }
+    }
+    std::uint32_t p = 0;
+    while (p < kPivots && under[p] < k) ++p;
+    if (p < kPivots && under[p] == k) {
+      threshold = pivot[p];
       break;
     }
-    std::uint32_t kept = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t key = candidates[i];
-      work[kept] = key;
-      kept += ((key - lo) >> shift) == b ? 1u : 0u;
+    if (p > 0) {
+      lo = pivot[p - 1];
+      below = under[p - 1];
     }
-    candidates = work;
-    count = kept;
-    lo = ~0u;
-    hi = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      lo = std::min(lo, work[i]);
-      hi = std::max(hi, work[i]);
-    }
+    if (p < kPivots) hi = pivot[p] - 1;
   }
 
-  // 3. Collect the winners in id order: every key below the threshold,
+  // 3. Collect the winners in id order as packed (key, id) words: every
+  // key below the threshold, found a bitmask of kMaskBits keys at a time,
   // then the first `need` keys equal to it (ties go to the smaller id).
-  std::uint32_t* const ids = work;
   std::uint32_t n = 0;
-  for (std::uint32_t c = 0; c < num; ++c) {
-    const std::uint32_t key = keys[c];
-    ids[n] = c;
-    win_keys[n] = key;
-    n += key < threshold ? 1u : 0u;
+  for (std::uint32_t base = 0; base < padded; base += kMaskBits) {
+    std::uint32_t mask = 0;
+    for (std::uint32_t i = 0; i < kMaskBits; ++i) {
+      mask |= (keys[base + i] < threshold ? 1u : 0u) << i;
+    }
+    for (; mask != 0; mask &= mask - 1) {
+      const std::uint32_t c =
+          base + static_cast<std::uint32_t>(std::countr_zero(mask));
+      packed[n++] = rank_key(keys[c], c);
+    }
   }
   for (std::uint32_t c = 0; need > 0; ++c) {
     if (keys[c] == threshold) {
-      ids[n] = c;
-      win_keys[n] = threshold;
-      ++n;
+      packed[n++] = rank_key(threshold, c);
       --need;
     }
   }
 
-  // 4. Order the winners. A winner's rank is the number of smaller keys
-  // plus the number of equal keys collected before it (a smaller id).
+  // 4. Order the winners. Packed words are unique, so a winner's rank is
+  // the number of smaller words. The count is 64-bit, as wide as the
+  // words, so the compare lanes need no narrowing.
   if (k <= kRankCountLimit) {
     for (std::uint32_t i = 0; i < k; ++i) {
-      const std::uint32_t key = win_keys[i];
-      std::uint32_t rank = 0;
+      const std::uint64_t word = packed[i];
+      std::uint64_t rank = 0;
       for (std::uint32_t j = 0; j < k; ++j) {
-        rank += (win_keys[j] < key) | ((win_keys[j] == key) & (j < i));
+        rank += packed[j] < word ? 1u : 0u;
       }
-      out[rank] = TopEntry{ids[i], row[ids[i]]};
+      const auto c = static_cast<std::uint32_t>(word);
+      out[rank] = TopEntry{c, row[c]};
     }
     return true;
-  }
-  for (std::uint32_t i = 0; i < k; ++i) {
-    packed[i] = rank_key(win_keys[i], ids[i]);
   }
   std::sort(packed, packed + k);
   for (std::uint32_t r = 0; r < k; ++r) {
@@ -154,14 +156,13 @@ void select_top(std::span<const float> row, std::uint32_t k,
   const auto num = static_cast<std::uint32_t>(row.size());
   SCD_REQUIRE(k >= 1 && k <= num && out.size() >= k,
               "select_top needs 1 <= k <= row size and room for k entries");
-  // Sized by the row alone, so one call per row size (and one with
-  // k > kRankCountLimit) warms the scratch for every k.
-  std::vector<std::uint32_t>& arena = t_select_keys;
-  const std::size_t arena_size = std::size_t{num} * 3 + 2;
-  if (arena.size() < arena_size) arena.resize(arena_size);
+  // Sized by the row alone, so one call per row size warms the scratch
+  // for every k.
+  std::vector<std::uint32_t>& keys = t_select_keys;
+  if (keys.size() < padded_length(num)) keys.resize(padded_length(num));
   std::vector<std::uint64_t>& packed = t_select_packed;
-  if (k > kRankCountLimit && packed.size() < num) packed.resize(num);
-  if (!select_top_kernel(row.data(), num, k, out.data(), arena.data(),
+  if (packed.size() < num) packed.resize(num);
+  if (!select_top_kernel(row.data(), num, k, out.data(), keys.data(),
                          packed.data())) {
     const auto bad = static_cast<std::size_t>(
         std::find_if_not(row.begin(), row.end(),
@@ -193,24 +194,10 @@ void ServingIndex::build(threading::ThreadPool& pool) {
   // Stage 1 — per-node top-R selection, embarrassingly parallel over
   // vertices. Output slots are disjoint, so the result is identical at
   // any thread count. The key pass also refuses NaN and +-inf weights:
-  // no order can rank them.
-  pool.parallel_for(0, n_, [&](unsigned, std::uint64_t lo,
-                               std::uint64_t hi) {
-    for (std::uint64_t v = lo; v < hi; ++v) {
-      const auto u = static_cast<std::uint32_t>(v);
-      try {
-        select_top(checkpoint_.pi.row(u).first(k_), top_r_,
-                   {top_.data() + v * top_r_, top_r_});
-      } catch (const DataError& e) {
-        throw DataError("serving index: vertex " + std::to_string(u) +
-                        ": " + e.what());
-      }
-    }
-  });
-
-  // Stage 2 — size the inverted lists: count, per community, the
-  // vertices whose top window clears the membership threshold. Threads
-  // count into private arrays which are reduced in thread order.
+  // no order can rank them. Once a vertex's list is written, the same
+  // body counts, per community, the entries that clear the membership
+  // threshold: that sizes the inverted lists. Threads count into private
+  // arrays which are reduced in thread order.
   const unsigned threads = pool.num_threads();
   std::vector<std::vector<std::size_t>> counts(
       threads, std::vector<std::size_t>(k_, 0));
@@ -219,13 +206,22 @@ void ServingIndex::build(threading::ThreadPool& pool) {
                                std::uint64_t hi) {
     std::vector<std::size_t>& mine = counts[t];
     for (std::uint64_t v = lo; v < hi; ++v) {
-      const TopEntry* slot = top_.data() + v * top_r_;
+      const auto u = static_cast<std::uint32_t>(v);
+      TopEntry* slot = top_.data() + v * top_r_;
+      try {
+        select_top(checkpoint_.pi.row(u).first(k_), top_r_, {slot, top_r_});
+      } catch (const DataError& e) {
+        throw DataError("serving index: vertex " + std::to_string(u) +
+                        ": " + e.what());
+      }
       for (std::uint32_t r = 0; r < top_r_ && slot[r].weight >= threshold;
            ++r) {
         ++mine[slot[r].community];
       }
     }
   });
+
+  // Stage 2 — the inverted lists' offsets, from the counts.
   member_offsets_.assign(std::size_t{k_} + 1, 0);
   for (std::uint32_t c = 0; c < k_; ++c) {
     std::size_t total = 0;

@@ -59,15 +59,17 @@ struct MemberEntry {
 /// The k best entries of `row` (weights indexed by community), weight
 /// descending with community-ascending tie-break, into out[0, k). -0.0f
 /// ties with +0.0f. The selection works on one 32-bit order key per
-/// weight: a 256-bucket histogram finds the bucket holding the k-th key
-/// and narrows into it until the bucket is taken whole or holds one key
-/// value; the k winners are collected in id order and ordered by a
-/// branch-free rank count (k <= 64) or by sorting packed 64-bit
-/// (key, id) words (k > 64). O(K + k^2) for k <= 64 and
-/// O(K + k log k) above. Throws scd::DataError naming the community when
-/// the row holds a NaN or +-inf weight. Allocation-free after warm-up
-/// (the scratch is thread-local). Serves both the index build and the
-/// query engine's exact fallback for k > R.
+/// weight: passes of a branch-free count of the keys under three pivots
+/// narrow a key interval onto the k-th key, stopping early when a pivot
+/// has exactly k keys under it; the k winners are collected in id order
+/// as packed 64-bit (key, id) words and ordered by a branch-free rank
+/// count (k <= 64) or by sorting the words (k > 64). A search pass is
+/// O(K) and cuts the interval to a quarter, so a row takes at most 16
+/// (the serving model's rows take about six); the rest is O(K + k^2) for
+/// k <= 64 and O(K + k log k) above. Throws scd::DataError
+/// naming the community when the row holds a NaN or +-inf weight.
+/// Allocation-free after warm-up (the scratch is thread-local). Serves
+/// both the index build and the query engine's exact fallback for k > R.
 void select_top(std::span<const float> row, std::uint32_t k,
                 std::span<TopEntry> out);
 

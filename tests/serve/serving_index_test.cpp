@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "core/report.h"
 #include "quant/row_codec.h"
 #include "random/xoshiro.h"
+#include "util/rank_key.h"
 #include "tests/serve/ranking_reference.h"
 #include "threading/thread_pool.h"
 
@@ -133,6 +135,165 @@ TEST(SelectTopTest, MatchesBruteForceOnEveryShape) {
           ASSERT_TRUE(testing::same_entries(
               got, testing::brute_force_top(row, num, k)))
               << "rep=" << rep;
+        }
+      }
+    }
+  }
+}
+
+/// True when select_top's k best of `row` are the brute-force ranking's,
+/// compared by bits.
+bool selects_like_brute_force(const std::vector<float>& row,
+                              std::uint32_t k) {
+  const auto num = static_cast<std::uint32_t>(row.size());
+  std::vector<TopEntry> got(k);
+  select_top(row, k, got);
+  return testing::same_entries(got, testing::brute_force_top(row, num, k));
+}
+
+/// Every k worth asking of a row of `num` weights: small ones, both sides
+/// of the top-R = 32 window and of the 64-entry rank-count limit, and
+/// the whole row.
+std::vector<std::uint32_t> asks(std::uint32_t num) {
+  std::vector<std::uint32_t> out;
+  for (const std::uint32_t k : {1u, 2u, 3u, 4u, 8u, 31u, 32u, 33u, 63u, 64u,
+                                65u, num - 1, num}) {
+    if (k >= 1 && k <= num) out.push_back(k);
+  }
+  return out;
+}
+
+// The serving workload's rows: one to three planted weights between 0.3
+// and 0.9 over a few hundred tiny ones. The tail is either seeded noise
+// summing to 0.1 or near-equal weights a few hundred ulps apart, which
+// puts the k-th key deep inside a narrow key range and drives the
+// threshold search through its most passes.
+TEST(SelectTopTest, PlantedWeightsOverNearEqualNoise) {
+  rng::Xoshiro256 rng(20261019);
+  for (const std::uint32_t num : {250u, 256u, 257u, 300u, 1000u}) {
+    for (const bool near_equal : {false, true}) {
+      for (int rep = 0; rep < 40; ++rep) {
+        std::vector<float> row(num);
+        double sum = 0.0;
+        for (float& w : row) {
+          const float u = rng.next_float();
+          w = near_equal ? 1e-4f * (1.0f + u * 1e-4f) : u;
+          sum += w;
+        }
+        if (!near_equal) {
+          for (float& w : row) w = static_cast<float>(w * 0.1 / sum);
+        }
+        const std::uint32_t planted = 1 + static_cast<std::uint32_t>(rng() % 3);
+        for (std::uint32_t i = 0; i < planted; ++i) {
+          row[rng() % num] = 0.3f + 0.6f * rng.next_float();
+        }
+        for (const std::uint32_t k : asks(num)) {
+          ASSERT_TRUE(selects_like_brute_force(row, k))
+              << "K=" << num << " k=" << k << " near_equal=" << near_equal
+              << " rep=" << rep;
+        }
+      }
+    }
+  }
+}
+
+// Keys across the whole 32-bit order: both signs, both zeros, subnormals,
+// the smallest normals and +-FLT_MAX, mixed with finite weights drawn
+// from random bit patterns.
+TEST(SelectTopTest, KeysSpanTheWholeOrder) {
+  const float kExtremes[] = {
+      std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(),
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      std::numeric_limits<float>::min(),
+      -std::numeric_limits<float>::min(),
+      std::nextafter(std::numeric_limits<float>::min(), 0.0f),
+      1.0f,
+      -1.0f,
+  };
+  rng::Xoshiro256 rng(7);
+  for (const std::uint32_t num : {2u, 9u, 64u, 100u, 256u}) {
+    for (int rep = 0; rep < 30; ++rep) {
+      std::vector<float> row(num);
+      for (float& w : row) {
+        if (rng() % 2 == 0) {
+          w = kExtremes[rng() % std::size(kExtremes)];
+        } else {
+          do {
+            w = std::bit_cast<float>(static_cast<std::uint32_t>(rng()));
+          } while (!std::isfinite(w));
+        }
+      }
+      for (const std::uint32_t k : asks(num)) {
+        ASSERT_TRUE(selects_like_brute_force(row, k))
+            << "K=" << num << " k=" << k << " rep=" << rep;
+      }
+    }
+  }
+}
+
+// The k-th and (k+1)-th keys are adjacent integers, so no pivot can fall
+// between them with room to spare and the search ends on a one-key
+// interval: around 0.5, at the smallest subnormal next to +0.0f, and
+// around a negative weight, each with and without ties at the cut.
+TEST(SelectTopTest, AdjacentKeysAtTheCut) {
+  const float kCuts[] = {0.5f, std::numeric_limits<float>::denorm_min(),
+                         -0.25f};
+  rng::Xoshiro256 rng(11);
+  for (const float cut : kCuts) {
+    const float next = std::nextafter(cut, -1.0f);  // the next larger key
+    ASSERT_EQ(order_key(next), order_key(cut) + 1);
+    for (const std::uint32_t num : {8u, 40u, 256u}) {
+      for (const std::uint32_t k : asks(num)) {
+        if (k == num) continue;
+        for (const std::uint32_t ties : {1u, 3u}) {
+          // k - 1 weights above the cut, `ties` copies of the cut, the
+          // rest one key below it; shuffled, so ids decide the ties.
+          std::vector<float> row(num, next);
+          for (std::uint32_t c = 0; c + 1 < k; ++c) {
+            row[c] = 2.0f + static_cast<float>(c % 5);
+          }
+          for (std::uint32_t t = 0; t < ties && k - 1 + t < num; ++t) {
+            row[k - 1 + t] = cut;
+          }
+          for (std::uint32_t c = num - 1; c > 0; --c) {
+            std::swap(row[c], row[rng() % (c + 1)]);
+          }
+          ASSERT_TRUE(selects_like_brute_force(row, k))
+              << "cut=" << cut << " K=" << num << " k=" << k
+              << " ties=" << ties;
+        }
+      }
+    }
+  }
+}
+
+// Every row of up to 7 weights over a 3-value alphabet, at every k. The
+// alphabets cover signed zeros tying, adjacent keys and a negative
+// weight.
+TEST(SelectTopTest, ExhaustiveOverSmallAlphabets) {
+  const float kAlphabets[][3] = {
+      {1.0f, 0.0f, -0.0f},
+      {0.5f, std::nextafter(0.5f, 0.0f), std::nextafter(0.5f, 1.0f)},
+      {0.25f, -0.25f, std::numeric_limits<float>::denorm_min()},
+  };
+  for (const auto& alphabet : kAlphabets) {
+    for (std::uint32_t num = 1; num <= 7; ++num) {
+      std::uint32_t rows = 1;
+      for (std::uint32_t i = 0; i < num; ++i) rows *= 3;
+      std::vector<float> row(num);
+      for (std::uint32_t code = 0; code < rows; ++code) {
+        for (std::uint32_t c = 0, rest = code; c < num; ++c, rest /= 3) {
+          row[c] = alphabet[rest % 3];
+        }
+        for (std::uint32_t k = 1; k <= num; ++k) {
+          ASSERT_TRUE(selects_like_brute_force(row, k))
+              << "alphabet " << alphabet[0] << "/" << alphabet[1] << "/"
+              << alphabet[2] << " K=" << num << " code=" << code
+              << " k=" << k;
         }
       }
     }

@@ -833,6 +833,7 @@ int cmd_serve(int argc, const char* const* argv) {
     std::printf(
         "{\"checkpoint\": \"%s\", \"vertices\": %u, \"communities\": %u,"
         " \"top_r\": %llu, \"build_ms\": %.3f, \"ops\": %llu,"
+        " \"ops_top\": %llu, \"ops_link\": %llu, \"ops_members\": %llu,"
         " \"threads\": %llu, \"qps\": %.1f, \"p50_us\": %.2f,"
         " \"p95_us\": %.2f, \"p99_us\": %.2f, \"max_us\": %.2f,"
         " \"refreshes\": %llu, \"acquire_retries\": %llu,"
@@ -840,6 +841,9 @@ int cmd_serve(int argc, const char* const* argv) {
         checkpoint_path.c_str(), n, k,
         static_cast<unsigned long long>(std::min<std::uint64_t>(top_r, k)),
         build_ms, static_cast<unsigned long long>(report.ops),
+        static_cast<unsigned long long>(report.ops_top),
+        static_cast<unsigned long long>(report.ops_link),
+        static_cast<unsigned long long>(report.ops_members),
         static_cast<unsigned long long>(threads), report.qps,
         report.p50_us, report.p95_us, report.p99_us, report.max_us,
         static_cast<unsigned long long>(report.refreshes),
