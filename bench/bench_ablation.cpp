@@ -11,9 +11,9 @@
 //  6. SGRLD drift form: the paper's literal Eqn 3 vs the posterior-exact
 //     preconditioned form.
 #include "bench/bench_util.h"
+#include "core/parallel_sampler.h"
 #include "dkv/cached_dkv.h"
 #include "dkv/sim_rdma_dkv.h"
-#include "core/sequential_sampler.h"
 #include "graph/datasets.h"
 #include "graph/heldout.h"
 #include "sim/cluster.h"
@@ -70,8 +70,8 @@ void ablate_estimators(bench::BenchIo& io) {
     options.step.a = spec.conv.step_a;
     options.step.b = 4096;
     options.seed = 99;
-    core::SequentialSampler sampler(split.training(), &split, hyper,
-                                    options);
+    core::ParallelSampler sampler(split.training(), &split, hyper, options,
+                                  /*num_threads=*/1);
     sampler.run(kIters);
     return sampler.evaluate_perplexity();  // single-sample: instantaneous
   };
@@ -219,8 +219,8 @@ void ablate_gradient_form(bench::BenchIo& io) {
     options.step.b = 4096;
     options.seed = 99;
     options.gradient_form = form;
-    core::SequentialSampler sampler(split.training(), &split, hyper,
-                                    options);
+    core::ParallelSampler sampler(split.training(), &split, hyper, options,
+                                  /*num_threads=*/1);
     sampler.run(20000);
     double mean_beta = 0.0;
     for (std::uint32_t k = 0; k < hyper.num_communities; ++k) {

@@ -1,12 +1,13 @@
 // Figure 6: convergence (held-out perplexity over time) for the six
 // datasets, each at its paper cluster configuration.
 //
-// Composition (justified by the equivalence tests in
-// tests/core/distributed_test.cpp): the *numerics* of the distributed
-// sampler are identical to the sequential sampler for any worker count,
-// so the perplexity trajectory is computed with the fast in-process
-// sampler, while the *time axis* comes from the cost-only distributed run
-// at the paper's node count and paper-scale workload.
+// Composition: the distributed sampler runs the same estimator as the
+// in-process ParallelSampler (tests/core/distributed_test.cpp holds the
+// two to a tolerance on small fixtures; at this scale they differ in
+// summation order only, ROADMAP item 1), so the perplexity trajectory is
+// computed with the fast in-process sampler, while the *time axis* comes
+// from the cost-only distributed run at the paper's node count and
+// paper-scale workload.
 //
 // Trajectories run at each dataset's convergence scale (DatasetSpec::conv
 // — a further-reduced planted graph; SG-MCMC needs thousands of updates
@@ -17,7 +18,7 @@
 #include <cmath>
 
 #include "bench/bench_util.h"
-#include "core/sequential_sampler.h"
+#include "core/parallel_sampler.h"
 #include "graph/datasets.h"
 #include "graph/heldout.h"
 #include "sim/cluster.h"
@@ -62,9 +63,10 @@ int main(int argc, char** argv) {
     options.step.b = 4096;
     options.seed = 2016;
 
-    // Real numerics at convergence scale.
-    core::SequentialSampler sampler(split.training(), &split, hyper,
-                                    options);
+    // Real numerics at convergence scale. The trajectory does not depend
+    // on the thread count.
+    core::ParallelSampler sampler(split.training(), &split, hyper, options,
+                                  /*num_threads=*/1);
     sampler.evaluate_perplexity();  // history[0]: the diffuse start
     sampler.run(iterations);
 

@@ -5,7 +5,7 @@
 //       --iterations 50000 --out curve.csv
 #include <cstdio>
 
-#include "core/sequential_sampler.h"
+#include "core/parallel_sampler.h"
 #include "graph/generator.h"
 #include "graph/heldout.h"
 #include "util/cli.h"
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   options.step.b = 4096;
   options.seed = seed;
 
-  core::SequentialSampler sampler(split.training(), &split, hyper,
-                                  options);
+  core::ParallelSampler sampler(split.training(), &split, hyper, options,
+                                /*num_threads=*/1);
   const double initial = sampler.evaluate_perplexity();
   std::printf("N=%llu K=%llu deg=%.1f: initial perplexity %.3f\n",
               static_cast<unsigned long long>(vertices),

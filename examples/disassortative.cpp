@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "core/general_sampler.h"
-#include "core/sequential_sampler.h"
+#include "core/parallel_sampler.h"
 #include "graph/builder.h"
 #include "graph/heldout.h"
 #include "graph/metrics.h"
@@ -103,7 +103,8 @@ int main(int argc, char** argv) {
 
   // The assortative model on the same graph: its communities can only be
   // *densely intra-connected* groups, which this network does not have.
-  core::SequentialSampler ammsb(split.training(), &split, hyper, options);
+  core::ParallelSampler ammsb(split.training(), &split, hyper, options,
+                              /*num_threads=*/1);
   ammsb.run(static_cast<std::uint64_t>(iterations));
   for (graph::Vertex v = 0; v < n; ++v) {
     predicted[v] = ammsb.pi().pi(v, 0) > ammsb.pi().pi(v, 1) ? 0 : 1;

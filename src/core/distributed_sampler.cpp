@@ -326,7 +326,6 @@ struct DistributedSampler::WorkerRank {
   comm::Transport& net;
   dkv::ShardedDkv& store;
   const unsigned wi;  // worker index == DKV shard (static even in FT)
-  const bool dedup;
   const std::size_t vbytes;
   // Largest neighbor set a vertex can draw (link-aware adds its links).
   const std::size_t set_bound;
@@ -344,7 +343,6 @@ struct DistributedSampler::WorkerRank {
         net(c.transport()),
         store(*s.store_),
         wi(c.rank() - 1),
-        dedup(s.options_.dedup_reads),
         vbytes(s.store_->value_bytes()),
         set_bound(s.options_.base.num_neighbors +
                   (s.real() ? s.graph_->max_degree() : 0)),
@@ -378,17 +376,13 @@ struct DistributedSampler::WorkerRank {
   /// Rows stay in the wire codec — the enc kernels dequantize
   /// in-register, so nothing is decoded into a float staging area here.
   double load_stage_rows() {
-    if (dedup) {
-      ws.key_index.build(ws.keys);
-      const auto unique = ws.key_index.unique_keys();
-      ws.rows_enc.resize(unique.size() * vbytes);
-      return store.get_rows_encoded(wi, unique, ws.rows_enc);
-    }
-    ws.rows_enc.resize(ws.keys.size() * vbytes);
-    return store.get_rows_encoded(wi, ws.keys, ws.rows_enc);
+    ws.key_index.build(ws.keys);
+    const auto unique = ws.key_index.unique_keys();
+    ws.rows_enc.resize(unique.size() * vbytes);
+    return store.get_rows_encoded(wi, unique, ws.rows_enc);
   }
   std::span<const std::byte> row_of(std::size_t ref) const {
-    const std::size_t slot = dedup ? ws.key_index.remap()[ref] : ref;
+    const std::size_t slot = ws.key_index.remap()[ref];
     return {ws.rows_enc.data() + slot * vbytes, vbytes};
   }
 };
@@ -735,9 +729,7 @@ double DistributedSampler::phantom_read_cost(WorkerRank& r, double refs) {
   // Cost-only twin of load_stage_rows for `refs` uniform references.
   comm::Context& ctx = r.ctx;
   const double n = static_cast<double>(num_vertices_);
-  const std::uint64_t rows =
-      r.dedup ? expected_distinct_rows(refs, n)
-              : static_cast<std::uint64_t>(std::llround(refs));
+  const std::uint64_t rows = expected_distinct_rows(refs, n);
   const std::uint64_t local = rows / num_workers_;
   const std::uint64_t remote = rows - local;
   // Modeled worker-side row cache: remote rows are served at the

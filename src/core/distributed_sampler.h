@@ -8,7 +8,10 @@
 // gathers the partial sums; the workers pass the two stage barriers
 // among themselves through the lowest live worker. No rank joins a
 // collective, so a dead worker is detected where its message is
-// missing. One iteration:
+// missing. Every read stage (chunk loads, update_beta pair endpoints,
+// perplexity pairs) fetches each distinct DKV row once: pi is read-only
+// between the stage barriers, so one copy serves every reference to it.
+// One iteration:
 //
 //   master                         workers
 //   ------------------------------ ---------------------------------------
@@ -31,11 +34,12 @@
 //
 // Execution modes:
 //   * Real — full inference on an actual graph, from the same derive_rng
-//     streams as SequentialSampler. The theta-ratio partials fold one
-//     per worker (the master's rank-order fold), so the trajectory depends
-//     on the worker count by summation order: it matches Sequential bit
-//     for bit on small fixtures only, and diverges at W >= 2 on N=600
-//     and at W=4 on N=4000 (ROADMAP item 1).
+//     streams as ParallelSampler. The theta-ratio partials fold one per
+//     worker (the master's rank-order fold), where ParallelSampler folds
+//     64 fixed blocks, so the trajectory depends on the worker count by
+//     summation order: the two agree to test tolerance on the N=150
+//     test fixtures, and can diverge on larger ones (N=600 and up, by
+//     seed and options), W=1 included (ROADMAP item 1).
 //   * CostOnly — no state, no graph: a PhantomWorkload supplies the loop
 //     trip counts and the run charges exactly the costs the real mode
 //     would, enabling paper-scale sweeps (com-Friendster, K = 12288).
@@ -92,12 +96,6 @@ struct DistributedOptions {
   bool pipeline = true;
   /// Vertices per pipeline chunk in update_phi.
   std::uint32_t chunk_vertices = 32;
-  /// Deduplicate DKV row references within each read stage (chunk loads,
-  /// update_beta pair endpoints, perplexity pairs): each distinct row
-  /// crosses the wire once per stage. Safe because pi is read-only
-  /// between the stage barriers; trajectories are bit-identical either
-  /// way (tested). Off reproduces one fetch per reference.
-  bool dedup_reads = true;
   /// Called by the master rank at the top of every iteration (tests and
   /// progress reporting; leave empty for none).
   std::function<void(std::uint64_t)> master_iteration_hook;

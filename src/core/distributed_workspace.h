@@ -70,7 +70,7 @@ struct WorkerWorkspace {
   graph::NeighborScratch nbr_scratch;
   std::vector<float> staged;        // n_local x row_width
   std::vector<std::uint64_t> keys;  // row references of the current stage
-  /// Fetched rows (deduped or not), kept in the DKV's wire codec —
+  /// Fetched distinct rows, kept in the DKV's wire codec —
   /// value_bytes() per row; the enc kernels dequantize in-register.
   std::vector<std::byte> rows_enc;
   dkv::KeyIndex key_index;

@@ -1,10 +1,12 @@
-// Sequential SG-MCMC sampler for the general (non-assortative) MMSB.
+// Single-threaded SG-MCMC sampler for the general (non-assortative)
+// MMSB.
 //
-// Mirrors SequentialSampler with the full block matrix B in place of
-// (beta, delta). Iteration cost is O(M |V_n| K^2) instead of O(M |V_n| K)
-// — the reason the paper sticks to a-MMSB for its large-scale runs —
-// so this engine targets moderate K (disassortative structure rarely
-// needs thousands of blocks).
+// Runs the iteration of Algorithm 1 (ParallelSampler's, for a-MMSB)
+// with the full block matrix B in place of (beta, delta). Iteration
+// cost is O(M |V_n| K^2) instead of O(M |V_n| K) — the reason the paper
+// sticks to a-MMSB for its large-scale runs — so this engine targets
+// moderate K (disassortative structure rarely needs thousands of
+// blocks).
 #pragma once
 
 #include <memory>

@@ -1,10 +1,10 @@
-// Reusable per-sampler buffers for the steady-state iteration path.
+// Reusable ParallelSampler buffers for the steady-state iteration path.
 //
 // Everything one_iteration touches repeatedly — the minibatch and its
 // dedup scratch, the staged phi rows, the theta ratio partials and
 // gradient, and the per-thread kernel scratch — lives here, sized to
 // conservative upper bounds at construction. After construction the
-// samplers' one_iteration performs no heap allocation at all (verified
+// sampler's one_iteration performs no heap allocation at all (verified
 // by tests/core/zero_alloc_test.cpp with a counting allocator), so the
 // iteration cost is pure compute + the paper's parallel structure, with
 // no allocator noise in timings.
@@ -53,21 +53,21 @@ struct IterationWorkspace {
   std::vector<double> ratios;
   /// Assembled theta gradient, 2k wide.
   std::vector<double> theta_grad;
-  /// kThetaBlocks cache-line-padded partial slices of `theta_stride`
-  /// doubles each (layout as `ratios`); empty for sequential use.
+  /// Doubles per theta partial slice: 2k, padded to a cache line.
+  std::size_t theta_stride;
+  /// kThetaBlocks partial slices of `theta_stride` doubles each (layout
+  /// as `ratios`).
   std::vector<double> theta_partials;
-  std::size_t theta_stride = 0;
   std::vector<ThreadSlot> slots;
 
-  /// `blocked_theta` reserves the fixed-block partial buffer (parallel
-  /// samplers); sequential callers accumulate straight into `ratios`.
   IterationWorkspace(const graph::Graph& graph,
                      const graph::MinibatchSampler& minibatch,
                      std::uint32_t k, std::size_t row_width,
-                     unsigned num_threads, std::size_t num_neighbors,
-                     bool blocked_theta)
+                     unsigned num_threads, std::size_t num_neighbors)
       : ratios(std::size_t{k} * 2, 0.0),
-        theta_grad(std::size_t{k} * 2, 0.0) {
+        theta_grad(std::size_t{k} * 2, 0.0),
+        theta_stride(padded_doubles(std::size_t{k} * 2)),
+        theta_partials(kThetaBlocks * theta_stride, 0.0) {
     const std::size_t max_pairs = minibatch.max_pairs_bound();
     const std::size_t max_vertices = minibatch.max_vertices_bound();
     mb.pairs.reserve(max_pairs);
@@ -79,10 +79,6 @@ struct IterationWorkspace {
       mb_scratch.marks.reserve(graph.num_vertices());
     }
     staged.reserve(max_vertices * row_width);
-    if (blocked_theta) {
-      theta_stride = padded_doubles(std::size_t{k} * 2);
-      theta_partials.assign(kThetaBlocks * theta_stride, 0.0);
-    }
     const std::size_t max_neighbors =
         static_cast<std::size_t>(graph.max_degree()) + num_neighbors;
     slots.reserve(num_threads);

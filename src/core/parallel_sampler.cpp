@@ -35,7 +35,7 @@ ParallelSampler::ParallelSampler(const graph::Graph& training,
       global_(hyper.num_communities),
       minibatch_(training, heldout, options.minibatch),
       ws_(training, minibatch_, hyper.num_communities, pi_.row_width(),
-          num_threads, options.num_neighbors, /*blocked_theta=*/true) {
+          num_threads, options.num_neighbors) {
   hyper_.validate();
   options_.validate();
   pi_.init_random(options_.seed, options_.init_shape);

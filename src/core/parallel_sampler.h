@@ -1,22 +1,25 @@
-// Multithreaded shared-memory sampler — the paper's "vertical scaling"
-// configuration (Section IV-D): one machine, many cores, all state in
-// local RAM.
-//
-// Parallel structure mirrors the paper's OpenMP annotations:
-//   * update_phi: data-parallel over minibatch vertices, static chunks;
-//   * update_pi: parallel commit of the staged rows;
-//   * update_beta: per-thread partial theta gradients folded in thread
-//     order (deterministic), then one serial SGRLD step;
-//   * perplexity: parallel over the held-out slice with a two-stage
-//     reduction.
+// Algorithm 1, the SG-MCMC sampler for a-MMSB, on one machine: the
+// paper's "vertical scaling" configuration (Section IV-D), all state in
+// local RAM, any number of threads. Every single-process caller runs
+// this engine; at one thread it is the sequential sampler. One
+// iteration:
+//   1. draw a minibatch E_n (the kMinibatch stream of the iteration);
+//   2. update_phi: for every vertex a in E_n, draw V_n, accumulate the
+//      phi gradient (Eqn 6) against the *current* state and stage the
+//      SGRLD update (Eqn 5) — data-parallel over the minibatch vertices;
+//   3. update_pi: commit every staged [pi | phi_sum] row (synchronous
+//      minibatch semantics, as the distributed sampler's barrier-
+//      separated stages);
+//   4. update_beta/theta: theta-ratio partials over E_n's pairs with the
+//      *updated* pi, in 64 fixed blocks folded in block order, then one
+//      serial SGRLD step (Eqn 3) and beta = f(theta);
+//   5. on eval_interval boundaries, held-out perplexity (Eqn 7), parallel
+//      over the held-out pairs with a serial log-average.
 // Randomness comes from the derive_rng streams keyed by (iteration,
-// vertex), and the theta-ratio partials fold over 64 fixed blocks, so
-// the trajectory is identical for ANY thread count. It is NOT bit-equal
-// to SequentialSampler in general: Sequential folds the partials pair
-// by pair, and the chain amplifies that last-bit summation-order
-// difference. The two agree bit for bit on small fixtures only; at
-// N=4000, K=16 every pi entry differs after 1500 iterations (ROADMAP
-// item 1).
+// vertex), and the block boundaries depend on the pair count alone, so
+// the trajectory is bit-identical for ANY thread count. It is not
+// bit-identical to DistributedSampler, which folds one partial per
+// worker (ROADMAP item 1).
 #pragma once
 
 #include <chrono>
@@ -39,10 +42,13 @@ namespace scd::core {
 
 class ParallelSampler {
  public:
+  /// `heldout` may be null (no perplexity tracking); both referents must
+  /// outlive the sampler.
   ParallelSampler(const graph::Graph& training,
                   const graph::HeldOutSplit* heldout, const Hyper& hyper,
                   const SamplerOptions& options, unsigned num_threads);
 
+  /// Run `iterations` more iterations (cumulative across calls).
   void run(std::uint64_t iterations);
 
   std::uint64_t iteration() const { return iteration_; }
@@ -51,10 +57,18 @@ class ParallelSampler {
   const std::vector<HistoryPoint>& history() const { return history_; }
   unsigned num_threads() const { return pool_.num_threads(); }
 
+  /// Evaluate perplexity immediately (also appends to history).
   double evaluate_perplexity();
 
-  /// See SequentialSampler::checkpoint / restore.
+  /// Snapshot the resumable state. Every random event derives from
+  /// (seed, iteration, ...), so a sampler restored from a checkpoint
+  /// continues the exact trajectory of the uninterrupted run, at any
+  /// thread count.
   Checkpoint checkpoint() const;
+
+  /// Replace the state with a checkpoint's (graph and options stay).
+  /// Throws scd::UsageError when N or K do not match, and
+  /// scd::DataError on a pi row training cannot start from.
   void restore(const Checkpoint& checkpoint);
 
   /// Install (or clear, with nullptr) a trace recorder: every stage of

@@ -1,5 +1,6 @@
 #include "core/perplexity.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"

@@ -12,8 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "core/grads.h"
-#include "core/kernels_simd.h"
 #include "graph/heldout.h"
 
 namespace scd::core {
@@ -43,23 +41,6 @@ class PerplexityEvaluator {
   /// exp(-sum/count): combine after a global reduction.
   static double perplexity(double total_sum_log_avg,
                            std::uint64_t total_pairs);
-
-  /// Convenience for single-process samplers: evaluate this slice with
-  /// row access through `row_of(vertex)`, update the running averages and
-  /// return the current perplexity of the slice. All per-sample
-  /// probability state lives in the preallocated `prob_sums_`, so
-  /// evaluation allocates nothing.
-  template <typename RowOf>
-  double evaluate(const LikelihoodTerms& terms, RowOf&& row_of) {
-    for (std::size_t i = 0; i < slice_.size(); ++i) {
-      const graph::HeldOutPair& p = slice_[i];
-      const double z =
-          fast_pair_likelihood(row_of(p.a), row_of(p.b), terms, p.link);
-      add_sample_prob(i, z);
-    }
-    finish_sample();
-    return perplexity(sum_log_avg(), slice_.size());
-  }
 
  private:
   std::span<const graph::HeldOutPair> slice_;

@@ -1,11 +1,14 @@
-// The per-vertex update_phi kernel shared by the sequential, parallel
-// and distributed samplers: accumulate the neighbor-set gradient (with
-// the set's exact/sampled weighting) against the current rows, then stage
+// The per-vertex update_phi kernel shared by the parallel and
+// distributed samplers: accumulate the neighbor-set gradient (with the
+// set's exact/sampled weighting) against the current rows, then stage
 // the SGRLD update into `out`.
 //
 // Keeping this in one place is what makes the cross-sampler equivalence
 // tests meaningful: every execution mode runs literally the same
 // arithmetic for a given (seed, iteration, vertex, neighbor set). The
+// SGRLD step's `noise_factor` and `form` have no defaults, so a caller
+// cannot drop its sampler options on the phi step while the theta step
+// honours them. The
 // arithmetic itself is the fast_* kernels of core/kernels_simd.h, which
 // have one body per formula; the dense gradient runs phi_tile_width(K)
 // neighbors per kernel call.
@@ -131,8 +134,8 @@ void staged_phi_update(std::uint64_t seed, std::uint64_t iteration,
                        const graph::NeighborSet& set, RowOf&& row_of,
                        const LikelihoodTerms& terms, double eps,
                        double alpha, std::span<float> out,
-                       PhiScratch& scratch, double noise_factor = 1.0,
-                       GradientForm form = GradientForm::kRawEqn3) {
+                       PhiScratch& scratch, double noise_factor,
+                       GradientForm form) {
   accumulate_phi_grad_set(row_a, set, row_of, terms, scratch);
   for (std::size_t k = 0; k < scratch.exact.size(); ++k) {
     scratch.exact[k] += set.sampled_scale * scratch.sampled[k];
@@ -157,8 +160,8 @@ void staged_phi_update_enc(quant::RowCodec codec, std::uint64_t seed,
                            const graph::NeighborSet& set, EncRowOf&& row_of,
                            const LikelihoodTerms& terms, double eps,
                            double alpha, std::span<float> out,
-                           PhiScratch& scratch, double noise_factor = 1.0,
-                           GradientForm form = GradientForm::kRawEqn3) {
+                           PhiScratch& scratch, double noise_factor,
+                           GradientForm form) {
   quant::decode_row(codec, row_a_enc, out);
   if (quant::is_sparse(codec)) {
     // Batched sparse path: stage the vertex row's mass/btd sums once

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "core/parallel_sampler.h"
-#include "core/sequential_sampler.h"
 #include "quant/row_codec.h"
 #include "tests/core/test_fixtures.h"
 
@@ -85,18 +84,18 @@ TEST(CheckpointTest, MissingFileRejected) {
 TEST(CheckpointTest, ResumedRunContinuesExactTrajectory) {
   auto f = small_planted_fixture(8080, 120, 4, 60);
   f.options.eval_interval = 10;
-  SequentialSampler uninterrupted(f.split->training(), f.split.get(),
-                                  f.hyper, f.options);
+  ParallelSampler uninterrupted(f.split->training(), f.split.get(), f.hyper,
+                                f.options, 1);
   uninterrupted.run(80);
 
-  SequentialSampler first_half(f.split->training(), f.split.get(), f.hyper,
-                               f.options);
+  ParallelSampler first_half(f.split->training(), f.split.get(), f.hyper,
+                             f.options, 1);
   first_half.run(40);
   std::stringstream buffer;
   save_checkpoint(buffer, first_half.checkpoint());
 
-  SequentialSampler resumed(f.split->training(), f.split.get(), f.hyper,
-                            f.options);
+  ParallelSampler resumed(f.split->training(), f.split.get(), f.hyper,
+                          f.options, 1);
   resumed.restore(load_checkpoint(buffer));
   EXPECT_EQ(resumed.iteration(), 40u);
   resumed.run(40);
@@ -139,17 +138,17 @@ TEST(CheckpointTest, BytesRoundTripIsExact) {
 TEST(CheckpointTest, MidIntervalRestoreReproducesTrajectory) {
   auto f = small_planted_fixture(6060, 120, 4, 60);
   f.options.eval_interval = 25;  // evals at 25, 50, 75
-  SequentialSampler uninterrupted(f.split->training(), f.split.get(),
-                                  f.hyper, f.options);
+  ParallelSampler uninterrupted(f.split->training(), f.split.get(), f.hyper,
+                                f.options, 1);
   uninterrupted.run(80);
 
-  SequentialSampler first_part(f.split->training(), f.split.get(), f.hyper,
-                               f.options);
+  ParallelSampler first_part(f.split->training(), f.split.get(), f.hyper,
+                             f.options, 1);
   first_part.run(35);  // between the first and second eval
   const std::string bytes = checkpoint_to_bytes(first_part.checkpoint());
 
-  SequentialSampler resumed(f.split->training(), f.split.get(), f.hyper,
-                            f.options);
+  ParallelSampler resumed(f.split->training(), f.split.get(), f.hyper,
+                          f.options, 1);
   resumed.restore(checkpoint_from_bytes(bytes));
   EXPECT_EQ(resumed.iteration(), 35u);
   resumed.run(45);
@@ -171,32 +170,32 @@ TEST(CheckpointTest, MidIntervalRestoreReproducesTrajectory) {
 }
 
 TEST(CheckpointTest, CrossSamplerHandoff) {
-  // Train with the parallel sampler, checkpoint, resume sequentially:
-  // the engines share state formats and trajectories.
+  // Train at 4 threads, checkpoint, resume at 1 thread: the thread
+  // count changes neither the state format nor the trajectory.
   auto f = small_planted_fixture(9090, 120, 4, 60);
   f.options.eval_interval = 0;
   ParallelSampler parallel(f.split->training(), f.split.get(), f.hyper,
                            f.options, 4);
   parallel.run(30);
 
-  SequentialSampler sequential(f.split->training(), f.split.get(),
-                               f.hyper, f.options);
-  sequential.restore(parallel.checkpoint());
-  sequential.run(30);
+  ParallelSampler single(f.split->training(), f.split.get(), f.hyper,
+                             f.options, 1);
+  single.restore(parallel.checkpoint());
+  single.run(30);
 
-  SequentialSampler reference(f.split->training(), f.split.get(), f.hyper,
-                              f.options);
+  ParallelSampler reference(f.split->training(), f.split.get(), f.hyper,
+                            f.options, 1);
   reference.run(60);
   for (std::uint32_t k = 0; k < f.hyper.num_communities; ++k) {
-    EXPECT_NEAR(sequential.global().beta(k), reference.global().beta(k),
+    EXPECT_NEAR(single.global().beta(k), reference.global().beta(k),
                 1e-6);
   }
 }
 
 TEST(CheckpointTest, RestoreValidatesShape) {
   auto f = small_planted_fixture(1010, 120, 4, 60);
-  SequentialSampler sampler(f.split->training(), f.split.get(), f.hyper,
-                            f.options);
+  ParallelSampler sampler(f.split->training(), f.split.get(), f.hyper,
+                          f.options, 1);
   Checkpoint wrong = make_checkpoint();  // 20 vertices, K=6
   EXPECT_THROW(sampler.restore(wrong), scd::UsageError);
 }
@@ -218,8 +217,8 @@ TEST(CheckpointTest, RestoreRefusesUntrainablePiRows) {
   // them must fail up front with the vertex and column, not as an
   // invariant failure inside the first SGRLD row update.
   auto f = small_planted_fixture(1011, 120, 4, 60);
-  SequentialSampler sequential(f.split->training(), f.split.get(), f.hyper,
-                               f.options);
+  ParallelSampler single(f.split->training(), f.split.get(), f.hyper,
+                             f.options, 1);
   ParallelSampler parallel(f.split->training(), f.split.get(), f.hyper,
                            f.options, 2);
   const float nan = std::numeric_limits<float>::quiet_NaN();
@@ -240,7 +239,7 @@ TEST(CheckpointTest, RestoreRefusesUntrainablePiRows) {
     SCOPED_TRACE(c.expect);
     Checkpoint bad = parallel.checkpoint();
     bad.pi.row(7)[c.column] = c.value;
-    expect_restore_refused(sequential, bad, c.expect);
+    expect_restore_refused(single, bad, c.expect);
     expect_restore_refused(parallel, bad, c.expect);
   }
   // Zero pi weights are legal (the row update floors them).

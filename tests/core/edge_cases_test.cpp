@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/parallel_sampler.h"
-#include "core/sequential_sampler.h"
 #include "graph/builder.h"
 #include "graph/heldout.h"
 
@@ -34,7 +33,7 @@ TEST(EdgeCasesTest, IsolatedVerticesSurviveTraining) {
   Hyper hyper;
   hyper.num_communities = 2;
   hyper.delta = 0.01;
-  SequentialSampler sampler(g, nullptr, hyper, tiny_options());
+  ParallelSampler sampler(g, nullptr, hyper, tiny_options(), 1);
   EXPECT_NO_THROW(sampler.run(200));
   for (std::uint32_t v = 0; v < 10; ++v) {
     double sum = 0.0;
@@ -50,7 +49,7 @@ TEST(EdgeCasesTest, SingleCommunityRuns) {
   Hyper hyper;
   hyper.num_communities = 1;
   hyper.delta = 0.01;
-  SequentialSampler sampler(g, nullptr, hyper, tiny_options());
+  ParallelSampler sampler(g, nullptr, hyper, tiny_options(), 1);
   EXPECT_NO_THROW(sampler.run(100));
   for (std::uint32_t v = 0; v < 6; ++v) {
     EXPECT_NEAR(sampler.pi().pi(v, 0), 1.0, 1e-5);
@@ -68,7 +67,7 @@ TEST(EdgeCasesTest, TinyTriangleGraph) {
   hyper.delta = 0.05;
   SamplerOptions options = tiny_options();
   options.num_neighbors = 1;  // only 2 candidates exist
-  SequentialSampler sampler(g, nullptr, hyper, options);
+  ParallelSampler sampler(g, nullptr, hyper, options, 1);
   EXPECT_NO_THROW(sampler.run(50));
 }
 
@@ -89,7 +88,7 @@ TEST(EdgeCasesTest, EvalEveryIterationWorks) {
   hyper.delta = 0.01;
   SamplerOptions options = tiny_options();
   options.eval_interval = 1;
-  SequentialSampler sampler(split.training(), &split, hyper, options);
+  ParallelSampler sampler(split.training(), &split, hyper, options, 1);
   sampler.run(20);
   EXPECT_EQ(sampler.history().size(), 20u);
   for (const HistoryPoint& p : sampler.history()) {
@@ -116,7 +115,7 @@ TEST(EdgeCasesTest, LargeKOnSmallGraph) {
   Hyper hyper;
   hyper.num_communities = 64;  // far more communities than structure
   hyper.delta = 0.01;
-  SequentialSampler sampler(g, nullptr, hyper, tiny_options());
+  ParallelSampler sampler(g, nullptr, hyper, tiny_options(), 1);
   EXPECT_NO_THROW(sampler.run(50));
   for (std::uint32_t v = 0; v < 20; ++v) {
     EXPECT_GT(sampler.pi().phi_sum(v), 0.0f);

@@ -6,7 +6,6 @@
 
 #include "core/general_sampler.h"
 #include "core/grads.h"
-#include "core/sequential_sampler.h"
 #include "graph/builder.h"
 #include "graph/metrics.h"
 #include "random/distributions.h"

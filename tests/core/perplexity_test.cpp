@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "core/grads.h"
+#include "core/kernels_simd.h"
 #include "util/error.h"
 
 namespace scd::core {
@@ -61,8 +63,17 @@ TEST(PerplexityTest, EvaluateHelperUsesRowProvider) {
   LikelihoodTerms terms;
   const std::vector<float> beta = {0.7f, 0.5f};
   terms.refresh(beta, 0.01);
-  const double perp = eval.evaluate(
-      terms, [&](graph::Vertex) { return std::span<const float>(row); });
+  // One sample, recorded the way the samplers do: a row provider per
+  // vertex, one likelihood per held-out pair.
+  auto row_of = [&](graph::Vertex) { return std::span<const float>(row); };
+  for (std::size_t i = 0; i < eval.size(); ++i) {
+    const graph::HeldOutPair& p = eval.slice()[i];
+    eval.add_sample_prob(
+        i, fast_pair_likelihood(row_of(p.a), row_of(p.b), terms, p.link));
+  }
+  eval.finish_sample();
+  const double perp =
+      PerplexityEvaluator::perplexity(eval.sum_log_avg(), eval.size());
   // p(link) = 0.7, p(non-link) = 0.3.
   const double expected =
       std::exp(-(std::log(0.7) + std::log(0.3)) / 2.0);

@@ -51,7 +51,8 @@ TEST(PhiKernelTest, MatchesManualAccumulation) {
       [&](std::size_t i) {
         return std::span<const float>(neighbor_rows[i]);
       },
-      terms, /*eps=*/0.02, /*alpha=*/0.1, via_kernel, scratch);
+      terms, /*eps=*/0.02, /*alpha=*/0.1, via_kernel, scratch,
+      /*noise_factor=*/1.0, GradientForm::kRawEqn3);
 
   // Manual, via the same kernels.
   std::vector<double> exact(kK, 0.0);
@@ -91,7 +92,7 @@ TEST(PhiKernelTest, EmptyNeighborSetStillAppliesPriorAndNoise) {
   staged_phi_update(
       1, 0, 0, row_a, set,
       [&](std::size_t) { return std::span<const float>(row_a); }, terms,
-      0.05, 0.1, out, scratch);
+      0.05, 0.1, out, scratch, 1.0, GradientForm::kRawEqn3);
   double sum = 0.0;
   for (std::uint32_t k = 0; k < kK; ++k) {
     EXPECT_GT(out[k], 0.0f);
@@ -117,13 +118,13 @@ TEST(PhiKernelTest, ScratchIsReusableAcrossVertices) {
   staged_phi_update(
       1, 0, 0, row_a, set,
       [&](std::size_t) { return std::span<const float>(row_b); }, terms,
-      0.02, 0.1, out1, scratch);
+      0.02, 0.1, out1, scratch, 1.0, GradientForm::kRawEqn3);
   // Second use must not see stale gradient state from the first.
   std::vector<float> out2(kK + 1);
   staged_phi_update(
       1, 0, 0, row_a, set,
       [&](std::size_t) { return std::span<const float>(row_b); }, terms,
-      0.02, 0.1, out2, scratch);
+      0.02, 0.1, out2, scratch, 1.0, GradientForm::kRawEqn3);
   for (std::uint32_t i = 0; i <= kK; ++i) {
     EXPECT_EQ(out1[i], out2[i]);
   }

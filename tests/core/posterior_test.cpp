@@ -12,7 +12,7 @@
 
 #include <cmath>
 
-#include "core/sequential_sampler.h"
+#include "core/parallel_sampler.h"
 #include "graph/generator.h"
 
 namespace scd::core {
@@ -51,7 +51,7 @@ TEST(PosteriorTest, K1BetaChainTracksExactPosteriorMean) {
   // core::GradientForm and the companion test below.
   options.gradient_form = GradientForm::kPreconditioned;
 
-  SequentialSampler sampler(g.graph, nullptr, hyper, options);
+  ParallelSampler sampler(g.graph, nullptr, hyper, options, 1);
   sampler.run(2000);  // burn-in
 
   // Time-average beta over a long window.
@@ -105,7 +105,7 @@ TEST(PosteriorTest, RawEqn3FormIsBiasedUpward) {
   options.seed = 77;
   options.gradient_form = GradientForm::kRawEqn3;
 
-  SequentialSampler sampler(g.graph, nullptr, hyper, options);
+  ParallelSampler sampler(g.graph, nullptr, hyper, options, 1);
   sampler.run(2000);
   double avg_beta = 0.0;
   constexpr int kWindows = 200;

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/report.h"
-#include "core/sequential_sampler.h"
+#include "core/parallel_sampler.h"
 #include "graph/metrics.h"
 #include "tests/core/test_fixtures.h"
 
@@ -13,8 +13,8 @@ namespace {
 TEST(RecoveryTest, PlantedCommunitiesRecovered) {
   auto f = testing::small_planted_fixture(5150, 200, 4, 100);
   f.options.step.a = 0.05;
-  SequentialSampler sampler(f.split->training(), f.split.get(), f.hyper,
-                            f.options);
+  ParallelSampler sampler(f.split->training(), f.split.get(), f.hyper,
+                          f.options, 1);
   sampler.run(1500);
 
   const CommunityReport report = extract_communities(
@@ -42,8 +42,8 @@ TEST(RecoveryTest, PlantedCommunitiesRecovered) {
 TEST(RecoveryTest, BetaEstimatesLandInPlantedRange) {
   auto f = testing::small_planted_fixture(6006, 200, 4, 100);
   f.options.step.a = 0.05;
-  SequentialSampler sampler(f.split->training(), f.split.get(), f.hyper,
-                            f.options);
+  ParallelSampler sampler(f.split->training(), f.split.get(), f.hyper,
+                          f.options, 1);
   sampler.run(1500);
   // Planted strengths are in [0.25, 0.4]; estimates should end up well
   // above the background delta for most communities.
@@ -81,7 +81,7 @@ TEST(RecoveryTest, SparseGraphLearnsWithLinkAwareMode) {
   options.step.b = 4096.0;
   options.seed = 2016;
 
-  SequentialSampler sampler(split.training(), &split, hyper, options);
+  ParallelSampler sampler(split.training(), &split, hyper, options, 1);
   const double initial = sampler.evaluate_perplexity();
   sampler.run(20000);
   const double final_perp = sampler.evaluate_perplexity();

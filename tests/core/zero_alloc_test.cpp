@@ -2,9 +2,9 @@
 //
 // This binary overrides the global allocation operators with counting
 // wrappers (which is why it is a separate test executable): after a
-// warm-up run, ParallelSampler::one_iteration and SequentialSampler::
-// one_iteration must perform ZERO heap allocations — every buffer they
-// touch lives in the IterationWorkspace sized at construction (see
+// warm-up run, ParallelSampler::one_iteration must perform ZERO heap
+// allocations, at one thread and at several — every buffer it touches
+// lives in the IterationWorkspace sized at construction (see
 // core/iteration_workspace.h), and ThreadPool dispatch is a raw function
 // pointer, not a std::function.
 //
@@ -32,7 +32,6 @@
 
 #include "core/distributed_sampler.h"
 #include "core/parallel_sampler.h"
-#include "core/sequential_sampler.h"
 #include "serve/query_engine.h"
 #include "sim/cluster.h"
 #include "tests/core/test_fixtures.h"
@@ -84,28 +83,19 @@ namespace scd::core {
 namespace {
 
 TEST(ZeroAllocTest, ParallelIterationIsAllocationFreeAfterWarmup) {
-  testing::Fixture f = testing::small_planted_fixture();
-  f.options.eval_interval = 0;  // isolate one_iteration
-  ParallelSampler sampler(f.generated.graph, /*heldout=*/nullptr, f.hyper,
-                          f.options, /*num_threads=*/4);
-  sampler.run(20);  // warm-up
+  for (const unsigned threads : {4u, 1u}) {
+    SCOPED_TRACE(threads);
+    testing::Fixture f = testing::small_planted_fixture();
+    f.options.eval_interval = 0;  // isolate one_iteration
+    ParallelSampler sampler(f.generated.graph, /*heldout=*/nullptr, f.hyper,
+                            f.options, threads);
+    sampler.run(20);  // warm-up
 
-  AllocationGuard guard;
-  sampler.run(30);
-  EXPECT_EQ(guard.count(), 0u)
-      << "steady-state one_iteration must not touch the heap";
-}
-
-TEST(ZeroAllocTest, SequentialIterationIsAllocationFreeAfterWarmup) {
-  testing::Fixture f = testing::small_planted_fixture();
-  f.options.eval_interval = 0;
-  SequentialSampler sampler(f.generated.graph, /*heldout=*/nullptr, f.hyper,
-                            f.options);
-  sampler.run(20);
-
-  AllocationGuard guard;
-  sampler.run(30);
-  EXPECT_EQ(guard.count(), 0u);
+    AllocationGuard guard;
+    sampler.run(30);
+    EXPECT_EQ(guard.count(), 0u)
+        << "steady-state one_iteration must not touch the heap";
+  }
 }
 
 TEST(ZeroAllocTest, PerplexityEvaluationIsAllocationFreeAfterWarmup) {
@@ -143,7 +133,6 @@ TEST(ZeroAllocTest, DistributedIterationIsAllocationFreeAfterWarmup) {
   DistributedOptions options;
   options.base = f.options;
   options.pipeline = true;
-  options.dedup_reads = true;
   options.chunk_vertices = 8;
   std::uint64_t hook_calls = 0;
   options.master_iteration_hook = [&hook_calls](std::uint64_t t) {
@@ -178,7 +167,6 @@ TEST(ZeroAllocTest, TracedDistributedIterationIsAllocationFreeAfterWarmup) {
   DistributedOptions options;
   options.base = f.options;
   options.pipeline = true;
-  options.dedup_reads = true;
   options.chunk_vertices = 8;
   options.trace = &recorder;
   std::uint64_t hook_calls = 0;

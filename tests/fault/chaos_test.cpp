@@ -34,7 +34,7 @@ DistributedResult run_sampler(
     const fault::FaultPlan* plan, std::uint64_t rollback_interval,
     PiMatrix* pi_out = nullptr, std::vector<float>* beta_out = nullptr,
     quant::RowCodec pi_codec = quant::RowCodec::kFloat32,
-    bool dedup_reads = true, bool pipeline = false) {
+    bool pipeline = false) {
   auto f = small_planted_fixture(1618, 150, 4, 80);
   f.options.eval_interval = 20;
   sim::SimCluster cluster(cluster_config());
@@ -45,7 +45,6 @@ DistributedResult run_sampler(
   options.fault_plan = plan;
   options.rollback_interval = rollback_interval;
   options.pi_codec = pi_codec;
-  options.dedup_reads = dedup_reads;
   DistributedSampler dist(cluster, f.split->training(), f.split.get(),
                           f.hyper, options);
   DistributedResult result = dist.run(kIterations);
@@ -75,39 +74,36 @@ void expect_identical(const DistributedResult& a,
 // An *empty* plan installs the fault injector but injects nothing: the
 // run must equal the run without a plan bit-for-bit, in numbers and in
 // virtual time. Swept over every pi codec, with and without
-// deduplicated reads and pipelining, so the dense and sparse ratio
-// paths, both row-loader modes and both deploy schedules run.
+// pipelining, so the dense and sparse ratio paths and both deploy
+// schedules run.
 TEST(ChaosTest, EmptyPlanMatchesNoPlanBitExact) {
   const fault::FaultPlan empty;
   for (std::size_t c = 0; c < quant::kNumCodecs; ++c) {
     const auto codec = static_cast<quant::RowCodec>(c);
-    for (const bool dedup : {true, false}) {
-      for (const bool pipeline : {false, true}) {
-        SCOPED_TRACE(std::string(quant::codec_name(codec)) +
-                     (dedup ? " dedup" : " no-dedup") +
-                     (pipeline ? " pipelined" : " unpipelined"));
-        PiMatrix plain_pi(1, 1);
-        std::vector<float> plain_beta;
-        const DistributedResult plain = run_sampler(
-            nullptr, 0, &plain_pi, &plain_beta, codec, dedup, pipeline);
+    for (const bool pipeline : {false, true}) {
+      SCOPED_TRACE(std::string(quant::codec_name(codec)) +
+                   (pipeline ? " pipelined" : " unpipelined"));
+      PiMatrix plain_pi(1, 1);
+      std::vector<float> plain_beta;
+      const DistributedResult plain =
+          run_sampler(nullptr, 0, &plain_pi, &plain_beta, codec, pipeline);
 
-        PiMatrix ft_pi(1, 1);
-        std::vector<float> ft_beta;
-        const DistributedResult ft = run_sampler(&empty, 0, &ft_pi, &ft_beta,
-                                                 codec, dedup, pipeline);
+      PiMatrix ft_pi(1, 1);
+      std::vector<float> ft_beta;
+      const DistributedResult ft =
+          run_sampler(&empty, 0, &ft_pi, &ft_beta, codec, pipeline);
 
-        EXPECT_TRUE(ft.crashed_ranks.empty());
-        EXPECT_EQ(ft.redone_iterations, 0u);
-        expect_identical(ft, plain);
-        ASSERT_EQ(plain_beta.size(), ft_beta.size());
-        for (std::size_t i = 0; i < ft_beta.size(); ++i) {
-          EXPECT_EQ(ft_beta[i], plain_beta[i]) << "beta " << i;
-        }
-        ASSERT_EQ(ft_pi.num_vertices(), plain_pi.num_vertices());
-        for (std::uint32_t v = 0; v < ft_pi.num_vertices(); ++v) {
-          for (std::uint32_t k = 0; k < ft_pi.num_communities(); ++k) {
-            ASSERT_EQ(ft_pi.pi(v, k), plain_pi.pi(v, k)) << "v=" << v;
-          }
+      EXPECT_TRUE(ft.crashed_ranks.empty());
+      EXPECT_EQ(ft.redone_iterations, 0u);
+      expect_identical(ft, plain);
+      ASSERT_EQ(plain_beta.size(), ft_beta.size());
+      for (std::size_t i = 0; i < ft_beta.size(); ++i) {
+        EXPECT_EQ(ft_beta[i], plain_beta[i]) << "beta " << i;
+      }
+      ASSERT_EQ(ft_pi.num_vertices(), plain_pi.num_vertices());
+      for (std::uint32_t v = 0; v < ft_pi.num_vertices(); ++v) {
+        for (std::uint32_t k = 0; k < ft_pi.num_communities(); ++k) {
+          ASSERT_EQ(ft_pi.pi(v, k), plain_pi.pi(v, k)) << "v=" << v;
         }
       }
     }
@@ -216,8 +212,7 @@ TEST(ChaosTest, FaultedRunsAreDeterministic) {
     SCOPED_TRACE(pipeline ? "pipelined" : "unpipelined");
     const fault::FaultPlan empty;
     const DistributedResult clean = run_sampler(
-        &empty, 0, nullptr, nullptr, quant::RowCodec::kFloat32, true,
-        pipeline);
+        &empty, 0, nullptr, nullptr, quant::RowCodec::kFloat32, pipeline);
 
     fault::FaultPlan plan;
     plan.seed = 21;
@@ -230,9 +225,9 @@ TEST(ChaosTest, FaultedRunsAreDeterministic) {
     PiMatrix pi_a(1, 1);
     PiMatrix pi_b(1, 1);
     const DistributedResult a = run_sampler(
-        &plan, 0, &pi_a, nullptr, quant::RowCodec::kFloat32, true, pipeline);
+        &plan, 0, &pi_a, nullptr, quant::RowCodec::kFloat32, pipeline);
     const DistributedResult b = run_sampler(
-        &plan, 0, &pi_b, nullptr, quant::RowCodec::kFloat32, true, pipeline);
+        &plan, 0, &pi_b, nullptr, quant::RowCodec::kFloat32, pipeline);
     expect_identical(a, b);
     ASSERT_EQ(a.crashed_ranks, std::vector<unsigned>{3});
     for (std::uint32_t v = 0; v < pi_a.num_vertices(); ++v) {

@@ -11,7 +11,7 @@
 
 #include "core/checkpoint.h"
 #include "core/distributed_sampler.h"
-#include "core/sequential_sampler.h"
+#include "core/parallel_sampler.h"
 #include "quant/row_codec.h"
 #include "sim/cluster.h"
 #include "tests/core/test_fixtures.h"
@@ -41,20 +41,21 @@ DistributedResult run_with_codec(RowCodec codec,
 }
 
 // Under kFloat32 the encoded-row worker path must reproduce the
-// sequential trajectory exactly like the pre-codec distributed sampler
-// did — the codec layer is bit-transparent, not merely close.
+// single-thread ParallelSampler trajectory exactly like the pre-codec
+// distributed sampler did — the codec layer is bit-transparent, not
+// merely close.
 TEST(QuantDistributedTest, Fp32CodecMatchesSequentialTrajectory) {
   auto f = small_planted_fixture(907, 150, 4, 80);
   f.options.eval_interval = 20;
-  SequentialSampler seq(f.split->training(), f.split.get(), f.hyper,
-                        f.options);
-  seq.run(60);
+  ParallelSampler single(f.split->training(), f.split.get(), f.hyper,
+                         f.options, 1);
+  single.run(60);
 
   const DistributedResult result = run_with_codec(RowCodec::kFloat32);
-  ASSERT_EQ(result.history.size(), seq.history().size());
+  ASSERT_EQ(result.history.size(), single.history().size());
   for (std::size_t i = 0; i < result.history.size(); ++i) {
-    EXPECT_NEAR(result.history[i].perplexity, seq.history()[i].perplexity,
-                1e-6 * seq.history()[i].perplexity)
+    EXPECT_NEAR(result.history[i].perplexity, single.history()[i].perplexity,
+                1e-6 * single.history()[i].perplexity)
         << "eval point " << i;
   }
 }

@@ -72,7 +72,7 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
       --output-on-failure
   timed "tsan: parallel sampler" \
     ctest --preset tsan \
-      -R '(ParallelEquivalenceTest|ParallelSamplerTest)\.' \
+      -R 'Parallel(EquivalenceTest|SamplerTest|SamplerThreadsTest)\.' \
       --no-tests=error --output-on-failure
 fi
 
