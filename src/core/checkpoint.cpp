@@ -221,7 +221,9 @@ Checkpoint checkpoint_from_bytes(const std::string& bytes) {
     require_body_fits(in, std::uint64_t{n} * row_bytes + theta_bytes);
   }
 
-  checkpoint.pi = PiMatrix(n, k);
+  // Every row below is written once, by a copy or a decode; the size
+  // check above guarantees the bytes for all of them are there.
+  checkpoint.pi = PiMatrix::for_overwrite(n, k);
   checkpoint.pi_codec = codec;
   if (version == kVersionSparse) {
     const std::size_t capacity = quant::encoded_bytes(codec, width);
@@ -249,10 +251,8 @@ Checkpoint checkpoint_from_bytes(const std::string& bytes) {
       quant::decode_row(codec, buf, checkpoint.pi.row(v));
     }
   } else {
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const auto row = checkpoint.pi.row(v);
-      in.bytes(row.data(), row.size_bytes());
-    }
+    const auto rows = checkpoint.pi.flat();
+    in.bytes(rows.data(), rows.size_bytes());
   }
   checkpoint.global = GlobalState(k);
   const auto theta = checkpoint.global.theta_flat();

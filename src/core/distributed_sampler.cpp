@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <type_traits>
 
 #include "core/checkpoint.h"
@@ -109,33 +110,49 @@ DistributedSampler::DistributedSampler(comm::Cluster& cluster,
        .codec = options_.pi_codec,
        .sparse_eps = options_.sparse_eps,
        .sparse_modeled_nnz = 0});
-  if (options_.resume_from != nullptr) {
+  const Checkpoint* cp = options_.resume_from;
+  if (cp != nullptr) {
     // Resuming lossy state under a different codec would silently change
     // what the DKV round-trips — refuse, naming both codecs.
-    const Checkpoint& cp = *options_.resume_from;
     SCD_REQUIRE(
-        cp.pi_codec == options_.pi_codec,
-        std::string("checkpoint pi codec '") + quant::codec_name(cp.pi_codec) +
+        cp->pi_codec == options_.pi_codec,
+        std::string("checkpoint pi codec '") +
+            quant::codec_name(cp->pi_codec) +
             "' does not match the run's pi codec '" +
             quant::codec_name(options_.pi_codec) +
             "'; re-encode the checkpoint or match DistributedOptions::"
             "pi_codec to resume");
-    SCD_REQUIRE(cp.pi.num_vertices() == num_vertices_ &&
-                    cp.hyper.num_communities == hyper_.num_communities,
+    SCD_REQUIRE(cp->pi.num_vertices() == num_vertices_ &&
+                    cp->hyper.num_communities == hyper_.num_communities,
                 "checkpoint shape does not match the run");
-    for (std::uint64_t v = 0; v < num_vertices_; ++v) {
-      store_->init_row(v, cp.pi.row(static_cast<std::uint32_t>(v)));
-    }
-    global_ = cp.global;
+    global_ = cp->global;
   } else {
-    // Deterministic expanded-mean initialisation, identical to the
-    // in-process samplers (setup is untimed, as in the paper).
-    std::vector<float> row(store_->row_width());
-    for (std::uint64_t v = 0; v < num_vertices_; ++v) {
-      init_pi_row(options_.base.seed, v, options_.base.init_shape, row);
-      store_->init_row(v, row);
-    }
     global_.init_random(options_.base.seed, hyper_);
+  }
+  {
+    // The store image: the checkpoint's rows, or the deterministic
+    // expanded-mean initialisation the in-process samplers draw. Rows go
+    // to disjoint slots (the sim store's sparse byte and nnz totals are
+    // integer sums, equal in any order), so a transient pool builds it;
+    // the pool is joined here, before run() can fork the proc ranks.
+    const unsigned threads =
+        std::min(cluster.num_ranks(), std::thread::hardware_concurrency());
+    ThreadPool pool(std::max(threads, 1u));
+    pool.parallel_for_dynamic(
+        0, num_vertices_, init_rows_per_claim(hyper_.num_communities),
+        [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+          if (cp != nullptr) {
+            for (std::uint64_t v = lo; v < hi; ++v) {
+              store_->init_row(v, cp->pi.row(static_cast<std::uint32_t>(v)));
+            }
+            return;
+          }
+          std::vector<float> row(store_->row_width());
+          for (std::uint64_t v = lo; v < hi; ++v) {
+            init_pi_row(options_.base.seed, v, options_.base.init_shape, row);
+            store_->init_row(v, row);
+          }
+        });
   }
   minibatch_.emplace(training, heldout, options_.base.minibatch);
 }
@@ -1244,8 +1261,8 @@ void DistributedSampler::worker_loop(comm::Context& ctx) {
 
 PiMatrix DistributedSampler::snapshot_pi() const {
   SCD_REQUIRE(real(), "no pi state in cost-only mode");
-  PiMatrix pi(static_cast<std::uint32_t>(num_vertices_),
-              hyper_.num_communities);
+  PiMatrix pi = PiMatrix::for_overwrite(
+      static_cast<std::uint32_t>(num_vertices_), hyper_.num_communities);
   for (std::uint64_t v = 0; v < num_vertices_; ++v) {
     store_->read_row(v, pi.row(static_cast<std::uint32_t>(v)));
   }

@@ -18,7 +18,8 @@ GeneralSequentialSampler::GeneralSequentialSampler(
       heldout_(heldout),
       hyper_(hyper),
       options_(options),
-      pi_(training.num_vertices(), hyper.num_communities),
+      pi_(PiMatrix::for_overwrite(training.num_vertices(),
+                                  hyper.num_communities)),
       blocks_(hyper.num_communities),
       minibatch_(training, heldout, options.minibatch) {
   hyper_.validate();

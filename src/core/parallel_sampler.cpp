@@ -31,14 +31,15 @@ ParallelSampler::ParallelSampler(const graph::Graph& training,
       hyper_(hyper),
       options_(options),
       pool_(num_threads),
-      pi_(training.num_vertices(), hyper.num_communities),
+      pi_(PiMatrix::for_overwrite(training.num_vertices(),
+                                  hyper.num_communities)),
       global_(hyper.num_communities),
       minibatch_(training, heldout, options.minibatch),
       ws_(training, minibatch_, hyper.num_communities, pi_.row_width(),
           num_threads, options.num_neighbors) {
   hyper_.validate();
   options_.validate();
-  pi_.init_random(options_.seed, options_.init_shape);
+  pi_.init_random(pool_, options_.seed, options_.init_shape);
   global_.init_random(options_.seed, hyper_);
   terms_.refresh(global_.beta_all(), hyper_.delta);
   if (heldout_ != nullptr) {

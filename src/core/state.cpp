@@ -1,6 +1,8 @@
 #include "core/state.h"
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
 #include "random/distributions.h"
 #include "util/error.h"
@@ -45,17 +47,73 @@ void init_pi_row(std::uint64_t seed, std::uint64_t vertex, double init_shape,
   row[k] = static_cast<float>(sum);
 }
 
-PiMatrix::PiMatrix(std::uint32_t num_vertices, std::uint32_t num_communities)
+PiMatrix::PiMatrix(std::uint32_t num_vertices, std::uint32_t num_communities,
+                   ForOverwrite)
     : n_(num_vertices), k_(num_communities) {
   SCD_REQUIRE(num_vertices >= 1 && num_communities >= 1,
               "empty pi matrix");
-  data_.assign(std::size_t{n_} * row_width(), 0.0f);
+  data_ = std::make_unique_for_overwrite<float[]>(size());
+}
+
+PiMatrix::PiMatrix(std::uint32_t num_vertices, std::uint32_t num_communities)
+    : PiMatrix(num_vertices, num_communities, ForOverwrite{}) {
+  std::fill_n(data_.get(), size(), 0.0f);
+}
+
+PiMatrix PiMatrix::for_overwrite(std::uint32_t num_vertices,
+                                 std::uint32_t num_communities) {
+  return PiMatrix(num_vertices, num_communities, ForOverwrite{});
+}
+
+PiMatrix::PiMatrix(const PiMatrix& other)
+    : n_(other.n_),
+      k_(other.k_),
+      data_(std::make_unique_for_overwrite<float[]>(other.size())) {
+  if (size() > 0) {
+    std::memcpy(data_.get(), other.data_.get(), size() * sizeof(float));
+  }
+}
+
+PiMatrix& PiMatrix::operator=(const PiMatrix& other) {
+  if (this == &other) return *this;
+  if (size() != other.size()) {
+    data_ = std::make_unique_for_overwrite<float[]>(other.size());
+  }
+  n_ = other.n_;
+  k_ = other.k_;
+  if (size() > 0) {
+    std::memcpy(data_.get(), other.data_.get(), size() * sizeof(float));
+  }
+  return *this;
+}
+
+PiMatrix::PiMatrix(PiMatrix&& other) noexcept
+    : n_(std::exchange(other.n_, 0)),
+      k_(std::exchange(other.k_, 0)),
+      data_(std::move(other.data_)) {}
+
+PiMatrix& PiMatrix::operator=(PiMatrix&& other) noexcept {
+  n_ = std::exchange(other.n_, 0);
+  k_ = std::exchange(other.k_, 0);
+  data_ = std::move(other.data_);
+  return *this;
+}
+
+void PiMatrix::init_random(threading::ThreadPool& pool, std::uint64_t seed,
+                           double init_shape) {
+  pool.parallel_for_dynamic(
+      0, n_, init_rows_per_claim(k_),
+      [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+        for (std::uint64_t v = lo; v < hi; ++v) {
+          init_pi_row(seed, v, init_shape,
+                      row(static_cast<std::uint32_t>(v)));
+        }
+      });
 }
 
 void PiMatrix::init_random(std::uint64_t seed, double init_shape) {
-  for (std::uint32_t v = 0; v < n_; ++v) {
-    init_pi_row(seed, v, init_shape, row(v));
-  }
+  threading::ThreadPool one(1);
+  init_random(one, seed, init_shape);
 }
 
 GlobalState::GlobalState(std::uint32_t num_communities)

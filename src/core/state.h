@@ -11,12 +11,15 @@
 // precision — it is tiny and master-owned) and the derived beta.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/hyper.h"
 #include "random/xoshiro.h"
+#include "threading/thread_pool.h"
 
 namespace scd::core {
 
@@ -47,12 +50,38 @@ constexpr std::uint64_t kHeldOut = 8;
 void init_pi_row(std::uint64_t seed, std::uint64_t vertex, double init_shape,
                  std::span<float> row);
 
-/// N x (K+1) float matrix of [pi | phi_sum] rows.
+/// Rows per claim when a pool builds a pi image row by row (init_random,
+/// the distributed store image): about 1024 Gamma draws, tens of
+/// microseconds, so a claim outweighs its atomic fetch at any K.
+inline std::uint64_t init_rows_per_claim(std::uint32_t k) {
+  return std::max<std::uint64_t>(1, 1024 / std::uint64_t{k});
+}
+
+/// N x (K+1) float matrix of [pi | phi_sum] rows, in one owned buffer.
+/// A copy is one memcpy of that buffer.
 class PiMatrix {
  public:
+  /// Every entry zero.
   PiMatrix(std::uint32_t num_vertices, std::uint32_t num_communities);
 
-  /// Gamma(init_shape) expanded-mean initialisation of every row.
+  /// Storage whose entries are left unset, for a caller that writes
+  /// every row before reading any (init_random, the checkpoint loader):
+  /// the rows are then written once, not zeroed first.
+  static PiMatrix for_overwrite(std::uint32_t num_vertices,
+                                std::uint32_t num_communities);
+
+  PiMatrix(const PiMatrix& other);
+  PiMatrix& operator=(const PiMatrix& other);
+  /// A moved-from matrix holds no rows.
+  PiMatrix(PiMatrix&& other) noexcept;
+  PiMatrix& operator=(PiMatrix&& other) noexcept;
+
+  /// Gamma(init_shape) expanded-mean initialisation of every row: row v
+  /// is init_pi_row(seed, v, init_shape), drawn on `pool`. Each row has
+  /// its own stream, so the bytes do not depend on the thread count.
+  void init_random(threading::ThreadPool& pool, std::uint64_t seed,
+                   double init_shape = 1.0);
+  /// The same, on a one-thread pool (the calling thread).
   void init_random(std::uint64_t seed, double init_shape = 1.0);
 
   std::uint32_t num_vertices() const { return n_; }
@@ -60,11 +89,14 @@ class PiMatrix {
   std::uint32_t row_width() const { return k_ + 1; }
 
   std::span<float> row(std::uint32_t v) {
-    return {data_.data() + std::size_t{v} * row_width(), row_width()};
+    return {data_.get() + std::size_t{v} * row_width(), row_width()};
   }
   std::span<const float> row(std::uint32_t v) const {
-    return {data_.data() + std::size_t{v} * row_width(), row_width()};
+    return {data_.get() + std::size_t{v} * row_width(), row_width()};
   }
+  /// All rows back to back: num_vertices() * row_width() floats.
+  std::span<float> flat() { return {data_.get(), size()}; }
+  std::span<const float> flat() const { return {data_.get(), size()}; }
 
   float pi(std::uint32_t v, std::uint32_t k) const {
     return data_[std::size_t{v} * row_width() + k];
@@ -74,9 +106,15 @@ class PiMatrix {
   }
 
  private:
+  struct ForOverwrite {};
+  PiMatrix(std::uint32_t num_vertices, std::uint32_t num_communities,
+           ForOverwrite);
+
+  std::size_t size() const { return std::size_t{n_} * row_width(); }
+
   std::uint32_t n_;
   std::uint32_t k_;
-  std::vector<float> data_;
+  std::unique_ptr<float[]> data_;
 };
 
 /// Global community-strength state.

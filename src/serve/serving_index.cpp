@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -245,19 +246,28 @@ void ServingIndex::build(threading::ThreadPool& pool) {
   }
 
   // Stage 4 — rank each community's members, parallel over communities,
-  // on the same packed key as stage 1. Sorting a deterministic input with
-  // a strict total order keeps the output thread-count independent.
+  // on the same packed key as stage 1: sort the unique rank_key words,
+  // then rebuild the entries, re-reading each weight from its pi row
+  // (order_key folds -0.0f onto +0.0f, so the key cannot give it back).
+  // Sorting a deterministic input with a strict total order keeps the
+  // output thread-count independent.
   pool.parallel_for(0, k_, [&](unsigned, std::uint64_t lo,
                                std::uint64_t hi) {
+    std::vector<std::uint64_t> words;
     for (std::uint64_t c = lo; c < hi; ++c) {
-      auto begin = members_.begin() +
-                   static_cast<std::ptrdiff_t>(member_offsets_[c]);
-      auto end = members_.begin() +
-                 static_cast<std::ptrdiff_t>(member_offsets_[c + 1]);
-      std::sort(begin, end, [](const MemberEntry& a, const MemberEntry& b) {
-        return rank_key(order_key(a.weight), a.vertex) <
-               rank_key(order_key(b.weight), b.vertex);
-      });
+      const auto community = static_cast<std::uint32_t>(c);
+      const std::span<MemberEntry> list(
+          members_.data() + member_offsets_[c],
+          member_offsets_[c + 1] - member_offsets_[c]);
+      words.clear();
+      for (const MemberEntry& m : list) {
+        words.push_back(rank_key(order_key(m.weight), m.vertex));
+      }
+      std::sort(words.begin(), words.end());
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        const auto v = static_cast<std::uint32_t>(words[i]);
+        list[i] = MemberEntry{v, checkpoint_.pi.pi(v, community)};
+      }
     }
   });
 }

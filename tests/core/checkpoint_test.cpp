@@ -7,6 +7,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/parallel_sampler.h"
 #include "quant/row_codec.h"
@@ -187,8 +189,43 @@ TEST(CheckpointTest, CrossSamplerHandoff) {
                             f.options, 1);
   reference.run(60);
   for (std::uint32_t k = 0; k < f.hyper.num_communities; ++k) {
-    EXPECT_NEAR(single.global().beta(k), reference.global().beta(k),
-                1e-6);
+    EXPECT_EQ(single.global().beta(k), reference.global().beta(k));
+  }
+}
+
+// The loader writes each pi float once into storage it never zeroed: a
+// v1 load copies the body in one piece, v2/v3 loads decode into the
+// rows. A copy or a move of what it returns holds the same bytes.
+TEST(CheckpointTest, LoadedPiCopiesAndMovesAreByteEqual) {
+  using testing::pi_bits;
+  const Checkpoint source = make_checkpoint();
+  for (const quant::RowCodec codec :
+       {quant::RowCodec::kFloat32, quant::RowCodec::kFp16,
+        quant::RowCodec::kSparseTopR}) {
+    const Checkpoint loaded =
+        checkpoint_from_bytes(checkpoint_to_bytes(source, codec));
+    const std::vector<std::uint32_t> bits = pi_bits(loaded.pi);
+    if (codec == quant::RowCodec::kFloat32) {
+      EXPECT_EQ(bits, pi_bits(source.pi));
+    }
+    const PiMatrix copied(loaded.pi);
+    EXPECT_EQ(pi_bits(copied), bits) << quant::codec_name(codec);
+    PiMatrix assigned(1, 1);
+    assigned = loaded.pi;
+    EXPECT_EQ(pi_bits(assigned), bits) << quant::codec_name(codec);
+    PiMatrix same_shape(loaded.pi.num_vertices(),
+                        loaded.pi.num_communities());
+    same_shape = loaded.pi;
+    EXPECT_EQ(pi_bits(same_shape), bits) << quant::codec_name(codec);
+    PiMatrix source_copy(loaded.pi);
+    const PiMatrix moved(std::move(source_copy));
+    EXPECT_EQ(pi_bits(moved), bits) << quant::codec_name(codec);
+    PiMatrix move_assigned(1, 1);
+    move_assigned = PiMatrix(loaded.pi);
+    EXPECT_EQ(pi_bits(move_assigned), bits) << quant::codec_name(codec);
+    EXPECT_EQ(move_assigned.num_vertices(), loaded.pi.num_vertices());
+    EXPECT_EQ(move_assigned.num_communities(),
+              loaded.pi.num_communities());
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <type_traits>
+#include <vector>
 
 #include "core/parallel_sampler.h"
 #include "sim/cluster.h"
@@ -214,6 +215,33 @@ TEST(DistributedSamplerTest, LinkAwareModeAlsoMatchesSequential) {
     EXPECT_NEAR(result.history[i].perplexity,
                 single.history()[i].perplexity,
                 1e-6 * single.history()[i].perplexity);
+  }
+}
+
+// The store image is built on a transient pool, from the per-vertex
+// streams ParallelSampler draws (a fresh run) or from the checkpoint's
+// rows (resume_from): either way it is ParallelSampler's pi, byte for
+// byte. K = 16 puts 64 rows in a claim, so N = 600 spreads over threads.
+TEST(DistributedSamplerTest, StoreImageMatchesParallelSamplerPi) {
+  using testing::pi_bits;
+  auto f = small_planted_fixture(2718, 600, 16, 80);
+  ParallelSampler local(f.split->training(), f.split.get(), f.hyper,
+                        f.options, 3);
+  const std::vector<std::uint32_t> initial = pi_bits(local.pi());
+  local.run(10);
+  const Checkpoint cp = local.checkpoint();
+  const std::vector<std::uint32_t> resumed = pi_bits(cp.pi);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    for (const bool resume : {false, true}) {
+      sim::SimCluster cluster(cluster_config(workers));
+      DistributedOptions options;
+      options.base = f.options;
+      options.resume_from = resume ? &cp : nullptr;
+      DistributedSampler dist(cluster, f.split->training(), f.split.get(),
+                              f.hyper, options);
+      EXPECT_EQ(pi_bits(dist.snapshot_pi()), resume ? resumed : initial)
+          << "W=" << workers << (resume ? " resume_from" : " fresh");
+    }
   }
 }
 

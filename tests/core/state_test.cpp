@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "threading/thread_pool.h"
 
 namespace scd::core {
 namespace {
@@ -56,6 +62,55 @@ TEST(PiMatrixTest, InitRowStandaloneMatchesMatrix) {
   std::vector<float> row(7);
   init_pi_row(99, 3, 0.7, row);
   for (int i = 0; i < 7; ++i) EXPECT_EQ(row[static_cast<std::size_t>(i)], m.row(3)[static_cast<std::size_t>(i)]);
+}
+
+// init_random draws each row from its own stream on the pool, so at any
+// thread count the matrix is the per-vertex init_pi_row output byte for
+// byte. N runs from one row to many claims, K from one community
+// (1024-row claims) to 257 (3-row claims), and the Gamma shape from
+// below 1 to above it.
+TEST(PiMatrixTest, PoolInitMatchesPerVertexRowsAtAnyThreadCount) {
+  constexpr std::uint64_t kSeed = 2024;
+  std::vector<std::unique_ptr<threading::ThreadPool>> pools;
+  for (const unsigned threads : {1u, 2u, 3u, 5u}) {
+    pools.push_back(std::make_unique<threading::ThreadPool>(threads));
+  }
+  for (const std::uint32_t n : {1u, 63u, 64u, 65u, 2000u}) {
+    for (const std::uint32_t k : {1u, 7u, 64u, 257u}) {
+      for (const double shape : {0.5, 1.0, 2.0}) {
+        std::vector<float> expected(std::size_t{n} * (k + 1));
+        for (std::uint32_t v = 0; v < n; ++v) {
+          init_pi_row(kSeed, v, shape,
+                      std::span<float>(expected).subspan(
+                          std::size_t{v} * (k + 1), k + 1));
+        }
+        for (const auto& pool : pools) {
+          PiMatrix pi = PiMatrix::for_overwrite(n, k);
+          pi.init_random(*pool, kSeed, shape);
+          ASSERT_EQ(pi.flat().size(), expected.size());
+          EXPECT_EQ(std::memcmp(pi.flat().data(), expected.data(),
+                                pi.flat().size_bytes()),
+                    0)
+              << "T=" << pool->num_threads() << " N=" << n << " K=" << k
+              << " shape=" << shape;
+        }
+      }
+    }
+  }
+}
+
+TEST(PiMatrixTest, NewMatrixIsZeroAndCopiesAreIndependent) {
+  PiMatrix zero(3, 4);
+  for (const float x : zero.flat()) EXPECT_EQ(x, 0.0f);
+  PiMatrix a(3, 4);
+  a.init_random(11);
+  PiMatrix b(a);
+  b.row(1)[2] = -1.0f;
+  EXPECT_NE(a.row(1)[2], -1.0f);
+  PiMatrix moved(std::move(b));
+  EXPECT_EQ(b.num_vertices(), 0u);
+  EXPECT_TRUE(b.flat().empty());
+  EXPECT_EQ(moved.row(1)[2], -1.0f);
 }
 
 TEST(GlobalStateTest, BetaDerivedFromTheta) {

@@ -3,10 +3,14 @@
 // hundred iterations converge visibly.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/hyper.h"
 #include "core/options.h"
+#include "core/state.h"
 #include "graph/generator.h"
 #include "graph/heldout.h"
 
@@ -53,6 +57,17 @@ inline Fixture small_planted_fixture(std::uint64_t seed = 4242,
   f.options.step.c = 0.55;
   f.options.seed = seed + 2;
   return f;
+}
+
+/// Every float of `pi`, row after row, as its bit pattern: EXPECT_EQ on
+/// two of these is byte equality of the matrices.
+inline std::vector<std::uint32_t> pi_bits(const PiMatrix& pi) {
+  std::vector<std::uint32_t> bits;
+  bits.reserve(pi.flat().size());
+  for (const float x : pi.flat()) {
+    bits.push_back(std::bit_cast<std::uint32_t>(x));
+  }
+  return bits;
 }
 
 }  // namespace scd::core::testing

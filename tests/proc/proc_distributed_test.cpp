@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel_sampler.h"
 #include "fault/fault_plan.h"
 #include "proc/proc_cluster.h"
 #include "sim/cluster.h"
@@ -170,6 +171,34 @@ TEST(ProcDistributedTest, CrashPlanMatchesSimulatorRecoveryBitExact) {
         }
       }
     }
+  }
+}
+
+// The launcher builds the shared row region on a transient pool that is
+// joined before run() forks: fresh and resumed images are
+// ParallelSampler's pi byte for byte, and the workers fork and run from
+// them.
+TEST(ProcDistributedTest, StoreImageMatchesParallelSamplerPi) {
+  using testing::pi_bits;
+  auto f = small_planted_fixture(2718, 600, 16, 80);
+  ParallelSampler local(f.split->training(), f.split.get(), f.hyper,
+                        f.options, 3);
+  const std::vector<std::uint32_t> initial = pi_bits(local.pi());
+  local.run(10);
+  const Checkpoint cp = local.checkpoint();
+  for (const bool resume : {false, true}) {
+    proc::ProcCluster::Config config;
+    config.num_ranks = 3;
+    config.recv_timeout_s = 60.0;
+    proc::ProcCluster cluster(config);
+    DistributedOptions options;
+    options.base = f.options;
+    options.resume_from = resume ? &cp : nullptr;
+    DistributedSampler dist(cluster, f.split->training(), f.split.get(),
+                            f.hyper, options);
+    EXPECT_EQ(pi_bits(dist.snapshot_pi()), resume ? pi_bits(cp.pi) : initial)
+        << (resume ? "resume_from" : "fresh");
+    dist.run(2);
   }
 }
 

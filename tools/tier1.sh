@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the default build + full test suite, then the same
 # suite under AddressSanitizer + UBSan (the `asan` CMake preset), then the
-# concurrency suites (serve + threading + the ParallelSampler suites)
-# under ThreadSanitizer (the `tsan` preset). Run from anywhere; the build
-# trees live next to the sources (build/, build-asan/, build-tsan/).
+# concurrency suites (serve + threading + the ParallelSampler and
+# PiMatrix suites) under ThreadSanitizer (the `tsan` preset). Run from
+# anywhere; the build trees live next to the sources (build/,
+# build-asan/, build-tsan/).
 #
 #   tools/tier1.sh               # default + asan + tsan
 #   SKIP_ASAN=1 tools/tier1.sh   # skip the asan pass (fast local loop)
@@ -61,18 +62,19 @@ fi
 # the code where a missed fence shows up as a rare torn read, so the
 # concurrency-heavy labels run under ThreadSanitizer, together with the
 # ParallelSampler suites, whose stages claim work from a shared atomic
-# cursor. Scoped to those (TSan slows everything ~10x; the rest of the
+# cursor, and the PiMatrix suite, whose pool init claims rows the same
+# way. Scoped to those (TSan slows everything ~10x; the rest of the
 # suite is covered by the asan pass).
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
-  echo "== tier-1: tsan preset (serve + threading + parallel sampler) =="
+  echo "== tier-1: tsan preset (serve + threading + sampler + pi init) =="
   timed "tsan: configure+build" bash -c \
     'cmake --preset tsan && cmake --build --preset tsan -j'
   timed "tsan: -L serve|threading" \
     ctest --preset tsan -L 'serve|threading' --no-tests=error \
       --output-on-failure
-  timed "tsan: parallel sampler" \
+  timed "tsan: parallel sampler + pi init" \
     ctest --preset tsan \
-      -R 'Parallel(EquivalenceTest|SamplerTest|SamplerThreadsTest)\.' \
+      -R 'Parallel(EquivalenceTest|SamplerTest|SamplerThreadsTest)\.|PiMatrixTest\.' \
       --no-tests=error --output-on-failure
 fi
 
