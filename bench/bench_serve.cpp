@@ -103,6 +103,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Builds the index, then runs every traffic repeat: one set of query
+  // workers for all of them.
   threading::ThreadPool pool(kThreads);
   serve::ServingIndexOptions index_options;
   index_options.top_r = kTopR;
@@ -159,7 +161,8 @@ int main(int argc, char** argv) {
       options.refreshes = arm.refreshes;
       options.refresh_codec = quant::RowCodec::kFloat32;
       options.seed = 99;
-      const serve::TrafficReport r = serve::run_traffic(snapshots, options);
+      const serve::TrafficReport r =
+          serve::run_traffic(snapshots, options, pool);
 
       SCD_REQUIRE(r.ops_top + r.ops_link + r.ops_members == r.ops,
                   "every op must be accounted to a kind");

@@ -146,11 +146,11 @@ std::string checkpoint_to_bytes(const Checkpoint& checkpoint,
       }
     }
   } else {
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const auto row = checkpoint.pi.row(v);
-      bytes.append(reinterpret_cast<const char*>(row.data()),
-                   row.size_bytes());
-    }
+    // v1 rows are the matrix's own row-major [pi | phi_sum] layout, so
+    // all n rows go in one append.
+    const auto flat = checkpoint.pi.flat();
+    bytes.append(reinterpret_cast<const char*>(flat.data()),
+                 flat.size_bytes());
   }
   bytes.append(reinterpret_cast<const char*>(theta.data()),
                theta.size_bytes());

@@ -1,6 +1,8 @@
 #include "proc/framing.h"
 
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstring>
 
 #include <poll.h>
@@ -11,6 +13,21 @@
 #include "util/error.h"
 
 namespace scd::proc {
+
+namespace {
+
+/// poll()'s timeout for a wait of `timeout_s` seconds: whole milliseconds
+/// rounded up, at most INT_MAX (about 24.8 days, which is also what +inf
+/// waits). Zero and negative waits do not block.
+int poll_timeout_ms(double timeout_s) {
+  SCD_REQUIRE(!std::isnan(timeout_s), "read timeout must not be NaN");
+  if (timeout_s <= 0.0) return 0;
+  const double ms = timeout_s * 1e3;
+  return ms >= static_cast<double>(INT_MAX - 1) ? INT_MAX
+                                                : static_cast<int>(ms) + 1;
+}
+
+}  // namespace
 
 bool write_full(int fd, const void* data, std::size_t len) {
   const char* p = static_cast<const char*>(data);
@@ -34,10 +51,9 @@ bool write_full(int fd, const void* data, std::size_t len) {
 IoStatus read_full(int fd, void* data, std::size_t len, double timeout_s) {
   char* p = static_cast<char*>(data);
   std::size_t got = 0;
+  const int timeout_ms = poll_timeout_ms(timeout_s);
   while (got < len) {
     struct pollfd pfd{fd, POLLIN, 0};
-    const int timeout_ms =
-        timeout_s <= 0.0 ? 0 : static_cast<int>(timeout_s * 1e3) + 1;
     const int pr = ::poll(&pfd, 1, timeout_ms);
     if (pr < 0) {
       if (errno == EINTR) continue;

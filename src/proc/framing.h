@@ -39,8 +39,10 @@ enum class IoStatus {
 bool write_full(int fd, const void* data, std::size_t len);
 
 /// Read exactly `len` bytes, polling up to `timeout_s` wall seconds for
-/// each chunk. kEof is only returned on a clean boundary (no partial
-/// frame); a connection that dies mid-frame throws.
+/// each chunk (rounded up to whole milliseconds and capped at INT_MAX of
+/// them, so a huge or infinite timeout waits about 24.8 days; a NaN
+/// timeout throws scd::UsageError). kEof is only returned on a clean
+/// boundary (no partial frame); a connection that dies mid-frame throws.
 IoStatus read_full(int fd, void* data, std::size_t len, double timeout_s);
 
 /// Throwing read for reads where EOF and timeouts are always fatal (a

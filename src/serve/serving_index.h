@@ -45,33 +45,55 @@ struct ServingIndexOptions {
 };
 
 /// One entry of a per-node top list: community id + its pi weight.
+/// Trivial, so the index allocates its lists without filling them;
+/// `TopEntry{}` is still zero.
 struct TopEntry {
-  std::uint32_t community = 0;
-  float weight = 0.0f;
+  std::uint32_t community;
+  float weight;
 };
 
 /// One entry of a per-community inverted list: vertex id + its pi weight.
+/// Trivial, like TopEntry.
 struct MemberEntry {
-  std::uint32_t vertex = 0;
-  float weight = 0.0f;
+  std::uint32_t vertex;
+  float weight;
 };
 
 /// The k best entries of `row` (weights indexed by community), weight
 /// descending with community-ascending tie-break, into out[0, k). -0.0f
 /// ties with +0.0f. The selection works on one 32-bit order key per
-/// weight: passes of a branch-free count of the keys under three pivots
-/// narrow a key interval onto the k-th key, stopping early when a pivot
-/// has exactly k keys under it; the k winners are collected in id order
-/// as packed 64-bit (key, id) words and ordered by a branch-free rank
-/// count (k <= 64) or by sorting the words (k > 64). A search pass is
-/// O(K) and cuts the interval to a quarter, so a row takes at most 16
-/// (the serving model's rows take about six); the rest is O(K + k^2) for
-/// k <= 64 and O(K + k log k) above. Throws scd::DataError
-/// naming the community when the row holds a NaN or +-inf weight.
-/// Allocation-free after warm-up (the scratch is thread-local). Serves
-/// both the index build and the query engine's exact fallback for k > R.
+/// weight: passes of a branch-free count of the keys under three
+/// ascending pivots narrow a key interval onto the k-th key, stopping
+/// early when a pivot has exactly k keys under it; the k winners are
+/// collected in id order from one bitmask per 32 keys, then ordered by a
+/// branch-free count of smaller keys (k <= 64; ties, rare, take a second
+/// count that breaks them by id) or by sorting packed (key, id) words
+/// (k > 64). A search pass is O(K); with evenly spread pivots it cuts
+/// the interval to a quarter, so a row takes at most 16 (the serving
+/// model's rows take about six); the rest is O(K + k^2) for k <= 64 and
+/// O(K + k log k) above. Throws scd::DataError naming the community
+/// when the row holds a NaN or +-inf weight. Allocation-free after
+/// warm-up (the scratch is thread-local). The query engine's exact
+/// fallback for k > R calls it; it is select_top_seeded with no seed.
 void select_top(std::span<const float> row, std::uint32_t k,
                 std::span<TopEntry> out);
+
+/// What select_top_seeded reports besides the list.
+struct SelectTopResult {
+  std::uint32_t kth_key;  ///< the row's k-th key, in order_key's order
+  std::uint32_t passes;   ///< threshold-search passes over the row's keys
+};
+
+/// select_top with its first search pass placed around `seed`, a key in
+/// order_key's order: pivots at seed + 1 and a fixed band either side of
+/// it, when the seed lies strictly inside the row's key range; evenly
+/// spread pivots otherwise (~0u never lies inside). The index build
+/// passes each row the k-th key of the row before it, which cuts the
+/// serving model's passes from about six to about three and a half. The
+/// winners, and so `out`, are select_top's for any seed.
+SelectTopResult select_top_seeded(std::span<const float> row,
+                                  std::uint32_t k, std::span<TopEntry> out,
+                                  std::uint32_t seed);
 
 class ServingIndex {
  public:
@@ -93,7 +115,7 @@ class ServingIndex {
   /// Iteration the source checkpoint was taken at.
   std::uint64_t iteration() const { return checkpoint_.iteration; }
   /// Total entries across all inverted member lists.
-  std::uint64_t inverted_entries() const { return members_.size(); }
+  std::uint64_t inverted_entries() const { return member_offsets_[k_]; }
   /// Approximate resident bytes of the index structures (top lists,
   /// inverted lists, dense rows).
   std::size_t index_bytes() const;
@@ -102,13 +124,13 @@ class ServingIndex {
   /// Top-R communities of `u`, weight-descending (community-ascending
   /// tie-break).
   std::span<const TopEntry> top_list(std::uint32_t u) const {
-    return {top_.data() + std::size_t{u} * top_r_, top_r_};
+    return {top_.get() + std::size_t{u} * top_r_, top_r_};
   }
 
   /// Members of community `c` with pi >= membership_threshold, weight-
   /// descending (vertex-ascending tie-break).
   std::span<const MemberEntry> members(std::uint32_t c) const {
-    return {members_.data() + member_offsets_[c],
+    return {members_.get() + member_offsets_[c],
             member_offsets_[c + 1] - member_offsets_[c]};
   }
 
@@ -136,10 +158,10 @@ class ServingIndex {
   double threshold_ = 0.0;
   core::LikelihoodTerms terms_;
 
-  std::vector<TopEntry> top_;  // n_ * top_r_, flat
+  std::unique_ptr<TopEntry[]> top_;  // n_ * top_r_, flat
   // Inverted lists in CSR form: members_[member_offsets_[c] ..
   // member_offsets_[c+1]) are community c's members.
-  std::vector<MemberEntry> members_;
+  std::unique_ptr<MemberEntry[]> members_;
   std::vector<std::size_t> member_offsets_;  // k_ + 1
 };
 

@@ -140,8 +140,18 @@ ZipfSampler::ZipfSampler(std::uint32_t n, double s) {
 
 TrafficReport run_traffic(ServingSnapshots& snapshots,
                           const TrafficOptions& options) {
+  SCD_REQUIRE(options.threads >= 1, "traffic needs at least one worker");
+  threading::ThreadPool pool(options.threads);
+  return run_traffic(snapshots, options, pool);
+}
+
+TrafficReport run_traffic(ServingSnapshots& snapshots,
+                          const TrafficOptions& options,
+                          threading::ThreadPool& pool) {
   SCD_REQUIRE(options.ops >= 1, "traffic needs at least one op");
   SCD_REQUIRE(options.threads >= 1, "traffic needs at least one worker");
+  SCD_REQUIRE(pool.num_threads() == options.threads,
+              "traffic pool must have options.threads workers");
   const double mix_total =
       options.mix_top + options.mix_link + options.mix_members;
   SCD_REQUIRE(options.mix_top >= 0.0 && options.mix_link >= 0.0 &&
@@ -209,7 +219,6 @@ TrafficReport run_traffic(ServingSnapshots& snapshots,
     });
   }
 
-  threading::ThreadPool pool(threads);
   const auto wall_begin = std::chrono::steady_clock::now();
   pool.parallel_for(0, options.ops, [&](unsigned t, std::uint64_t lo,
                                         std::uint64_t hi) {

@@ -26,6 +26,7 @@
 
 #include "quant/row_codec.h"
 #include "serve/query_engine.h"
+#include "threading/thread_pool.h"
 
 namespace scd::serve {
 
@@ -93,9 +94,18 @@ struct TrafficReport {
 };
 
 /// Drive `options.ops` queries at the snapshot store and return the
-/// report. `snapshots` must hold a published index.
+/// report. `snapshots` must hold a published index. The query workers
+/// are a pool of options.threads built for the call (one worker runs on
+/// the calling thread and spawns none).
 TrafficReport run_traffic(ServingSnapshots& snapshots,
                           const TrafficOptions& options);
+
+/// The same load on `pool`, whose thread count must be options.threads:
+/// a caller that drives many loads reuses one set of workers instead of
+/// spawning a set per call.
+TrafficReport run_traffic(ServingSnapshots& snapshots,
+                          const TrafficOptions& options,
+                          threading::ThreadPool& pool);
 
 /// p50/p95/p99/max of per-query latencies, in microseconds. Each
 /// percentile q is the order statistic of rank floor(q * (n - 1)); all

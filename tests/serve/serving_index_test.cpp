@@ -75,6 +75,7 @@ enum class Shape {
   kNegative,
   kStraddle,    // a run of equal weights across the k-th position
   kSpike,       // one huge weight over tiny noise
+  kConcentrated,  // the serving model's rows: planted weights over noise
 };
 
 std::vector<float> shaped_row(Shape shape, std::uint32_t num,
@@ -101,6 +102,16 @@ std::vector<float> shaped_row(Shape shape, std::uint32_t num,
                      : (u < 0.9f ? 0.5f : 0.5f * u);
         break;
       case Shape::kSpike: row[c] = 1e-7f + u * 1e-9f; break;
+      case Shape::kConcentrated:
+        row[c] = u * 0.2f / static_cast<float>(num);
+        break;
+    }
+  }
+  if (shape == Shape::kConcentrated) {
+    const std::uint32_t planted = 1 + static_cast<std::uint32_t>(rng() % 3);
+    for (std::uint32_t i = 0; i < planted; ++i) {
+      row[static_cast<std::uint32_t>(rng() % num)] =
+          0.3f + 0.6f * rng.next_float();
     }
   }
   if (shape == Shape::kSpike) {
@@ -298,6 +309,196 @@ TEST(SelectTopTest, ExhaustiveOverSmallAlphabets) {
       }
     }
   }
+}
+
+/// The shapes the seeded search is checked on, in the order the index
+/// build test cycles through them.
+constexpr Shape kSeedShapes[] = {Shape::kConcentrated, Shape::kContinuous,
+                                 Shape::kAllEqual, Shape::kSignedZeros,
+                                 Shape::kSubnormal};
+
+/// Seeds worth trying on `row` at depth k: none (~0u), below, on and
+/// above the ends of its key range, around its k-th key, a band's width
+/// either side of it (which puts a seeded pivot on the k-th key), on a
+/// tied key when the row has one, and a few arbitrary keys.
+std::vector<std::uint32_t> seeds_for(const std::vector<float>& row,
+                                     std::uint32_t k, rng::Xoshiro256& rng) {
+  std::vector<std::uint32_t> sorted;
+  for (const float w : row) sorted.push_back(order_key(w));
+  std::sort(sorted.begin(), sorted.end());
+  const std::uint32_t lo = sorted.front();
+  const std::uint32_t hi = sorted.back();
+  const std::uint32_t kth = sorted[k - 1];
+  constexpr std::uint32_t kBand = 1u << 20;
+  std::vector<std::uint32_t> out = {~0u, 0u, lo, lo + 1, hi, hi - 1,
+                                    hi + 1, kth, kth - 1, kth + 1,
+                                    kth + kBand, kth - kBand,
+                                    kth + kBand - 1, kth - kBand + 1};
+  if (lo > 0) out.push_back(lo - 1);
+  const auto tie = std::adjacent_find(sorted.begin(), sorted.end());
+  if (tie != sorted.end()) out.push_back(*tie);
+  for (int i = 0; i < 3; ++i) {
+    out.push_back(lo + static_cast<std::uint32_t>(
+                           rng() % (std::uint64_t{hi} - lo + 1)));
+  }
+  return out;
+}
+
+// select_top_seeded against unseeded select_top and the brute-force
+// ranking: every seed of seeds_for on rows of each seeded shape, at
+// every depth the build asks for around the top-R window and the
+// rank-count limit. The returned key must be the row's k-th.
+TEST(SelectTopTest, SeededSearchMatchesUnseeded) {
+  rng::Xoshiro256 rng(20261020);
+  for (const std::uint32_t num : {65u, 256u}) {
+    for (const std::uint32_t k : {1u, 31u, 32u, 33u, 64u, 65u, num}) {
+      for (const Shape shape : kSeedShapes) {
+        for (int rep = 0; rep < 4; ++rep) {
+          const std::vector<float> row = shaped_row(shape, num, k, rng);
+          const auto expected = testing::brute_force_top(row, num, k);
+          std::vector<TopEntry> unseeded(k);
+          select_top(row, k, unseeded);
+          ASSERT_TRUE(testing::same_entries(unseeded, expected));
+          for (const std::uint32_t seed : seeds_for(row, k, rng)) {
+            SCOPED_TRACE(::testing::Message()
+                         << "K=" << num << " k=" << k << " shape="
+                         << static_cast<int>(shape) << " rep=" << rep
+                         << " seed=" << seed);
+            std::vector<TopEntry> got(k);
+            const SelectTopResult result =
+                select_top_seeded(row, k, got, seed);
+            ASSERT_TRUE(testing::same_entries(got, unseeded));
+            ASSERT_EQ(result.kth_key, order_key(expected[k - 1].weight));
+          }
+        }
+      }
+    }
+  }
+}
+
+// The seed only moves the pivots, so it shows in the pass count: seeded
+// with its own k-th key, a row whose k-th key lies strictly inside its
+// key range and differs from the (k+1)-th ends the search on the first
+// pass (the middle pivot, k-th key + 1, has exactly k keys under it). A
+// seed on the end of the key range falls back to the unseeded search.
+TEST(SelectTopTest, SeedOnTheKthKeyEndsTheSearchInOnePass) {
+  rng::Xoshiro256 rng(20261023);
+  for (const Shape shape : {Shape::kConcentrated, Shape::kContinuous}) {
+    for (const std::uint32_t k : {2u, 31u, 32u, 33u, 64u, 65u}) {
+      for (int rep = 0; rep < 20; ++rep) {
+        const std::vector<float> row = shaped_row(shape, 256, k, rng);
+        std::vector<std::uint32_t> keys;
+        for (const float w : row) keys.push_back(order_key(w));
+        std::sort(keys.begin(), keys.end());
+        // The k-th key on an end of the range, or tied at the cut.
+        if (keys[k - 1] == keys.front() || keys[k - 1] == keys[k]) continue;
+        SCOPED_TRACE(::testing::Message() << "shape="
+                                          << static_cast<int>(shape)
+                                          << " k=" << k << " rep=" << rep);
+        std::vector<TopEntry> got(k);
+        EXPECT_EQ(select_top_seeded(row, k, got, keys[k - 1]).passes, 1u);
+        const std::uint32_t outside =
+            select_top_seeded(row, k, got, keys.back()).passes;
+        EXPECT_EQ(outside, select_top_seeded(row, k, got, ~0u).passes);
+      }
+    }
+  }
+}
+
+// On rows shaped like the serving model's (one to three planted weights
+// over noise, K = 256, R = 32), chaining each row's k-th key into the
+// next row's search cuts the mean pass count by more than two. The
+// counts are deterministic for a fixed stream of rows.
+TEST(SelectTopTest, ChainedSeedsCutPassesOnServingRows) {
+  rng::Xoshiro256 rng(20261024);
+  constexpr std::uint32_t kRows = 2000;
+  std::uint64_t seeded = 0;
+  std::uint64_t unseeded = 0;
+  std::uint32_t seed = ~0u;
+  std::vector<TopEntry> got(32);
+  for (std::uint32_t v = 0; v < kRows; ++v) {
+    const std::vector<float> row =
+        shaped_row(Shape::kConcentrated, 256, 32, rng);
+    const SelectTopResult result = select_top_seeded(row, 32, got, seed);
+    seeded += result.passes;
+    seed = result.kth_key;
+    unseeded += select_top_seeded(row, 32, got, ~0u).passes;
+  }
+  const double mean_seeded = static_cast<double>(seeded) / kRows;
+  const double mean_unseeded = static_cast<double>(unseeded) / kRows;
+  EXPECT_LT(mean_seeded, 4.0);
+  EXPECT_GT(mean_unseeded, mean_seeded + 2.0);
+}
+
+// The index build seeds each row's search with the row before it in its
+// thread's chunk. Rows that alternate between the seeded shapes put the
+// chained seeds inside, below and above the next row's key range; every
+// top list must still be select_top's and the brute-force ranking, at 1
+// and 3 build threads (which chunk the rows differently).
+TEST(ServingIndexTest, SeededBuildMatchesUnseededSelection) {
+  constexpr std::uint32_t kN = 70;
+  constexpr std::uint32_t kK = 256;
+  rng::Xoshiro256 rng(20261021);
+  core::Checkpoint base = make_checkpoint(kN, kK, 8);
+  for (std::uint32_t v = 0; v < kN; ++v) {
+    // Two rows of a shape, then the next shape: both in-range and
+    // out-of-range seeds occur.
+    const Shape shape = kSeedShapes[(v / 2) % std::size(kSeedShapes)];
+    const std::vector<float> row = shaped_row(shape, kK, 32, rng);
+    std::copy(row.begin(), row.end(), base.pi.row(v).begin());
+  }
+  for (const std::uint32_t r : {1u, 31u, 32u, 33u, 64u, 65u, kK}) {
+    for (const unsigned threads : {1u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << "r=" << r << " threads="
+                                        << threads);
+      ServingIndexOptions options;
+      options.top_r = r;
+      threading::ThreadPool pool(threads);
+      const ServingIndex index(base, options, pool);
+      std::vector<TopEntry> unseeded(r);
+      for (std::uint32_t v = 0; v < kN; ++v) {
+        const auto row = index.pi_row(v).first(kK);
+        select_top(row, r, unseeded);
+        ASSERT_TRUE(testing::same_entries(index.top_list(v), unseeded))
+            << "v=" << v;
+        ASSERT_TRUE(testing::same_entries(
+            unseeded, testing::brute_force_top(row, kK, r)))
+            << "v=" << v;
+      }
+    }
+  }
+}
+
+// Member weights are rebuilt from their rank keys; the key of +0.0f also
+// stands for -0.0f, so those are re-read from the row. With threshold 0
+// both zeros, subnormals and ordinary weights are listed, and each
+// listed weight must carry the exact bits of its pi entry.
+TEST(ServingIndexTest, MemberWeightsKeepTheirBits) {
+  constexpr std::uint32_t kN = 60;
+  constexpr std::uint32_t kK = 40;
+  rng::Xoshiro256 rng(20261022);
+  core::Checkpoint checkpoint = make_checkpoint(kN, kK, 6);
+  for (std::uint32_t v = 0; v < kN; ++v) {
+    const Shape shape = kSeedShapes[v % std::size(kSeedShapes)];
+    const std::vector<float> row = shaped_row(shape, kK, 8, rng);
+    std::copy(row.begin(), row.end(), checkpoint.pi.row(v).begin());
+  }
+  ServingIndexOptions options;
+  options.top_r = 8;
+  options.membership_threshold = 0.0;
+  threading::ThreadPool pool(2);
+  const ServingIndex index(std::move(checkpoint), options, pool);
+  std::uint64_t negative_zeros = 0;
+  for (std::uint32_t c = 0; c < kK; ++c) {
+    for (const MemberEntry& m : index.members(c)) {
+      const float expected = index.pi_row(m.vertex)[c];
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(m.weight),
+                std::bit_cast<std::uint32_t>(expected))
+          << "c=" << c << " v=" << m.vertex;
+      negative_zeros += std::bit_cast<std::uint32_t>(m.weight) == 0x80000000u;
+    }
+  }
+  EXPECT_GT(negative_zeros, 0u) << "no -0.0f member: the case is not hit";
 }
 
 // A NaN or infinite pi weight has no place in the ranking: the build

@@ -252,6 +252,30 @@ TEST(RunTrafficTest, DeterministicChecksumAndCounts) {
   EXPECT_GE(a.p99_us, a.p95_us);
 }
 
+// A caller-owned pool drives the same queries as the pool run_traffic
+// builds for itself, across repeated calls on the one pool; a pool of
+// another size is refused.
+TEST(RunTrafficTest, CallerPoolMatchesOwnPool) {
+  auto store = make_store(200, 8, 3);
+  TrafficOptions options;
+  options.ops = 4000;
+  options.threads = 3;
+  options.seed = 9;
+  options.refreshes = 1;
+  const TrafficReport own = run_traffic(*store, options);
+  threading::ThreadPool pool(3);
+  for (int rep = 0; rep < 3; ++rep) {
+    const TrafficReport shared = run_traffic(*store, options, pool);
+    EXPECT_EQ(shared.checksum, own.checksum);
+    EXPECT_EQ(shared.ops_top, own.ops_top);
+    EXPECT_EQ(shared.ops_link, own.ops_link);
+    EXPECT_EQ(shared.ops_members, own.ops_members);
+    EXPECT_EQ(shared.refreshes, 1u);
+  }
+  threading::ThreadPool other(2);
+  EXPECT_THROW(run_traffic(*store, options, other), scd::UsageError);
+}
+
 // The query stream is pinned, not only repeatable: a change to which
 // queries a seed issues (the Zipf draw, the mix split, the per-worker RNG
 // streams) fails here, not only against the bench baseline.

@@ -62,19 +62,21 @@ fi
 # the code where a missed fence shows up as a rare torn read, so the
 # concurrency-heavy labels run under ThreadSanitizer, together with the
 # ParallelSampler suites, whose stages claim work from a shared atomic
-# cursor, and the PiMatrix suite, whose pool init claims rows the same
-# way. Scoped to those (TSan slows everything ~10x; the rest of the
-# suite is covered by the asan pass).
+# cursor, the PiMatrix suite, whose pool init claims rows the same way,
+# and the DistributedSampler suites, whose constructor builds the store
+# image on a transient pool and whose sim ranks run as threads. Scoped
+# to those (TSan slows everything ~10x; the rest of the suite is covered
+# by the asan pass).
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
-  echo "== tier-1: tsan preset (serve + threading + sampler + pi init) =="
+  echo "== tier-1: tsan preset (serve + threading + samplers + pi init) =="
   timed "tsan: configure+build" bash -c \
     'cmake --preset tsan && cmake --build --preset tsan -j'
   timed "tsan: -L serve|threading" \
     ctest --preset tsan -L 'serve|threading' --no-tests=error \
       --output-on-failure
-  timed "tsan: parallel sampler + pi init" \
+  timed "tsan: samplers + pi init" \
     ctest --preset tsan \
-      -R 'Parallel(EquivalenceTest|SamplerTest|SamplerThreadsTest)\.|PiMatrixTest\.' \
+      -R 'Parallel(EquivalenceTest|SamplerTest|SamplerThreadsTest)\.|PiMatrixTest\.|DistributedSamplerTest\.|DistributedEquivalenceTest\.' \
       --no-tests=error --output-on-failure
 fi
 
