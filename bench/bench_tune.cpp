@@ -9,7 +9,7 @@
 // values (all deterministic virtual time, so the 20% drift gate of
 // tools/check_bench.py applies cleanly). Second, the tuned configs
 // themselves are stable: the baseline pins the chosen workers / threads
-// / minibatch / cache knobs, so a pruning-rule change that flips the
+// / minibatch / codec knobs, so a pruning-rule change that flips the
 // search outcome shows up as a diff, not silently.
 //
 // No exhaustive sweep here — the acceptance comparison against the
@@ -29,7 +29,7 @@ namespace {
 
 /// Comms-bound: com-Friendster scale. Collective skew and remote pi
 /// reads dominate the small default minibatch, so the tuner must grow M
-/// and the cache.
+/// and shrink the rows on the wire.
 tune::TuneWorkload friendster_tune_workload() {
   tune::TuneWorkload w;
   w.num_vertices = 65'608'366;
@@ -66,13 +66,9 @@ int main(int argc, char** argv) {
 
   Row rows[] = {
       {"friendster_comms", tune::tune(friendster_tune_workload(),
-                                      tune::SearchSpace::default_space(
-                                          friendster_tune_workload()
-                                              .num_vertices))},
+                                      tune::SearchSpace::default_space())},
       {"compute_bound", tune::tune(compute_tune_workload(),
-                                   tune::SearchSpace::default_space(
-                                       compute_tune_workload()
-                                           .num_vertices))},
+                                   tune::SearchSpace::default_space())},
   };
 
   Table summary({"workload", "grid_size", "probes", "probe_fraction_pct",
@@ -95,16 +91,13 @@ int main(int argc, char** argv) {
           "progress credit)");
 
   Table config({"workload", "workers", "threads", "pipeline",
-                "minibatch_vertices", "dkv_cache_rows", "alias_draw",
-                "pi_codec", "sparse_eps_bp"});
+                "minibatch_vertices", "pi_codec", "sparse_eps_bp"});
   for (const Row& row : rows) {
     const tune::TuneConfig& c = row.result.best.config;
     config.add_row({row.name, static_cast<std::int64_t>(c.workers),
                     static_cast<std::int64_t>(c.threads_per_node),
                     static_cast<std::int64_t>(c.pipeline ? 1 : 0),
                     static_cast<std::int64_t>(c.minibatch_vertices),
-                    static_cast<std::int64_t>(c.dkv_cache_rows),
-                    static_cast<std::int64_t>(c.alias_draw ? 1 : 0),
                     std::string(quant::codec_name(c.pi_codec)),
                     static_cast<std::int64_t>(
                         std::lround(c.sparse_eps * 1e4))});

@@ -40,7 +40,6 @@ struct StoreConfig {
   bool phantom = false;
   quant::RowCodec codec = quant::RowCodec::kFloat32;
   float sparse_eps = quant::kDefaultSparseEps;
-  std::uint32_t sparse_modeled_nnz = 0;
 };
 
 class Cluster {

@@ -58,19 +58,6 @@ struct ComputeModel {
   /// probes, adjacency gathering). Calibrated against the 45.6 ms
   /// draw/deploy row of Table III (M = 16384).
   double draw_cost_per_vertex_s = 2.5e-6;
-  /// Same draw, anchored through the prebuilt alias table
-  /// (graph::MinibatchSampler::Options::alias_anchor): the Lemire
-  /// rejection loop is replaced by one table lookup + coin, shaving the
-  /// RNG share of the per-vertex constant. Modeled, not measured — the
-  /// autotuner only needs the two paths to differ so the dimension is
-  /// live.
-  double draw_cost_per_vertex_alias_s = 2.1e-6;
-  /// Per-miss bookkeeping of the modeled worker-side DKV row cache
-  /// (DistributedOptions::dkv_cache_rows): LRU insert + eviction on the
-  /// requester. Charged per missed row, so an always-missing cache is
-  /// strictly worse than no cache — the autotuner must be able to lose
-  /// by enabling it.
-  double dkv_cache_insert_s = 1.5e-7;
 
   /// Seconds for `units` kernel units on one node using its thread pool.
   double kernel_time(double units, double cycles_per_unit) const {

@@ -71,16 +71,6 @@ std::uint64_t expected_distinct_rows(double refs, double rows) {
   return static_cast<std::uint64_t>(std::llround(std::max(1.0, distinct)));
 }
 
-/// Per-vertex cost of the master's minibatch draw: the alias-anchor path
-/// (graph/minibatch.h) trades the Lemire rejection loop for a table
-/// lookup, which the compute model prices separately.
-double draw_cost_per_vertex(const comm::Context& ctx,
-                            const DistributedOptions& options) {
-  return options.base.minibatch.alias_anchor
-             ? ctx.compute().draw_cost_per_vertex_alias_s
-             : ctx.compute().draw_cost_per_vertex_s;
-}
-
 }  // namespace
 
 DistributedSampler::DistributedSampler(comm::Cluster& cluster,
@@ -108,8 +98,7 @@ DistributedSampler::DistributedSampler(comm::Cluster& cluster,
        .row_width = pi_row_width(hyper_.num_communities),
        .phantom = false,
        .codec = options_.pi_codec,
-       .sparse_eps = options_.sparse_eps,
-       .sparse_modeled_nnz = 0});
+       .sparse_eps = options_.sparse_eps});
   const Checkpoint* cp = options_.resume_from;
   if (cp != nullptr) {
     // Resuming lossy state under a different codec would silently change
@@ -174,6 +163,11 @@ DistributedSampler::DistributedSampler(comm::Cluster& cluster,
   SCD_REQUIRE(workload.num_vertices >= 2 &&
                   workload.minibatch_vertices >= 1,
               "phantom workload underspecified");
+  SCD_REQUIRE(std::isfinite(workload.avg_degree) &&
+                  workload.avg_degree >= 0.0 &&
+                  workload.avg_degree <=
+                      static_cast<double>(workload.num_vertices - 1),
+              "phantom workload avg_degree must be finite and in [0, N - 1]");
   hyper_.validate();
   options_.base.validate();
   SCD_REQUIRE(cluster.simulated(),
@@ -183,8 +177,7 @@ DistributedSampler::DistributedSampler(comm::Cluster& cluster,
        .row_width = pi_row_width(hyper_.num_communities),
        .phantom = true,
        .codec = options_.pi_codec,
-       .sparse_eps = options_.sparse_eps,
-       .sparse_modeled_nnz = options_.sparse_modeled_nnz});
+       .sparse_eps = options_.sparse_eps});
 }
 
 DistributedResult DistributedSampler::run(std::uint64_t iterations) {
@@ -416,7 +409,7 @@ double DistributedSampler::draw_minibatch(MasterRank& m, std::uint64_t t) {
     vertices = m.ws.mb.vertices.size();
   }
   m.ctx.charge(comm::Phase::kDrawMinibatch,
-               draw_cost_per_vertex(m.ctx, options_) *
+               m.ctx.compute().draw_cost_per_vertex_s *
                    static_cast<double>(vertices));
   return real() ? m.ws.mb.scale : 1.0;
 }
@@ -742,41 +735,13 @@ void DistributedSampler::eval_partial(WorkerRank& r,
                     ctx.compute().perplexity_unit_cycles);
 }
 
-double DistributedSampler::phantom_read_cost(WorkerRank& r, double refs) {
+double DistributedSampler::phantom_read_cost(const WorkerRank& r,
+                                             double refs) const {
   // Cost-only twin of load_stage_rows for `refs` uniform references.
-  comm::Context& ctx = r.ctx;
-  const double n = static_cast<double>(num_vertices_);
-  const std::uint64_t rows = expected_distinct_rows(refs, n);
+  const std::uint64_t rows =
+      expected_distinct_rows(refs, static_cast<double>(num_vertices_));
   const std::uint64_t local = rows / num_workers_;
-  const std::uint64_t remote = rows - local;
-  // Modeled worker-side row cache: remote rows are served at the
-  // steady-state LRU hit rate — capacity over the remote row population
-  // this worker can request (every row not on its own shard). Uniform
-  // references make that the stationary occupancy of any
-  // capacity-bounded cache, so no replacement policy needs simulating.
-  const double cache_population = n - n / static_cast<double>(num_workers_);
-  const double cache_hit_rate =
-      options_.dkv_cache_rows == 0 || cache_population <= 0.0
-          ? 0.0
-          : std::min(1.0, static_cast<double>(options_.dkv_cache_rows) /
-                              cache_population);
-  if (cache_hit_rate == 0.0) return store_->read_cost(r.wi, local, remote);
-  const auto hits = static_cast<std::uint64_t>(
-      std::llround(static_cast<double>(remote) * cache_hit_rate));
-  const std::uint64_t misses = remote - hits;
-  if (trace::TraceRecorder* rec = ctx.trace()) {
-    rec->metrics().count(trace::Metric::kDkvHits, ctx.rank(), hits);
-    rec->metrics().count(trace::Metric::kDkvMisses, ctx.rank(), misses);
-  }
-  // Hits stream the cached rows from local memory; misses pay the
-  // remote read plus the cache's insert/evict bookkeeping. Rows are
-  // cached encoded, so hits stream the modeled wire bytes per row.
-  const double cache_s =
-      ctx.compute().local_bytes_time(static_cast<std::uint64_t>(
-          std::llround(static_cast<double>(hits) *
-                       store_->avg_row_wire_bytes()))) +
-      static_cast<double>(misses) * ctx.compute().dkv_cache_insert_s;
-  return cache_s + store_->read_cost(r.wi, local, misses);
+  return store_->read_cost(r.wi, local, rows - local);
 }
 
 // ---------------------------------------------------------------------

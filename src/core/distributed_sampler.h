@@ -112,17 +112,6 @@ struct DistributedOptions {
   /// worker's lost in-flight pi writes. 0 disables rollback (the default
   /// recovery: redo the interrupted iteration on the survivors).
   std::uint64_t rollback_interval = 0;
-  /// Cost-only mode: modeled per-worker LRU cache over remote pi rows,
-  /// in rows (0 = no cache). Expected remote rows are served at the
-  /// steady-state LRU hit rate (capacity / remote row population,
-  /// clamped to 1); hits cost a local memory stream, misses pay the
-  /// remote read plus ComputeModel::dkv_cache_insert_s of bookkeeping.
-  /// Hit/miss counts land in Metric::kDkvHits/kDkvMisses when tracing.
-  /// Real mode ignores this (dkv/cached_dkv.h is the real-mode wrapper);
-  /// the knob exists so the autotuner can search cache capacity — and
-  /// rediscover the paper's Section IV-C observation that caching buys
-  /// nothing once N is far beyond any plausible capacity.
-  std::uint64_t dkv_cache_rows = 0;
   /// Row codec for pi rows in the DKV and on the wire (quant/row_codec.h):
   /// kFloat32 (default, bit-identical to the pre-codec path), kFp16, or
   /// kInt8 (per-row scale + offset). Rows are stored and shipped encoded
@@ -138,10 +127,6 @@ struct DistributedOptions {
   /// closer trajectories; larger = fewer bytes and O(nnz) kernel work.
   /// Ignored by dense codecs.
   float sparse_eps = quant::kDefaultSparseEps;
-  /// Cost-only mode with a sparse pi codec: assumed nnz per row for the
-  /// modeled wire bytes and kernel trip counts (0 = auto: K/16, clamped
-  /// to [8, K]). Real mode ignores this — it tracks actual row sparsity.
-  std::uint32_t sparse_modeled_nnz = 0;
   /// Real mode: initialize pi and theta/beta from this checkpoint
   /// instead of the seeded expanded-mean draw. The checkpoint's pi_codec
   /// provenance must equal `pi_codec` — resuming lossy state under a
@@ -232,7 +217,7 @@ class DistributedSampler {
   void ratio_partials(WorkerRank& r);
   void eval_partial(WorkerRank& r, PerplexityEvaluator* evaluator);
   /// Cost-only: modeled cost of a read stage of `refs` uniform references.
-  double phantom_read_cost(WorkerRank& r, double refs);
+  double phantom_read_cost(const WorkerRank& r, double refs) const;
 
   bool real() const { return graph_ != nullptr; }
   bool eval_due(std::uint64_t t) const {

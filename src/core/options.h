@@ -16,11 +16,10 @@ namespace scd::core {
 using NeighborMode = graph::NeighborMode;
 
 /// Tunable-knob plumbing: the autotuner (src/tune/search_space.h)
-/// searches worker count, threads/node, pipelining, minibatch size, DKV
-/// cache rows, and the alias-anchor draw. The first two live on
-/// sim::Config, pipelining and the cache on DistributedOptions, and the
-/// last two flow through here — minibatch size as the phantom workload's
-/// M and the alias draw as minibatch.alias_anchor below.
+/// searches worker count, threads/node, pipelining, minibatch size, pi
+/// codec and sparsity. The first two live on sim::Config, pipelining and
+/// the codecs on DistributedOptions, and minibatch size is the phantom
+/// workload's M; none of them is set here.
 struct SamplerOptions {
   graph::MinibatchSampler::Options minibatch{};
 

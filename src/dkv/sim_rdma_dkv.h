@@ -23,9 +23,11 @@
 // A *phantom* sparse store holds no rows to measure, so it charges a
 // modeled per-row size instead: `sparse_modeled_nnz` kept entries
 // (0 = auto, clamp(K/16, 8, K)), priced through the same layout
-// formula. Real and phantom stores answer the keyed cost queries with
-// the same formula over per-row bytes, so cost-only runs stay in
-// lockstep with real ones up to the tracked-vs-modeled nnz input.
+// formula. Cluster-made stores always take the auto size; the explicit
+// count lets a test pin the phantom to a real store's nnz. Real and
+// phantom stores answer the keyed cost queries with the same formula
+// over per-row bytes, so cost-only runs stay in lockstep with real ones
+// up to the tracked-vs-modeled nnz input.
 //
 // Safety: the algorithm's barrier-separated stages guarantee no
 // read/write or write/write overlap on a row (Section III-B); the store

@@ -47,9 +47,6 @@ MinibatchSampler::MinibatchSampler(const Graph& training,
   } else {
     SCD_REQUIRE(options_.nonlink_partitions >= 1,
                 "need >= 1 non-link partition");
-    if (options_.alias_anchor) {
-      anchor_alias_ = rng::AliasTable::uniform(training.num_vertices());
-    }
   }
 }
 
@@ -116,11 +113,7 @@ void MinibatchSampler::draw_stratified_node_into(
     rng::Xoshiro256& rng, Minibatch& mb, MinibatchScratch& scratch) const {
   const Vertex n = graph_.num_vertices();
   const double nd = static_cast<double>(n);
-  // Equal-weight alias anchor samples the same uniform distribution but
-  // consumes (next_below, next_double) instead of just next_below, so
-  // the two paths are distribution-equivalent, not stream-equivalent.
-  const auto a = static_cast<Vertex>(
-      options_.alias_anchor ? anchor_alias_.sample(rng) : rng.next_below(n));
+  const auto a = static_cast<Vertex>(rng.next_below(n));
 
   if (rng.next_double() < 0.5) {
     // Link stratum: all training links of a. h = N.

@@ -26,7 +26,6 @@
 
 #include "graph/graph.h"
 #include "graph/heldout.h"
-#include "random/alias_table.h"
 #include "random/xoshiro.h"
 
 namespace scd::graph {
@@ -89,15 +88,6 @@ class MinibatchSampler {
     std::size_t num_pairs = 32;
     /// kStratifiedRandomNode: number of non-link partitions m.
     std::size_t nonlink_partitions = 16;
-    /// kStratifiedRandomNode: draw the anchor vertex through a prebuilt
-    /// equal-weight alias table instead of rng.next_below. Equal weights
-    /// make the alias draw *exactly* uniform (prob[i] == 1.0, alias[i]
-    /// == i — see random/alias_table.h), so the sampled distribution is
-    /// identical; the point is the different constant-time cost profile
-    /// (table lookup + coin vs. Lemire rejection), which the simulator
-    /// models as ComputeModel::draw_cost_per_vertex_alias_s and the
-    /// autotuner searches as a dimension (src/tune/search_space.h).
-    bool alias_anchor = false;
   };
 
   /// `heldout` may be null (no exclusions). The graph must be the
@@ -136,9 +126,6 @@ class MinibatchSampler {
   const Graph& graph_;
   const HeldOutSplit* heldout_;
   Options options_;
-  /// Equal-weight anchor table, built once iff options_.alias_anchor and
-  /// the strategy draws anchors. Empty otherwise.
-  rng::AliasTable anchor_alias_{rng::AliasTable::uniform(1)};
 };
 
 /// One sampled neighbor b for a minibatch vertex a, with the training-set

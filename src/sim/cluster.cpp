@@ -99,7 +99,7 @@ std::unique_ptr<dkv::ShardedDkv> SimCluster::make_store(
   return std::make_unique<dkv::SimRdmaDkv>(
       config.num_rows, config.row_width, config_.num_ranks - 1,
       config_.network, config_.compute, config.phantom, config.codec,
-      config.sparse_eps, config.sparse_modeled_nnz);
+      config.sparse_eps);
 }
 
 double SimCluster::max_clock() const {

@@ -1,5 +1,7 @@
 #include "tune/probe.h"
 
+#include <cmath>
+
 #include "core/distributed_sampler.h"
 #include "core/hyper.h"
 #include "sim/cluster.h"
@@ -11,11 +13,14 @@ namespace scd::tune {
 
 void TuneWorkload::validate() const {
   SCD_REQUIRE(num_vertices >= 2, "tune workload: need >= 2 vertices");
-  SCD_REQUIRE(avg_degree > 0.0, "tune workload: avg_degree must be > 0");
+  SCD_REQUIRE(std::isfinite(avg_degree) && avg_degree > 0.0 &&
+                  avg_degree <= static_cast<double>(num_vertices - 1),
+              "tune workload: avg_degree must be finite and in (0, N - 1]");
   SCD_REQUIRE(num_communities >= 1, "tune workload: need >= 1 community");
   SCD_REQUIRE(num_neighbors >= 1, "tune workload: need >= 1 neighbor");
   SCD_REQUIRE(probe_iterations >= 1, "tune workload: need >= 1 iteration");
-  SCD_REQUIRE(sat_vertices > 0.0, "tune workload: sat_vertices must be > 0");
+  SCD_REQUIRE(std::isfinite(sat_vertices) && sat_vertices > 0.0,
+              "tune workload: sat_vertices must be finite and > 0");
   network.validate();
   compute.validate();
 }
@@ -51,9 +56,7 @@ ProbeResult run_probe(const TuneWorkload& workload,
   options.base.num_neighbors = workload.num_neighbors;
   options.base.eval_interval = 0;
   options.base.seed = workload.seed;
-  options.base.minibatch.alias_anchor = config.alias_draw;
   options.pipeline = config.pipeline;
-  options.dkv_cache_rows = config.dkv_cache_rows;
   options.pi_codec = config.pi_codec;
   if (config.sparse_eps > 0.0) {
     // Sparsity > 0 lifts the dense value codec to its sparse variant.
@@ -106,13 +109,7 @@ ProbeResult run_probe(const TuneWorkload& workload,
                      r.on_path(trace::Stage::kPerplexity)) /
                     total;
 
-  const auto& metrics = recorder.metrics();
-  const double hits = static_cast<double>(
-      metrics.counter_total(trace::Metric::kDkvHits));
-  const double misses = static_cast<double>(
-      metrics.counter_total(trace::Metric::kDkvMisses));
-  r.dkv_hit_rate = hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
-  r.metrics_json = metrics.to_json();
+  r.metrics_json = recorder.metrics().to_json();
   return r;
 }
 

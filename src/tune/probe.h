@@ -68,8 +68,6 @@ struct ProbeResult {
   /// The two need not sum to 1: setup/untracked time belongs to neither.
   double comm_share = 0.0;
   double compute_share = 0.0;
-  /// Modeled DKV cache hit rate, hits/(hits+misses); 0 when no cache.
-  double dkv_hit_rate = 0.0;
   /// MetricsRegistry::to_json() snapshot of the probe.
   std::string metrics_json;
 

@@ -28,8 +28,8 @@ PruneDecision make(Dim dim, bool upward, const char* rule,
 
 }  // namespace
 
-std::vector<PruneDecision> prune_directions(const ProbeResult& probe,
-                                            const PruneRules& rules) {
+std::vector<PruneDecision> prune_directions(const ProbeResult& probe) {
+  const PruneRules& rules = kPruneRules;
   std::vector<PruneDecision> out;
   const double total = probe.virtual_s > 0.0 ? probe.virtual_s : 1.0;
 
@@ -99,46 +99,6 @@ std::vector<PruneDecision> prune_directions(const ProbeResult& probe,
         "draw+deploy+pi-load hold only " + pct(hideable) +
             " of the critical path (<= " + pct(rules.hideable_floor) +
             "): pipelining has nothing to hide — not trying it"));
-  }
-
-  // 6. The cache already serves ~every remote read; more rows buy
-  // nothing.
-  if (probe.config.dkv_cache_rows > 0 &&
-      probe.dkv_hit_rate >= rules.cache_saturated) {
-    out.push_back(make(
-        Dim::kDkvCacheRows, true, "cache-saturated-cache-up",
-        "dkv_hit_rate", probe.dkv_hit_rate, rules.cache_saturated,
-        "DKV cache hit rate is " + pct(probe.dkv_hit_rate) + " (>= " +
-            pct(rules.cache_saturated) +
-            "): remote reads are already served locally — not trying"
-            " larger caches"));
-  }
-
-  // 7. Remote pi loads are off the path; caching them cannot shorten it.
-  const double loads_share =
-      probe.share(trace::Stage::kNetwork) + probe.phi_load_s / total;
-  if (loads_share <= rules.loads_floor) {
-    out.push_back(make(
-        Dim::kDkvCacheRows, true, "loads-off-path-cache-up", "loads_share",
-        loads_share, rules.loads_floor,
-        "network+pi-load hold only " + pct(loads_share) +
-            " of the critical path (<= " + pct(rules.loads_floor) +
-            "): cached reads cannot shorten it — not trying larger"
-            " caches"));
-  }
-
-  // 8. The master's draw is off the path; the alias-vs-rejection choice
-  // is cost-irrelevant, so freeze the dimension (both directions).
-  const double draw_share = probe.share(trace::Stage::kDrawMinibatch);
-  if (draw_share <= rules.draw_floor) {
-    const std::string why =
-        "minibatch draw holds only " + pct(draw_share) +
-        " of the critical path (<= " + pct(rules.draw_floor) +
-        "): the anchor-draw method cannot matter — freezing alias_draw";
-    out.push_back(make(Dim::kAliasDraw, true, "draw-off-path-alias",
-                       "draw_share", draw_share, rules.draw_floor, why));
-    out.push_back(make(Dim::kAliasDraw, false, "draw-off-path-alias",
-                       "draw_share", draw_share, rules.draw_floor, why));
   }
 
   return out;

@@ -23,8 +23,6 @@ void append_config(std::ostringstream& os, const TuneConfig& c) {
      << ", \"threads_per_node\": " << c.threads_per_node
      << ", \"pipeline\": " << (c.pipeline ? 1 : 0)
      << ", \"minibatch_vertices\": " << c.minibatch_vertices
-     << ", \"dkv_cache_rows\": " << c.dkv_cache_rows
-     << ", \"alias_draw\": " << (c.alias_draw ? 1 : 0)
      << ", \"pi_codec\": " << quoted(quant::codec_name(c.pi_codec))
      << ", \"sparse_eps\": " << num(c.sparse_eps) << "}";
 }
@@ -50,7 +48,6 @@ void append_probe(std::ostringstream& os, const ProbeResult& p,
   os << indent << "  \"phi_compute_s\": " << num(p.phi_compute_s) << ",\n";
   os << indent << "  \"comm_share\": " << num(p.comm_share) << ",\n";
   os << indent << "  \"compute_share\": " << num(p.compute_share) << ",\n";
-  os << indent << "  \"dkv_hit_rate\": " << num(p.dkv_hit_rate) << ",\n";
   // metrics_json is already serialized JSON (a MetricsRegistry table
   // array); embed it verbatim.
   os << indent << "  \"metrics\": " << p.metrics_json << "\n";
@@ -131,11 +128,7 @@ std::string why_report(const TuneResult& result) {
        << ms(best.on_path_s[s]) << " (" << pct(best.share(stage)) << ")\n";
   }
   os << "  comm share " << pct(best.comm_share) << ", compute share "
-     << pct(best.compute_share);
-  if (best.config.dkv_cache_rows > 0) {
-    os << ", dkv hit rate " << pct(best.dkv_hit_rate);
-  }
-  os << "\n\n";
+     << pct(best.compute_share) << "\n\n";
 
   if (result.prunes.empty()) {
     os << "pruned directions: none — every direction stayed live\n";

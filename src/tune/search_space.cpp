@@ -1,6 +1,5 @@
 #include "tune/search_space.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "util/error.h"
@@ -13,8 +12,6 @@ const char* dim_name(Dim d) {
     case Dim::kThreadsPerNode: return "threads_per_node";
     case Dim::kPipeline: return "pipeline";
     case Dim::kMinibatchVertices: return "minibatch_vertices";
-    case Dim::kDkvCacheRows: return "dkv_cache_rows";
-    case Dim::kAliasDraw: return "alias_draw";
     case Dim::kPiCodec: return "pi_codec";
     case Dim::kSparsity: return "sparsity";
     case Dim::kCount: break;
@@ -27,8 +24,6 @@ std::string TuneConfig::key() const {
          std::to_string(threads_per_node) +
          " pipe=" + std::to_string(pipeline ? 1 : 0) + " M" +
          std::to_string(minibatch_vertices) +
-         " cache=" + std::to_string(dkv_cache_rows) +
-         " alias=" + std::to_string(alias_draw ? 1 : 0) +
          " codec=" + quant::codec_name(pi_codec) + " seps=" + [this] {
            char buf[32];
            std::snprintf(buf, sizeof buf, "%g", sparse_eps);
@@ -53,11 +48,9 @@ TuneConfig SearchSpace::materialize(const ConfigIndex& index) const {
   c.pipeline = dim(Dim::kPipeline)[index[2]] != 0;
   c.minibatch_vertices =
       static_cast<std::uint32_t>(dim(Dim::kMinibatchVertices)[index[3]]);
-  c.dkv_cache_rows = dim(Dim::kDkvCacheRows)[index[4]];
-  c.alias_draw = dim(Dim::kAliasDraw)[index[5]] != 0;
-  c.pi_codec = static_cast<quant::RowCodec>(dim(Dim::kPiCodec)[index[6]]);
+  c.pi_codec = static_cast<quant::RowCodec>(dim(Dim::kPiCodec)[index[4]]);
   c.sparse_eps =
-      static_cast<double>(dim(Dim::kSparsity)[index[7]]) / 10000.0;
+      static_cast<double>(dim(Dim::kSparsity)[index[5]]) / 10000.0;
   return c;
 }
 
@@ -67,11 +60,8 @@ void SearchSpace::validate() const {
                 std::string("search space: empty dimension ") +
                     dim_name(static_cast<Dim>(d)));
   }
-  for (const Dim b : {Dim::kPipeline, Dim::kAliasDraw}) {
-    for (const std::uint64_t v : dim(b)) {
-      SCD_REQUIRE(v <= 1, std::string("search space: ") + dim_name(b) +
-                              " values must be 0/1");
-    }
+  for (const std::uint64_t v : dim(Dim::kPipeline)) {
+    SCD_REQUIRE(v <= 1, "search space: pipeline values must be 0/1");
   }
   for (const Dim d : {Dim::kWorkers, Dim::kThreadsPerNode,
                       Dim::kMinibatchVertices}) {
@@ -95,20 +85,12 @@ void SearchSpace::validate() const {
   }
 }
 
-SearchSpace SearchSpace::default_space(std::uint64_t num_vertices) {
+SearchSpace SearchSpace::default_space() {
   SearchSpace s;
   s.dim(Dim::kWorkers) = {4, 8, 16, 32};
   s.dim(Dim::kThreadsPerNode) = {4, 8, 16};
   s.dim(Dim::kPipeline) = {0, 1};
   s.dim(Dim::kMinibatchVertices) = {2048, 4096, 8192, 16384};
-  // Cache candidates scale with the problem; dedup in case N is tiny
-  // enough for the tiers to collide.
-  std::vector<std::uint64_t> cache = {0, num_vertices / 64,
-                                      num_vertices / 4};
-  std::sort(cache.begin(), cache.end());
-  cache.erase(std::unique(cache.begin(), cache.end()), cache.end());
-  s.dim(Dim::kDkvCacheRows) = cache;
-  s.dim(Dim::kAliasDraw) = {0, 1};
   s.dim(Dim::kPiCodec) = {
       static_cast<std::uint64_t>(quant::RowCodec::kFloat32),
       static_cast<std::uint64_t>(quant::RowCodec::kFp16),

@@ -1,6 +1,6 @@
 // The autotuner's configuration grid.
 //
-// Eight dimensions, each a small ordered value list; a concrete
+// Six dimensions, each a small ordered value list; a concrete
 // configuration is one index per dimension (ConfigIndex). The grid is
 // the cartesian product — typically a few hundred points — and the
 // tuner's whole job is to probe a small fraction of it. DKV shards are
@@ -23,8 +23,6 @@ enum class Dim : std::size_t {
   kThreadsPerNode,      // ComputeModel::threads_per_node
   kPipeline,            // DistributedOptions::pipeline (0/1)
   kMinibatchVertices,   // PhantomWorkload::minibatch_vertices (M)
-  kDkvCacheRows,        // DistributedOptions::dkv_cache_rows
-  kAliasDraw,           // MinibatchSampler::Options::alias_anchor (0/1)
   kPiCodec,             // DistributedOptions::pi_codec (quant::RowCodec)
   kSparsity,            // sparse top-R eps in basis points (0 = dense)
   kCount
@@ -43,8 +41,6 @@ struct TuneConfig {
   unsigned threads_per_node = 16;
   bool pipeline = true;
   std::uint32_t minibatch_vertices = 4096;
-  std::uint64_t dkv_cache_rows = 0;
-  bool alias_draw = false;
   quant::RowCodec pi_codec = quant::RowCodec::kFloat32;
   /// Sparse top-R mass tolerance; 0 keeps `pi_codec` dense, > 0 lifts it
   /// to the matching sparse codec (quant::sparse_codec_for) with this
@@ -52,13 +48,13 @@ struct TuneConfig {
   double sparse_eps = 0.0;
 
   /// Compact human/JSON label, e.g.
-  /// "w8 t16 pipe=1 M4096 cache=0 alias=0 codec=fp32 seps=0".
+  /// "w8 t16 pipe=1 M4096 codec=fp32 seps=0".
   std::string key() const;
 };
 
 struct SearchSpace {
   /// values[d] is dimension d's ordered candidate list (ascending for
-  /// the numeric dimensions; {0, 1} for the boolean ones). All values
+  /// the numeric dimensions; {0, 1} for the boolean one). All values
   /// are stored as uint64 and narrowed by materialize().
   std::array<std::vector<std::uint64_t>, kNumDims> values;
 
@@ -74,15 +70,15 @@ struct SearchSpace {
 
   TuneConfig materialize(const ConfigIndex& index) const;
 
-  /// Every dimension non-empty, booleans restricted to {0, 1}, workers
-  /// and threads >= 1. Throws util::Error otherwise.
+  /// Every dimension non-empty, pipeline restricted to {0, 1}, workers,
+  /// threads and M >= 1. Throws util::Error otherwise.
   void validate() const;
 
   /// The stock grid `scd tune` searches: workers {4, 8, 16, 32},
-  /// threads {4, 8, 16}, pipeline {off, on}, M {2048..16384}, cache
-  /// {none, N/64, N/4}, alias {off, on}, pi codec {fp32, fp16, int8},
-  /// sparsity {dense, eps 0.01, eps 0.05} — 5184 points.
-  static SearchSpace default_space(std::uint64_t num_vertices);
+  /// threads {4, 8, 16}, pipeline {off, on}, M {2048..16384}, pi codec
+  /// {fp32, fp16, int8}, sparsity {dense, eps 0.01, eps 0.05} — 864
+  /// points.
+  static SearchSpace default_space();
 };
 
 }  // namespace scd::tune

@@ -19,8 +19,7 @@ bool is_pruned(const std::vector<PruneDecision>& decisions, Dim dim,
 
 }  // namespace
 
-TuneResult tune(const TuneWorkload& workload, const SearchSpace& space,
-                const TuneOptions& options) {
+TuneResult tune(const TuneWorkload& workload, const SearchSpace& space) {
   space.validate();
   workload.validate();
 
@@ -46,12 +45,12 @@ TuneResult tune(const TuneWorkload& workload, const SearchSpace& space,
   ConfigIndex cur{};
   std::size_t cur_pos = probe_pos(cur);
 
-  for (std::uint64_t round = 1; round <= options.max_rounds; ++round) {
+  for (std::uint64_t round = 1; round <= kMaxRounds; ++round) {
     result.rounds = round;
     // One attribution read per round, taken at the round's starting
     // point; its decisions prune candidates for every sweep below.
     const std::vector<PruneDecision> decisions =
-        prune_directions(result.probes[cur_pos], options.rules);
+        prune_directions(result.probes[cur_pos]);
     for (const PruneDecision& d : decisions) {
       result.prunes.push_back(PruneRecord{round, d});
     }

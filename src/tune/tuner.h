@@ -7,7 +7,7 @@
 // probing every unpruned candidate along one dimension while the others
 // stay fixed, and moving to the best point found. Probes are memoized
 // by grid index, so revisits are free; the loop ends when a full round
-// makes no move (or after max_rounds). Everything — sweep order,
+// makes no move (or after kMaxRounds). Everything — sweep order,
 // tie-breaks (lowest index wins), probe costs — is deterministic, so
 // tune() is bit-stable for a fixed workload and space.
 #pragma once
@@ -50,17 +50,13 @@ struct TuneResult {
   }
 };
 
-struct TuneOptions {
-  PruneRules rules{};
-  /// Hard stop on coordinate-descent rounds; convergence (a moveless
-  /// round) usually ends the search in 2-3.
-  std::uint64_t max_rounds = 8;
-};
+/// Hard stop on coordinate-descent rounds; convergence (a moveless
+/// round) usually ends the search in 2-3.
+inline constexpr std::uint64_t kMaxRounds = 8;
 
 /// Search `space` for the configuration minimizing ProbeResult::objective
 /// on `workload`, starting from index all-zeros (by convention the
 /// default / mis-configured corner of the grid).
-TuneResult tune(const TuneWorkload& workload, const SearchSpace& space,
-                const TuneOptions& options = {});
+TuneResult tune(const TuneWorkload& workload, const SearchSpace& space);
 
 }  // namespace scd::tune

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -152,6 +154,39 @@ TEST(DistributedSamplerTest, CostOnlyModeNeedsNoGraphAndScales) {
   // Strong scaling: more workers -> less virtual time per iteration.
   EXPECT_LT(large.avg_iteration_seconds, small.avg_iteration_seconds);
   EXPECT_GT(small.avg_iteration_seconds, 0.0);
+}
+
+// A phantom average degree must describe a graph on N vertices: the
+// cost-only deploy prices M/W * avg_degree adjacency entries as an
+// integer count, which a non-finite or huge degree would overflow.
+TEST(DistributedSamplerTest, CostOnlyRefusesImpossibleAverageDegree) {
+  PhantomWorkload workload;
+  workload.num_vertices = 1000;
+  workload.minibatch_vertices = 64;
+  workload.minibatch_pairs = 32;
+  Hyper hyper;
+  hyper.num_communities = 8;
+  DistributedOptions options;
+  options.base.eval_interval = 0;
+  sim::SimCluster cluster(cluster_config(2));
+  for (const double degree :
+       {std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 1e300, 1000.0, -1.0}) {
+    workload.avg_degree = degree;
+    try {
+      DistributedSampler(cluster, workload, hyper, options);
+      ADD_FAILURE() << "avg_degree " << degree << " was accepted";
+    } catch (const scd::UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("avg_degree"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const double degree : {0.0, 999.0}) {
+    workload.avg_degree = degree;
+    sim::SimCluster fresh(cluster_config(2));
+    DistributedSampler dist(fresh, workload, hyper, options);
+    EXPECT_GT(dist.run(1).avg_iteration_seconds, 0.0) << degree;
+  }
 }
 
 TEST(DistributedSamplerTest, CostOnlyTimesTrackRealTimes) {

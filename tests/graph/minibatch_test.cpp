@@ -276,42 +276,15 @@ TEST(NeighborSamplingTest, LinkAwareClampsForNearCompleteVertices) {
   EXPECT_DOUBLE_EQ(set.sampled_scale, 1.0);
 }
 
-// -- alias-anchor equivalence ---------------------------------------------
-// The alias_anchor option swaps the anchor draw from rng.next_below to
-// an equal-weight Vose table. Equal weights make the table a pure
-// pass-through (prob[i] == 1.0 exactly, alias[i] == i), so the anchor
-// *distribution* is identical — in fact, the anchor *value* is identical
-// for the same rng state, because both paths spend one next_below(n)
-// first. Only the stream position afterwards differs (the alias path
-// also consumes its coin).
+// -- anchor distribution --------------------------------------------------
+// The stratified draw's anchor is rng.next_below(N) and its stratum a fair
+// coin: over many draws every vertex anchors ~draws/N minibatches and half
+// of the non-empty minibatches are link strata.
 
-TEST(MinibatchTest, AliasAnchorDrawsIdenticalAnchorVertex) {
-  const GeneratedGraph g = make_graph();
-  MinibatchSampler::Options plain_opt;
-  plain_opt.strategy = MinibatchStrategy::kStratifiedRandomNode;
-  MinibatchSampler::Options alias_opt = plain_opt;
-  alias_opt.alias_anchor = true;
-  const MinibatchSampler plain(g.graph, nullptr, plain_opt);
-  const MinibatchSampler alias(g.graph, nullptr, alias_opt);
-
-  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
-    rng::Xoshiro256 rng_p(seed);
-    rng::Xoshiro256 rng_a(seed);
-    const Minibatch mp = plain.draw(rng_p);
-    const Minibatch ma = alias.draw(rng_a);
-    // Both strata emit pairs anchored at `a` in the first slot; an empty
-    // minibatch (isolated-vertex link stratum) carries no anchor to
-    // compare.
-    if (mp.pairs.empty() || ma.pairs.empty()) continue;
-    EXPECT_EQ(mp.pairs[0].a, ma.pairs[0].a) << "seed " << seed;
-  }
-}
-
-TEST(MinibatchTest, AliasAnchorPreservesStratumAndScaleDistribution) {
+TEST(MinibatchTest, StratifiedAnchorIsUniformAndStratumCoinIsFair) {
   const GeneratedGraph g = make_graph();
   MinibatchSampler::Options opt;
   opt.strategy = MinibatchStrategy::kStratifiedRandomNode;
-  opt.alias_anchor = true;
   const MinibatchSampler sampler(g.graph, nullptr, opt);
   const auto n = g.graph.num_vertices();
 

@@ -226,8 +226,6 @@ TEST(QuantTuneTest, TunerPicksLossyCodecWhenCommsBound) {
   s.dim(tune::Dim::kThreadsPerNode) = {16};
   s.dim(tune::Dim::kPipeline) = {0, 1};
   s.dim(tune::Dim::kMinibatchVertices) = {4096};
-  s.dim(tune::Dim::kDkvCacheRows) = {0};
-  s.dim(tune::Dim::kAliasDraw) = {0};
   s.dim(tune::Dim::kPiCodec) = {0, 1, 2};
   s.dim(tune::Dim::kSparsity) = {0};
   s.validate();

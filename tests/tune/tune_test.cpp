@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -28,18 +30,19 @@ TuneWorkload comms_bound_workload() {
   return w;
 }
 
-SearchSpace comms_bound_space(const TuneWorkload& w) {
+constexpr auto kFp32 = static_cast<std::uint64_t>(quant::RowCodec::kFloat32);
+constexpr auto kInt8 = static_cast<std::uint64_t>(quant::RowCodec::kInt8);
+
+SearchSpace comms_bound_space() {
   SearchSpace s;
   s.dim(Dim::kWorkers) = {2, 4, 8, 16};
   s.dim(Dim::kThreadsPerNode) = {16};
   s.dim(Dim::kPipeline) = {0, 1};
-  s.dim(Dim::kMinibatchVertices) = {1024, 8192};
-  s.dim(Dim::kDkvCacheRows) = {0, w.num_vertices / 2};
-  s.dim(Dim::kAliasDraw) = {0, 1};
-  s.dim(Dim::kPiCodec) = {0};  // fp32 only; keeps the grid at 64 points
+  s.dim(Dim::kMinibatchVertices) = {1024, 2048, 4096, 8192};
+  s.dim(Dim::kPiCodec) = {kFp32, kInt8};
   s.dim(Dim::kSparsity) = {0};
   s.validate();
-  return s;  // grid: 4 * 1 * 2 * 2 * 2 * 2 * 1 * 1 = 64
+  return s;  // grid: 4 * 1 * 2 * 4 * 2 * 1 = 64
 }
 
 /// Compute-bound: many communities on few, single-threaded workers —
@@ -54,18 +57,16 @@ TuneWorkload compute_bound_workload() {
   return w;
 }
 
-SearchSpace compute_bound_space(const TuneWorkload& w) {
+SearchSpace compute_bound_space() {
   SearchSpace s;
   s.dim(Dim::kWorkers) = {2, 4, 8};
   s.dim(Dim::kThreadsPerNode) = {1, 2, 4, 16};
   s.dim(Dim::kPipeline) = {0, 1};
   s.dim(Dim::kMinibatchVertices) = {1024, 4096};
-  s.dim(Dim::kDkvCacheRows) = {0, w.num_vertices};
-  s.dim(Dim::kAliasDraw) = {0, 1};
-  s.dim(Dim::kPiCodec) = {0};  // fp32 only; keeps the grid at 192 points
-  s.dim(Dim::kSparsity) = {0};
+  s.dim(Dim::kPiCodec) = {kFp32, kInt8};
+  s.dim(Dim::kSparsity) = {0, 100};
   s.validate();
-  return s;  // grid: 3 * 4 * 2 * 2 * 2 * 2 * 1 * 1 = 192
+  return s;  // grid: 3 * 4 * 2 * 2 * 2 * 2 = 192
 }
 
 /// Ground truth by brute force: probe every grid point.
@@ -135,30 +136,27 @@ void check_acceptance(const TuneWorkload& workload,
 }
 
 TEST(TuneTest, CommsBoundWorkloadMeetsAcceptanceCriteria) {
-  check_acceptance(comms_bound_workload(),
-                   comms_bound_space(comms_bound_workload()), "comms");
+  check_acceptance(comms_bound_workload(), comms_bound_space(), "comms");
 }
 
 TEST(TuneTest, ComputeBoundWorkloadMeetsAcceptanceCriteria) {
-  check_acceptance(compute_bound_workload(),
-                   compute_bound_space(compute_bound_workload()), "compute");
+  check_acceptance(compute_bound_workload(), compute_bound_space(),
+                   "compute");
 }
 
 TEST(TuneTest, SearchSpaceMaterializesAndValidates) {
-  const SearchSpace s = SearchSpace::default_space(1u << 20);
-  EXPECT_EQ(s.grid_size(), 4u * 3 * 2 * 4 * 3 * 2 * 3 * 3);
+  const SearchSpace s = SearchSpace::default_space();
+  EXPECT_EQ(s.grid_size(), 4u * 3 * 2 * 4 * 3 * 3);
   ConfigIndex index{};
   const TuneConfig base = s.materialize(index);
   EXPECT_EQ(base.workers, 4u);
   EXPECT_EQ(base.threads_per_node, 4u);
   EXPECT_FALSE(base.pipeline);
   EXPECT_EQ(base.minibatch_vertices, 2048u);
-  EXPECT_EQ(base.dkv_cache_rows, 0u);
-  EXPECT_FALSE(base.alias_draw);
   EXPECT_EQ(base.pi_codec, quant::RowCodec::kFloat32);
   EXPECT_EQ(base.sparse_eps, 0.0);
   EXPECT_EQ(base.key(),
-            "w4 t4 pipe=0 M2048 cache=0 alias=0 codec=fp32 seps=0");
+            "w4 t4 pipe=0 M2048 codec=fp32 seps=0");
 
   SearchSpace bad = s;
   bad.dim(Dim::kWorkers).clear();
@@ -169,7 +167,44 @@ TEST(TuneTest, SearchSpaceMaterializesAndValidates) {
   SearchSpace bad_codec = s;
   bad_codec.dim(Dim::kPiCodec) = {quant::kNumCodecs};
   EXPECT_THROW(bad_codec.validate(), UsageError);
-  EXPECT_THROW(s.materialize(ConfigIndex{9, 0, 0, 0, 0, 0, 0}), UsageError);
+  EXPECT_THROW(s.materialize(ConfigIndex{9, 0, 0, 0, 0, 0}), UsageError);
+}
+
+// Workloads no probe can price are refused up front, naming the field:
+// a non-finite saturation scale would turn every objective into inf/NaN,
+// and an average degree past N - 1 (or non-finite) has no graph behind it
+// and overflows the modeled adjacency counts.
+TEST(TuneTest, ImpossibleWorkloadsAreRefused) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto refuses = [](const TuneWorkload& w, const char* field) {
+    try {
+      w.validate();
+    } catch (const UsageError& e) {
+      return std::string(e.what()).find(field) != std::string::npos;
+    }
+    return false;
+  };
+  for (const double sat : {inf, nan, 0.0, -1.0}) {
+    TuneWorkload w;
+    w.sat_vertices = sat;
+    EXPECT_TRUE(refuses(w, "sat_vertices")) << sat;
+  }
+  for (const double degree : {inf, nan, 1e300, 0.0, -1.0}) {
+    TuneWorkload w;
+    w.avg_degree = degree;
+    EXPECT_TRUE(refuses(w, "avg_degree")) << degree;
+  }
+  TuneWorkload w;
+  w.num_vertices = 100;
+  w.avg_degree = 99.0;  // the complete graph
+  EXPECT_NO_THROW(w.validate());
+  w.avg_degree = std::nextafter(99.0, inf);
+  EXPECT_TRUE(refuses(w, "avg_degree"));
+  TuneConfig c;
+  c.workers = 2;
+  w.avg_degree = 1e300;
+  EXPECT_THROW(run_probe(w, c), UsageError);
 }
 
 TEST(TuneTest, ProgressCreditSaturates) {
@@ -185,8 +220,6 @@ TEST(TuneTest, ProbeIsDeterministicAndTiled) {
   c.threads_per_node = 16;
   c.pipeline = true;
   c.minibatch_vertices = 4096;
-  c.dkv_cache_rows = w.num_vertices / 4;
-  c.alias_draw = true;
   const ProbeResult a = run_probe(w, c);
   const ProbeResult b = run_probe(w, c);
   EXPECT_EQ(a.virtual_s, b.virtual_s);
@@ -199,10 +232,6 @@ TEST(TuneTest, ProbeIsDeterministicAndTiled) {
   double sum = 0.0;
   for (double s : a.on_path_s) sum += s;
   EXPECT_NEAR(sum, a.virtual_s, 1e-9 * a.virtual_s);
-  // The modeled cache saw traffic and reported a hit rate.
-  EXPECT_GT(a.dkv_hit_rate, 0.0);
-  EXPECT_LE(a.dkv_hit_rate, 1.0);
-  EXPECT_NE(a.metrics_json.find("dkv_hits"), std::string::npos);
 }
 
 // Pruner rules on synthetic attributions: each rule must fire exactly
@@ -212,20 +241,15 @@ TEST(TuneTest, PrunerCitesTheShareThatFired) {
   p.virtual_s = 1.0;
   p.per_iteration_s = 1.0;
   p.config.pipeline = true;
-  p.config.dkv_cache_rows = 1024;
   // 70% collective + 20% phi-compute: sync-bound.
   p.on_path_s[static_cast<std::size_t>(trace::Stage::kCollective)] = 0.7;
   p.on_path_s[static_cast<std::size_t>(trace::Stage::kUpdatePhi)] = 0.2;
   p.phi_compute_s = 0.2;
   p.compute_share = 0.2;
   p.comm_share = 0.7;
-  p.dkv_hit_rate = 0.99;
 
   const std::vector<PruneDecision> decisions = prune_directions(p);
   bool saw_sync = false;
-  bool saw_cache = false;
-  bool saw_alias_up = false;
-  bool saw_alias_down = false;
   for (const PruneDecision& d : decisions) {
     if (d.rule == "sync-bound-workers-up") {
       saw_sync = true;
@@ -233,31 +257,18 @@ TEST(TuneTest, PrunerCitesTheShareThatFired) {
       EXPECT_TRUE(d.upward);
       EXPECT_EQ(d.cited_share_name, "sync_share");
       EXPECT_NEAR(d.cited_share, 0.7, 1e-12);
-      EXPECT_NEAR(d.threshold, PruneRules{}.sync_bound, 1e-12);
+      EXPECT_NEAR(d.threshold, kPruneRules.sync_bound, 1e-12);
       EXPECT_NE(d.why.find("70.0%"), std::string::npos);
-    }
-    if (d.rule == "cache-saturated-cache-up") {
-      saw_cache = true;
-      EXPECT_EQ(d.cited_share_name, "dkv_hit_rate");
-      EXPECT_NEAR(d.cited_share, 0.99, 1e-12);
-    }
-    if (d.rule == "draw-off-path-alias") {
-      (d.upward ? saw_alias_up : saw_alias_down) = true;
-      EXPECT_EQ(d.cited_share_name, "draw_share");
     }
   }
   EXPECT_TRUE(saw_sync);
-  EXPECT_TRUE(saw_cache);
-  EXPECT_TRUE(saw_alias_up);
-  EXPECT_TRUE(saw_alias_down);
 }
 
 TEST(TuneTest, TuningLogIsValidStructuredJson) {
   // Cheap structural checks (full parsing belongs to check_bench's
   // Python); the log must carry every contract field.
-  const TuneWorkload w = compute_bound_workload();
-  SearchSpace s = compute_bound_space(w);
-  const TuneResult result = tune(w, s);
+  const TuneResult result =
+      tune(compute_bound_workload(), compute_bound_space());
   const std::string json = tuning_log_json(result);
   for (const char* field :
        {"\"grid_size\"", "\"probes_run\"", "\"probe_fraction\"",

@@ -290,6 +290,16 @@ def main():
     check("run missing fault plan diagnoses on stderr",
           "error" in r.stderr, repr(r.stderr[:120]))
 
+    # A tune workload no probe can price is a usage error (1) naming the
+    # field, refused before the first probe runs.
+    for flag, value, field in (("--sat-vertices", "inf", "sat_vertices"),
+                               ("--avg-degree", "1e300", "avg_degree")):
+        r = run([scd, "tune", flag, value])
+        check(f"tune {flag} {value} exits 1", r.returncode == 1,
+              f"exit={r.returncode}")
+        check(f"tune {flag} {value} names {field} on stderr",
+              field in r.stderr, repr(r.stderr[:160]))
+
     # Redo-in-place crash recovery (no rollback) runs on both backends,
     # pipelined or not, and lands on the same numbers: the proc heir reads
     # the live rows, and the deploy prefetched before the crash is dropped.

@@ -655,7 +655,7 @@ int cmd_tune(int argc, const char* const* argv) {
   std::string log_out;
   std::string report_out;
   ArgParser parser("scd tune",
-                   "search shard/rank/pipeline/minibatch/cache settings"
+                   "search rank/thread/pipeline/minibatch/codec settings"
                    " with attributed simulated probes");
   parser.add_uint("vertices", &vertices, "workload graph size N")
       .add_double("avg-degree", &avg_degree, "workload average degree")
@@ -681,8 +681,8 @@ int cmd_tune(int argc, const char* const* argv) {
   workload.seed = seed;
   workload.sat_vertices = sat_vertices;
 
-  const tune::SearchSpace space = tune::SearchSpace::default_space(vertices);
-  const tune::TuneResult result = tune::tune(workload, space);
+  const tune::TuneResult result =
+      tune::tune(workload, tune::SearchSpace::default_space());
 
   const std::string report = tune::why_report(result);
   std::fputs(report.c_str(), stdout);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the default build + full test suite, then the same
 # suite under AddressSanitizer + UBSan (the `asan` CMake preset), then the
-# concurrency suites (serve + threading + the ParallelSampler and
-# PiMatrix suites) under ThreadSanitizer (the `tsan` preset). Run from
+# concurrency suites (serve + threading + chaos + the ParallelSampler,
+# PiMatrix and DistributedSampler suites) under ThreadSanitizer (the
+# `tsan` preset). Run from
 # anywhere; the build trees live next to the sources (build/,
 # build-asan/, build-tsan/).
 #
@@ -60,7 +61,9 @@ fi
 
 # TSan pass: the lock-free snapshot swap and the thread pool are exactly
 # the code where a missed fence shows up as a rare torn read, so the
-# concurrency-heavy labels run under ThreadSanitizer, together with the
+# concurrency-heavy labels run under ThreadSanitizer — chaos among them,
+# whose fault-injected sim runs crash, stall and recover ranks that are
+# threads sharing one store and one transport — together with the
 # ParallelSampler suites, whose stages claim work from a shared atomic
 # cursor, the PiMatrix suite, whose pool init claims rows the same way,
 # and the DistributedSampler suites, whose constructor builds the store
@@ -68,11 +71,11 @@ fi
 # to those (TSan slows everything ~10x; the rest of the suite is covered
 # by the asan pass).
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
-  echo "== tier-1: tsan preset (serve + threading + samplers + pi init) =="
+  echo "== tier-1: tsan preset (serve + threading + chaos + samplers + pi init) =="
   timed "tsan: configure+build" bash -c \
     'cmake --preset tsan && cmake --build --preset tsan -j'
-  timed "tsan: -L serve|threading" \
-    ctest --preset tsan -L 'serve|threading' --no-tests=error \
+  timed "tsan: -L serve|threading|chaos" \
+    ctest --preset tsan -L 'serve|threading|chaos' --no-tests=error \
       --output-on-failure
   timed "tsan: samplers + pi init" \
     ctest --preset tsan \
