@@ -157,20 +157,28 @@ void update_phi_row(std::uint64_t seed, std::uint64_t iteration,
   const double noise_scale = noise_factor * std::sqrt(eps);
   const double phi_sum = row[k];
   double new_sum = 0.0;
-  // phi_ak = pi_ak * phi_sum; the updated phis are staged in-place as we
-  // go (the old pi values are consumed left to right).
-  for (std::size_t i = 0; i < k; ++i) {
-    const double phi = static_cast<double>(row[i]) * phi_sum;
-    const double xi = rng::sample_standard_normal(noise) * noise_scale;
-    const double g = form == GradientForm::kPreconditioned
-                         ? phi * grad[i]
-                         : grad[i];
-    double updated = phi + 0.5 * eps * (alpha - phi + scale * g) +
-                     std::sqrt(phi) * xi;
-    updated = std::abs(updated);  // SGRLD reflection at zero
-    updated = std::max(updated, kParamFloor);
-    row[i] = static_cast<float>(updated);
-    new_sum += updated;
+  // The K draws come in even-length batches, which give the values of
+  // one K-long batch. phi_ak = pi_ak * phi_sum; the updated phis are
+  // staged in-place as we go (the old pi values are consumed left to
+  // right).
+  constexpr std::size_t kNoiseBatch = 64;
+  double xi[kNoiseBatch];
+  for (std::size_t base = 0; base < k; base += kNoiseBatch) {
+    const std::size_t n = std::min(kNoiseBatch, k - base);
+    rng::sample_standard_normals(noise, std::span<double>(xi, n));
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t i = base + j;
+      const double phi = static_cast<double>(row[i]) * phi_sum;
+      const double g = form == GradientForm::kPreconditioned
+                           ? phi * grad[i]
+                           : grad[i];
+      double updated = phi + 0.5 * eps * (alpha - phi + scale * g) +
+                       std::sqrt(phi) * (xi[j] * noise_scale);
+      updated = std::abs(updated);  // SGRLD reflection at zero
+      updated = std::max(updated, kParamFloor);
+      row[i] = static_cast<float>(updated);
+      new_sum += updated;
+    }
   }
   const double inv = 1.0 / new_sum;
   for (std::size_t i = 0; i < k; ++i) {
@@ -187,8 +195,8 @@ void update_theta(std::uint64_t seed, std::uint64_t iteration,
   SCD_ASSERT(grad.size() == std::size_t{k} * 2, "gradient size mismatch");
   rng::Xoshiro256 noise = derive_rng(seed, rng_label::kThetaNoise, iteration);
   const double noise_scale = noise_factor * std::sqrt(eps);
-  // The 2K draws, in (community, slot) order, come in batches that fill a
-  // stack buffer: the same values and order as one serial draw per slot.
+  // The 2K draws, in (community, slot) order, come in even-length
+  // batches that fill a stack buffer: the values of one 2K-long batch.
   constexpr std::size_t kNoiseBatch = 64;
   double xi[kNoiseBatch];
   const std::size_t slots = std::size_t{k} * 2;

@@ -30,10 +30,15 @@ struct Hyper {
                        : 1.0 / static_cast<double>(num_communities);
   }
 
+  /// Every value must be finite: an infinite prior reaches the kernels
+  /// as a non-finite row and aborts there.
   void validate() const {
     SCD_REQUIRE(num_communities >= 1, "need at least one community");
-    SCD_REQUIRE(alpha >= 0.0, "alpha must be >= 0 (0 = auto)");
-    SCD_REQUIRE(eta0 > 0.0 && eta1 > 0.0, "eta must be positive");
+    SCD_REQUIRE(alpha >= 0.0 && std::isfinite(alpha),
+                "alpha must be finite and >= 0 (0 = auto)");
+    SCD_REQUIRE(eta0 > 0.0 && eta1 > 0.0 && std::isfinite(eta0) &&
+                    std::isfinite(eta1),
+                "eta must be finite and positive");
     SCD_REQUIRE(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
   }
 };
@@ -57,7 +62,8 @@ struct StepSchedule {
   }
 
   void validate() const {
-    SCD_REQUIRE(a > 0.0 && b > 0.0, "step-size a, b must be positive");
+    SCD_REQUIRE(a > 0.0 && b > 0.0 && std::isfinite(a) && std::isfinite(b),
+                "step-size a, b must be finite and positive");
     SCD_REQUIRE(c > 0.5 && c <= 1.0,
                 "step-size exponent c must be in (0.5, 1]");
   }

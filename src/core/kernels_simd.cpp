@@ -52,24 +52,37 @@ void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
   SCD_KERNEL_ASSERT(grad.size() == k, "gradient size mismatch");
   SCD_KERNEL_ASSERT(noise_scratch.size() >= k, "noise scratch too small");
 
-  // Stage the Langevin noise first, as one batch: the same stream and
-  // order as the reference update_phi_row's serial draws, so the values
-  // are identical, and the SGRLD step below is a pure elementwise pass.
+  // Stage the Langevin noise first, as one batch: the values the
+  // reference update_phi_row draws in its even-length batches, so the
+  // SGRLD step below is a pure elementwise pass.
   rng::Xoshiro256 noise_rng =
       derive_rng(seed, rng_label::kPhiNoise, iteration, vertex);
   rng::sample_standard_normals(noise_rng, noise_scratch.first(k));
   const double noise_scale = noise_factor * std::sqrt(eps);
-  const double* SCD_RESTRICT noise = noise_scratch.data();
 
   const double phi_sum = row[k];
   const bool precond = form == GradientForm::kPreconditioned;
   const double half_eps = 0.5 * eps;
   float* SCD_RESTRICT r = row.data();
   const double* SCD_RESTRICT g = grad.data();
+  // Each staged noise value is overwritten by its element's new phi.
+  double* SCD_RESTRICT staged = noise_scratch.data();
 
-  // Elementwise SGRLD step; new_sum accumulates in independent double
-  // lanes (same values per element as the reference update_phi_row —
-  // only the sum's association differs).
+  // Elementwise SGRLD step, one packed pass (same values per element as
+  // the reference update_phi_row).
+  for (std::size_t i = 0; i < k; ++i) {
+    const double phi = static_cast<double>(r[i]) * phi_sum;
+    const double gg = precond ? phi * g[i] : g[i];
+    double updated = phi + half_eps * (alpha - phi + scale * gg) +
+                     std::sqrt(phi) * (staged[i] * noise_scale);
+    updated = std::abs(updated);  // SGRLD reflection at zero
+    updated = std::max(updated, kParamFloor);
+    r[i] = static_cast<float>(updated);
+    staged[i] = updated;
+  }
+
+  // new_sum accumulates in independent double lanes; only its
+  // association differs from the reference.
   double new_sum = 0.0;
   std::size_t i = 0;
   constexpr std::size_t kSumLanes = 4;
@@ -77,29 +90,12 @@ void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
     double lanes[kSumLanes] = {0.0};
     for (std::size_t j = 0; j < kFusedBlock; j += kSumLanes) {
       for (std::size_t l = 0; l < kSumLanes; ++l) {
-        const std::size_t idx = i + j + l;
-        const double phi = static_cast<double>(r[idx]) * phi_sum;
-        const double gg = precond ? phi * g[idx] : g[idx];
-        double updated = phi + half_eps * (alpha - phi + scale * gg) +
-                         std::sqrt(phi) * (noise[idx] * noise_scale);
-        updated = std::abs(updated);  // SGRLD reflection at zero
-        updated = std::max(updated, kParamFloor);
-        r[idx] = static_cast<float>(updated);
-        lanes[l] += updated;
+        lanes[l] += staged[i + j + l];
       }
     }
     for (std::size_t l = 0; l < kSumLanes; ++l) new_sum += lanes[l];
   }
-  for (; i < k; ++i) {
-    const double phi = static_cast<double>(r[i]) * phi_sum;
-    const double gg = precond ? phi * g[i] : g[i];
-    double updated = phi + half_eps * (alpha - phi + scale * gg) +
-                     std::sqrt(phi) * (noise[i] * noise_scale);
-    updated = std::abs(updated);
-    updated = std::max(updated, kParamFloor);
-    r[i] = static_cast<float>(updated);
-    new_sum += updated;
-  }
+  for (; i < k; ++i) new_sum += staged[i];
 
   const double inv = 1.0 / new_sum;
   for (std::size_t j = 0; j < k; ++j) {

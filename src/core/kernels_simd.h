@@ -117,9 +117,9 @@ double fast_accumulate_theta_ratio(std::span<const float> row_a,
                                    std::span<float> f_scratch);
 
 /// SGRLD row update (Eqn 5): the Langevin noise is staged into
-/// `noise_scratch` first by one rng::sample_standard_normals batch
-/// (identical values and order to the reference update_phi_row's serial
-/// draws), then the elementwise update runs as a
+/// `noise_scratch` first by one rng::sample_standard_normals batch (the
+/// values the reference update_phi_row draws in its even-length
+/// batches), then the elementwise update runs as a
 /// vectorizable pass with a lane-accumulated new_sum. Per-element row
 /// values match the reference bit-for-bit; only the new_sum reduction
 /// (and hence the final normalization) differs by float-level

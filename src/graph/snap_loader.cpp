@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <ostream>
 
 #include "graph/builder.h"
 #include "util/error.h"
@@ -11,6 +12,8 @@ namespace scd::graph {
 namespace {
 
 // Parse one unsigned integer starting at *pos; advances *pos past it.
+// The integer must end the line or be followed by a space or tab, so
+// "2x", "2.5" and "0x10" are refused rather than read as 2, 2 and 0.
 std::uint64_t parse_uint(const std::string& line, std::size_t* pos,
                          std::size_t line_no) {
   const char* begin = line.data() + *pos;
@@ -20,6 +23,11 @@ std::uint64_t parse_uint(const std::string& line, std::size_t* pos,
   if (ec != std::errc{} || ptr == begin) {
     throw DataError("SNAP parse error at line " + std::to_string(line_no) +
                     ": expected integer in '" + line + "'");
+  }
+  if (ptr != end && *ptr != ' ' && *ptr != '\t') {
+    throw DataError("SNAP parse error at line " + std::to_string(line_no) +
+                    ": unexpected '" + std::string(1, *ptr) +
+                    "' after vertex id in '" + line + "'");
   }
   *pos = static_cast<std::size_t>(ptr - line.data());
   return value;
@@ -72,6 +80,16 @@ SnapLoadResult load_snap_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw DataError("cannot open graph file '" + path + "'");
   return load_snap_stream(in);
+}
+
+void write_snap_stream(std::ostream& out, const Graph& graph,
+                       std::string_view header) {
+  if (!header.empty()) out << "# " << header << '\n';
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    for (Vertex w : graph.neighbors(v)) {
+      if (v < w) out << v << '\t' << w << '\n';
+    }
+  }
 }
 
 }  // namespace scd::graph

@@ -16,15 +16,23 @@
 
 namespace scd::rng {
 
-/// Standard normal via Marsaglia polar method (exact, no tables).
+/// Standard normal via the Marsaglia polar method (exact, no tables):
+/// one variate per accepted pair, u * sqrt(-2 ln s / s); v is dropped.
+/// The rejection samplers (gamma, the general-MMSB theta noise) use it.
 double sample_standard_normal(Xoshiro256& rng);
 
-/// Fills `out` with out.size() standard normals: the same values, in the
-/// same order, leaving `rng` in the same state as that many
-/// sample_standard_normal calls. The polar pairs are drawn with a
-/// branch-free accept count and transformed in one pass afterwards, so
-/// the rejection step costs no branch mispredictions.
+/// The SGRLD noise stream: fills `out` with Marsaglia polar normals,
+/// both variates of every accepted pair, u * m then v * m with
+/// m = sqrt(-2 ln s / s). An odd-length batch drops the last pair's v,
+/// so an even-length batch gives the same values however it is split
+/// into even-length calls. ln is log_positive, so every ISA clone
+/// computes the same bits.
 void sample_standard_normals(Xoshiro256& rng, std::span<double> out);
+
+/// ln x for positive finite x (subnormals included), within 2 ulp of
+/// std::log. The in-repo log the batch above vectorizes; unlike
+/// std::log its bits do not depend on the C library.
+double log_positive(double x);
 
 /// N(mean, stddev^2).
 inline double sample_normal(Xoshiro256& rng, double mean, double stddev) {

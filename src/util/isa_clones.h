@@ -17,16 +17,18 @@
 //     flattened call tree uses SCD_KERNEL_ASSERT, never SCD_ASSERT or
 //     SCD_REQUIRE: it prints the same "invariant" message and calls
 //     std::abort. Keep such checks out of the hot loops.
-// ThreadSanitizer builds keep only the baseline body: the loader runs
-// ifunc resolvers before the TSan runtime is up, and the instrumented
-// resolvers crash the process at start.
+// ThreadSanitizer builds keep only the baseline body (SCD_KERNEL_CLONES
+// is 0): the loader runs ifunc resolvers before the TSan runtime is up,
+// and the instrumented resolvers crash the process at start.
 #pragma once
 
 #include "util/error.h"
 
 #if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#define SCD_KERNEL_CLONES 1
 #define SCD_KERNEL __attribute__((target_clones("avx2", "default"), flatten))
 #else
+#define SCD_KERNEL_CLONES 0
 #define SCD_KERNEL
 #endif
 

@@ -282,14 +282,23 @@ TEST(GeneralSamplerTest, StateStaysValid) {
   }
 }
 
+// One planted graph's final/initial perplexity ratio after 1500
+// iterations spreads widely with the noise stream (sd about 0.10 over
+// 200 fixtures, mean 0.78, a few above 1), so the bound is held by the
+// mean over twelve fixtures rather than by any single one.
 TEST(GeneralSamplerTest, AssortativeGraphsAlsoConverge) {
-  auto f = testing::small_planted_fixture(41);
-  f.options.eval_interval = 0;
-  GeneralSequentialSampler sampler(f.split->training(), f.split.get(),
-                                   f.hyper, f.options);
-  const double initial = sampler.evaluate_perplexity();
-  sampler.run(1500);
-  EXPECT_LT(sampler.evaluate_perplexity(), 0.85 * initial);
+  double ratio_sum = 0.0;
+  constexpr int kFixtures = 12;
+  for (int i = 0; i < kFixtures; ++i) {
+    auto f = testing::small_planted_fixture(41 + static_cast<std::uint64_t>(i));
+    f.options.eval_interval = 0;
+    GeneralSequentialSampler sampler(f.split->training(), f.split.get(),
+                                     f.hyper, f.options);
+    const double initial = sampler.evaluate_perplexity();
+    sampler.run(1500);
+    ratio_sum += sampler.evaluate_perplexity() / initial;
+  }
+  EXPECT_LT(ratio_sum / kFixtures, 0.85);
 }
 
 }  // namespace

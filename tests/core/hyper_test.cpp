@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/error.h"
 
 namespace scd::core {
@@ -29,6 +31,26 @@ TEST(HyperTest, ValidationCatchesBadValues) {
   EXPECT_NO_THROW(Hyper{}.validate());
 }
 
+// Infinities and NaNs are refused in every field (before, alpha, eta0
+// and eta1 = inf passed and reached the kernels as a non-finite row).
+TEST(HyperTest, ValidationRefusesNonFiniteValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {kInf, -kInf, kNan}) {
+    SCOPED_TRACE(bad);
+    for (double Hyper::*field :
+         {&Hyper::alpha, &Hyper::eta0, &Hyper::eta1, &Hyper::delta}) {
+      Hyper h;
+      h.*field = bad;
+      EXPECT_THROW(h.validate(), scd::UsageError);
+    }
+  }
+  Hyper h;
+  h.alpha = 1e300;
+  h.eta0 = 1e300;
+  EXPECT_NO_THROW(h.validate());
+}
+
 TEST(HyperTest, SuggestedDeltaBelowDensity) {
   EXPECT_DOUBLE_EQ(suggested_delta(1e-3), 1e-4);
   EXPECT_DOUBLE_EQ(suggested_delta(0.0), 1e-10);  // floor
@@ -53,6 +75,24 @@ TEST(StepScheduleTest, RobbinsMonroExponentEnforced) {
   s.c = 1.1;
   EXPECT_THROW(s.validate(), scd::UsageError);
   s.c = 1.0;
+  EXPECT_NO_THROW(s.validate());
+}
+
+TEST(StepScheduleTest, NonFiniteValuesAreRefused) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {kInf, -kInf, kNan}) {
+    SCOPED_TRACE(bad);
+    for (double StepSchedule::*field :
+         {&StepSchedule::a, &StepSchedule::b, &StepSchedule::c}) {
+      StepSchedule s;
+      s.*field = bad;
+      EXPECT_THROW(s.validate(), scd::UsageError);
+    }
+  }
+  StepSchedule s;
+  s.a = 1e308;
+  s.b = 1e308;
   EXPECT_NO_THROW(s.validate());
 }
 

@@ -2,7 +2,8 @@
 //
 // Every public entry point of core/kernels_simd.h runs on fixed-seed rows
 // for all six row codecs at K = 63, 64 and 256 (a tail-only width, one
-// full kFusedBlock, several blocks), and the FNV-1a-64 hash of every
+// full kFusedBlock, several blocks), and so does the batched Langevin
+// noise stream they draw; the FNV-1a-64 hash of every
 // returned value and every written buffer is compared against constants
 // captured from the baseline-ISA (SSE2) build. A ParallelSampler
 // trajectory (pi bytes plus perplexity history) is pinned the same way at
@@ -10,9 +11,10 @@
 //
 // The process runs whichever ISA clone the loader picked for this CPU
 // (logged below), so on an AVX2 host this is the check that the wide
-// clones compute the same bits as the portable body. A build that lets
-// the compiler contract a*b+c into FMA (e.g. -march=native on an FMA
-// host) fails here.
+// clones compute the same bits as the portable body. A ThreadSanitizer
+// build has no clones and checks the portable body itself against the
+// same constants. A build that lets the compiler contract a*b+c into FMA
+// (e.g. -march=native on an FMA host) fails here.
 #include <cstdint>
 #include <cstdio>
 #include <span>
@@ -23,8 +25,10 @@
 
 #include "core/kernels_simd.h"
 #include "core/parallel_sampler.h"
+#include "random/distributions.h"
 #include "random/xoshiro.h"
 #include "tests/core/test_fixtures.h"
+#include "util/isa_clones.h"
 
 namespace scd::core {
 namespace {
@@ -53,10 +57,10 @@ class Fnv1a64 {
 };
 
 const char* selected_clone() {
-#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#if SCD_KERNEL_CLONES
   return __builtin_cpu_supports("avx2") ? "avx2" : "default";
 #else
-  return "default";
+  return "default (baseline body only: this build has no clones)";
 #endif
 }
 
@@ -230,6 +234,24 @@ std::uint64_t update_phi_row_hash() {
   return h.digest();
 }
 
+/// The SGRLD noise stream (rng::sample_standard_normals) at odd and even
+/// widths, each batch followed by the engine's next output.
+std::uint64_t noise_stream_hash() {
+  Fnv1a64 h;
+  std::vector<double> noise(512);
+  for (std::uint32_t k : {1u, 63u, 64u, 256u, 512u}) {
+    for (std::uint64_t vertex = 0; vertex < 8; ++vertex) {
+      rng::Xoshiro256 rng =
+          derive_rng(/*seed=*/77, rng_label::kPhiNoise, 1000, vertex);
+      const std::span<double> row = std::span(noise).first(k);
+      rng::sample_standard_normals(rng, row);
+      h.values(std::span<const double>(row));
+      h.value(rng());
+    }
+  }
+  return h.digest();
+}
+
 std::uint64_t trajectory_hash(unsigned threads) {
   testing::Fixture f = testing::small_planted_fixture(
       /*seed=*/6104, /*n=*/240, /*k=*/64, /*heldout_pairs=*/200);
@@ -272,13 +294,17 @@ TEST_F(KernelsPinnedTest, EncodedEntryPointsAreStable) {
 }
 
 TEST_F(KernelsPinnedTest, UpdatePhiRowIsStable) {
-  EXPECT_EQ(update_phi_row_hash(), 0x9652ef2a1c542163ULL);
+  EXPECT_EQ(update_phi_row_hash(), 0x2fa799df0f1a838aULL);
+}
+
+TEST_F(KernelsPinnedTest, NoiseStreamIsStable) {
+  EXPECT_EQ(noise_stream_hash(), 0xa87eb322ba4f3b87ULL);
 }
 
 TEST_F(KernelsPinnedTest, ParallelTrajectoryIsStable) {
   for (unsigned threads : {1u, 3u}) {
     SCOPED_TRACE(threads);
-    EXPECT_EQ(trajectory_hash(threads), 0x74a832b3806b8893ULL);
+    EXPECT_EQ(trajectory_hash(threads), 0x6c5d0effe3ce8e40ULL);
   }
 }
 

@@ -7,6 +7,8 @@
 #include <limits>
 
 #include "fault/fault_injector.h"
+#include "random/xoshiro.h"
+#include "tests/util/byte_mutator.h"
 #include "util/error.h"
 
 namespace scd::fault {
@@ -45,6 +47,29 @@ TEST(FaultPlanTest, ParsesFullSchema) {
   EXPECT_DOUBLE_EQ(plan.dkv_stalls[0].stall_s, 2e-3);
   EXPECT_FALSE(plan.empty());
   EXPECT_NO_THROW(plan.validate(4));
+}
+
+// 4000 mutants of the full-schema plan (fixed seed, 1-3 byte edits
+// each) either parse or throw DataError: no other exception escapes the
+// parser, and the asan pass sees no memory error.
+TEST(FaultPlanTest, MutatedPlansParseOrThrowDataError) {
+  rng::Xoshiro256 rng(3301);
+  int parsed = 0;
+  int refused = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string mutant = testing::mutate_bytes(rng, kFullPlan);
+    try {
+      (void)FaultPlan::from_json(mutant);
+      ++parsed;
+    } catch (const DataError&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << i << " threw " << e.what() << ":\n" << mutant;
+    }
+  }
+  // Both outcomes occur: the mutants reach the parser's accept paths too.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(refused, 100);
 }
 
 TEST(FaultPlanTest, EmptyObjectIsEmptyPlanWithDefaults) {

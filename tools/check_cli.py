@@ -300,6 +300,34 @@ def main():
         check(f"tune {flag} {value} names {field} on stderr",
               field in r.stderr, repr(r.stderr[:160]))
 
+    # A non-finite step size is a usage error (1) naming the field,
+    # refused before the sampler starts (it used to abort inside a
+    # kernel, exit 134). An edge list with junk glued to an endpoint is a
+    # data error (2) naming the line.
+    with tempfile.TemporaryDirectory() as tmp:
+        good = os.path.join(tmp, "g.txt")
+        r = run([scd, "generate", "--vertices", "60", "--communities", "2",
+                 "--out", good])
+        check("generate small graph exits 0", r.returncode == 0,
+              f"exit={r.returncode}")
+        for value in ("inf", "nan"):
+            r = run([scd, "fit", "--graph", good, "--communities", "2",
+                     "--iterations", "5", "--threads", "1",
+                     "--step-a", value])
+            check(f"fit --step-a {value} exits 1", r.returncode == 1,
+                  f"exit={r.returncode} {r.stderr[:160]!r}")
+            check(f"fit --step-a {value} names a on stderr",
+                  "step-size a" in r.stderr, repr(r.stderr[:160]))
+        for junk in ("1 2x", "1 2.5", "1 0x10"):
+            bad = os.path.join(tmp, "bad.txt")
+            with open(bad, "w") as f:
+                f.write(f"# header\n3 4\n{junk}\n")
+            r = run([scd, "info", "--graph", bad])
+            check(f"info on '{junk}' exits 2", r.returncode == 2,
+                  f"exit={r.returncode}")
+            check(f"info on '{junk}' names line 3 on stderr",
+                  "line 3" in r.stderr, repr(r.stderr[:160]))
+
     # Redo-in-place crash recovery (no rollback) runs on both backends,
     # pipelined or not, and lands on the same numbers: the proc heir reads
     # the live rows, and the deploy prefetched before the crash is dropped.

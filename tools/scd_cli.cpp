@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -88,19 +89,14 @@ int cmd_generate(int argc, const char* const* argv) {
       vertices, communities, degree, overlap2, overlap3);
   const graph::GeneratedGraph g = graph::generate_planted(rng, config);
 
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  SCD_REQUIRE(f != nullptr, "cannot open --out for writing");
-  std::fprintf(f, "# planted-overlap graph: %u vertices, %llu edges, %llu"
-               " communities\n",
-               g.graph.num_vertices(),
-               static_cast<unsigned long long>(g.graph.num_edges()),
-               static_cast<unsigned long long>(communities));
-  for (graph::Vertex v = 0; v < g.graph.num_vertices(); ++v) {
-    for (graph::Vertex w : g.graph.neighbors(v)) {
-      if (v < w) std::fprintf(f, "%u\t%u\n", v, w);
-    }
-  }
-  std::fclose(f);
+  std::ofstream f(out);
+  SCD_REQUIRE(f.is_open(), "cannot open --out for writing");
+  graph::write_snap_stream(
+      f, g.graph,
+      "planted-overlap graph: " + std::to_string(g.graph.num_vertices()) +
+          " vertices, " + std::to_string(g.graph.num_edges()) + " edges, " +
+          std::to_string(communities) + " communities");
+  f.close();
   std::printf("wrote %s: %u vertices, %s edges\n", out.c_str(),
               g.graph.num_vertices(),
               format_count(g.graph.num_edges()).c_str());

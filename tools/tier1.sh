@@ -2,8 +2,8 @@
 # Tier-1 verification: the default build + full test suite, then the same
 # suite under AddressSanitizer + UBSan (the `asan` CMake preset), then the
 # concurrency suites (serve + threading + chaos + the ParallelSampler,
-# PiMatrix and DistributedSampler suites) under ThreadSanitizer (the
-# `tsan` preset). Run from
+# PiMatrix and DistributedSampler suites) and the pinned kernel bits of
+# the portable bodies under ThreadSanitizer (the `tsan` preset). Run from
 # anywhere; the build trees live next to the sources (build/,
 # build-asan/, build-tsan/).
 #
@@ -77,6 +77,11 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   timed "tsan: -L serve|threading|chaos" \
     ctest --preset tsan -L 'serve|threading|chaos' --no-tests=error \
       --output-on-failure
+  # SCD_KERNEL builds no clones under TSan, so this checks the portable
+  # kernel bodies against the same pinned hashes the AVX2 clones match.
+  timed "tsan: -L kernels" \
+    ctest --preset tsan -L kernels --no-tests=error --output-on-failure \
+      --verbose
   timed "tsan: samplers + pi init" \
     ctest --preset tsan \
       -R 'Parallel(EquivalenceTest|SamplerTest|SamplerThreadsTest)\.|PiMatrixTest\.|DistributedSamplerTest\.|DistributedEquivalenceTest\.' \
