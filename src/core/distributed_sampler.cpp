@@ -467,9 +467,12 @@ void DistributedSampler::step_theta(MasterRank& m, std::uint64_t t,
                            std::span<const double>(ratios.data() + k, k),
                            global_.theta_flat(), grad);
     for (double& g : grad) g *= scale;
-    update_theta(options_.base.seed, t, global_, grad,
-                 options_.base.step.eps(t), hyper_.eta0, hyper_.eta1,
-                 options_.base.noise_factor, options_.base.gradient_form);
+    const double eps = options_.base.step.eps(t);
+    if (!update_theta(options_.base.seed, t, global_, grad, eps,
+                      hyper_.eta0, hyper_.eta1, options_.base.noise_factor,
+                      options_.base.gradient_form)) {
+      refuse_diverged_step(t, "theta", eps);
+    }
     std::copy(global_.beta_all().begin(), global_.beta_all().end(),
               m.beta_buf.begin());
   } else {
@@ -573,12 +576,15 @@ void DistributedSampler::update_phi(WorkerRank& r, std::uint64_t t) {
         const std::size_t first_nbr_ref = ref_idx + 1;
         ref_idx += 1 + set.samples.size();
         std::span<float> out(ws.staged.data() + vi * width, width);
-        staged_phi_update_enc(
-            codec, options_.base.seed, t, a, row_a, set,
-            [&](std::size_t i) { return r.row_of(first_nbr_ref + i); },
-            r.terms, options_.base.step.eps(t), hyper_.normalized_alpha(),
-            out, ws.scratch, options_.base.noise_factor,
-            options_.base.gradient_form);
+        const double eps = options_.base.step.eps(t);
+        if (!staged_phi_update_enc(
+                codec, options_.base.seed, t, a, row_a, set,
+                [&](std::size_t i) { return r.row_of(first_nbr_ref + i); },
+                r.terms, eps, hyper_.normalized_alpha(), out, ws.scratch,
+                options_.base.noise_factor, options_.base.gradient_form)) {
+          refuse_diverged_step(t, "the phi row of vertex " + std::to_string(a),
+                               eps);
+        }
       }
     } else {
       // Expected distinct-row count of uniformly random references,

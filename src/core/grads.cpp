@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "random/distributions.h"
 #include "util/error.h"
@@ -187,7 +188,7 @@ void update_phi_row(std::uint64_t seed, std::uint64_t iteration,
   row[k] = static_cast<float>(new_sum);
 }
 
-void update_theta(std::uint64_t seed, std::uint64_t iteration,
+bool update_theta(std::uint64_t seed, std::uint64_t iteration,
                   GlobalState& global, std::span<const double> grad,
                   double eps, double eta0, double eta1,
                   double noise_factor, GradientForm form) {
@@ -200,6 +201,7 @@ void update_theta(std::uint64_t seed, std::uint64_t iteration,
   constexpr std::size_t kNoiseBatch = 64;
   double xi[kNoiseBatch];
   const std::size_t slots = std::size_t{k} * 2;
+  bool finite = true;
   for (std::size_t base = 0; base < slots; base += kNoiseBatch) {
     const std::size_t n = std::min(kNoiseBatch, slots - base);
     rng::sample_standard_normals(noise, std::span<double>(xi, n));
@@ -217,10 +219,21 @@ void update_theta(std::uint64_t seed, std::uint64_t iteration,
                        std::sqrt(theta) * (xi[j] * noise_scale);
       updated = std::abs(updated);
       updated = std::max(updated, kParamFloor);
+      finite = finite && std::isfinite(updated);
       global.set_theta(c, i, updated);
     }
   }
   global.update_beta_from_theta();
+  return finite;
+}
+
+void refuse_diverged_step(std::uint64_t iteration, const std::string& what,
+                          double eps) {
+  std::ostringstream msg;
+  msg << "iteration " << iteration << ": the SGRLD step diverged at " << what
+      << " (step size eps = " << eps
+      << " leaves it non-finite); lower the step-size a";
+  throw UsageError(msg.str());
 }
 
 }  // namespace scd::core

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/state.h"
@@ -138,10 +139,17 @@ void update_phi_row(std::uint64_t seed, std::uint64_t iteration,
 
 /// SGRLD update of theta (Eqn 3): grad must already include the h(E_n)
 /// scale. Noise stream: (seed, kThetaNoise, iteration). Refreshes beta.
-void update_theta(std::uint64_t seed, std::uint64_t iteration,
+/// Returns false when an updated theta is not finite (a diverging step);
+/// the caller refuses the step.
+bool update_theta(std::uint64_t seed, std::uint64_t iteration,
                   GlobalState& global, std::span<const double> grad,
                   double eps, double eta0, double eta1,
                   double noise_factor = 1.0,
                   GradientForm form = GradientForm::kRawEqn3);
+
+/// Throws the UsageError the samplers raise for a diverging SGRLD step:
+/// it names the iteration, the parameter (`what`) and the step size.
+[[noreturn]] void refuse_diverged_step(std::uint64_t iteration,
+                                       const std::string& what, double eps);
 
 }  // namespace scd::core

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 
 #include "random/distributions.h"
@@ -43,7 +44,7 @@ inline double lane_sum(const float (&lanes)[kFusedLanes]) {
 }  // namespace
 
 SCD_KERNEL
-void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
+bool fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
                          std::uint32_t vertex, std::span<float> row,
                          std::span<const double> grad, double scale,
                          double eps, double alpha, double noise_factor,
@@ -102,6 +103,9 @@ void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
     r[j] = static_cast<float>(static_cast<double>(r[j]) * inv);
   }
   r[k] = static_cast<float>(new_sum);
+  // A step too large for the row overflows new_sum (or its float) to inf
+  // or NaN; the next gradient would divide by it.
+  return r[k] > 0.0f && r[k] <= std::numeric_limits<float>::max();
 }
 
 // --- fused kernel bodies -----------------------------------------------

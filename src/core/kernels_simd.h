@@ -123,8 +123,10 @@ double fast_accumulate_theta_ratio(std::span<const float> row_a,
 /// vectorizable pass with a lane-accumulated new_sum. Per-element row
 /// values match the reference bit-for-bit; only the new_sum reduction
 /// (and hence the final normalization) differs by float-level
-/// reassociation.
-void fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
+/// reassociation. Returns false when the new phi_sum is not finite and
+/// positive (a diverging step); the row is then unusable, and the caller
+/// refuses the step.
+bool fast_update_phi_row(std::uint64_t seed, std::uint64_t iteration,
                          std::uint32_t vertex, std::span<float> row,
                          std::span<const double> grad, double scale,
                          double eps, double alpha, double noise_factor,

@@ -3,8 +3,10 @@
 #include "core/phi_kernel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <string>
 
 #include "threading/parallel.h"
 #include "util/error.h"
@@ -77,7 +79,11 @@ void ParallelSampler::one_iteration() {
   // --- update_phi: minibatch vertices claimed dynamically. A vertex's
   // step depends only on (seed, iteration, vertex) and the previous pi,
   // and it writes its own staged slot, so any thread may take any vertex.
+  // A diverging step is refused once the stage is done, naming the first
+  // such vertex in minibatch order whatever the thread count.
   ws_.staged.resize(mb.vertices.size() * pi_.row_width());
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  std::atomic<std::uint64_t> diverged{kNone};
   pool_.parallel_for_dynamic(
       0, mb.vertices.size(), kPhiGrain,
       [&](unsigned thread, std::uint64_t lo, std::uint64_t hi) {
@@ -93,13 +99,23 @@ void ParallelSampler::one_iteration() {
           const graph::NeighborSet& set = slot.set;
           std::span<float> out(ws_.staged.data() + vi * pi_.row_width(),
                                pi_.row_width());
-          staged_phi_update(
-              options_.seed, iteration_, a, pi_.row(a), set,
-              [&](std::size_t i) { return pi_.row(set.samples[i].b); },
-              terms_, eps, hyper_.normalized_alpha(), out, slot.phi,
-              options_.noise_factor, options_.gradient_form);
+          if (!staged_phi_update(
+                  options_.seed, iteration_, a, pi_.row(a), set,
+                  [&](std::size_t i) { return pi_.row(set.samples[i].b); },
+                  terms_, eps, hyper_.normalized_alpha(), out, slot.phi,
+                  options_.noise_factor, options_.gradient_form)) {
+            std::uint64_t first = diverged.load();
+            while (vi < first && !diverged.compare_exchange_weak(first, vi)) {
+            }
+          }
         }
       });
+  if (const std::uint64_t vi = diverged.load(); vi != kNone) {
+    refuse_diverged_step(iteration_,
+                         "the phi row of vertex " +
+                             std::to_string(mb.vertices[vi]),
+                         eps);
+  }
   record_stage(trace::Stage::kUpdatePhi);
 
   // --- update_pi: commit on the calling thread. The staged rows are a
@@ -149,9 +165,11 @@ void ParallelSampler::one_iteration() {
                          std::span<const double>(ws_.ratios.data() + k, k),
                          global_.theta_flat(), ws_.theta_grad);
   for (double& g : ws_.theta_grad) g *= mb.scale;
-  update_theta(options_.seed, iteration_, global_, ws_.theta_grad, eps,
-               hyper_.eta0, hyper_.eta1, options_.noise_factor,
-               options_.gradient_form);
+  if (!update_theta(options_.seed, iteration_, global_, ws_.theta_grad, eps,
+                    hyper_.eta0, hyper_.eta1, options_.noise_factor,
+                    options_.gradient_form)) {
+    refuse_diverged_step(iteration_, "theta", eps);
+  }
   terms_.refresh(global_.beta_all(), hyper_.delta);
   record_stage(trace::Stage::kUpdateBetaTheta);
 

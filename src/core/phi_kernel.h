@@ -127,9 +127,10 @@ void accumulate_phi_grad_set_enc(quant::RowCodec codec,
 
 /// `row_of(i)` must return the [pi | phi_sum] row of set.samples[i].b.
 /// `row_a` is the vertex's own current row; `out` receives the staged
-/// updated row (same width).
+/// updated row (same width). Returns false when the step diverged (see
+/// fast_update_phi_row); the caller refuses it.
 template <typename RowOf>
-void staged_phi_update(std::uint64_t seed, std::uint64_t iteration,
+bool staged_phi_update(std::uint64_t seed, std::uint64_t iteration,
                        graph::Vertex a, std::span<const float> row_a,
                        const graph::NeighborSet& set, RowOf&& row_of,
                        const LikelihoodTerms& terms, double eps,
@@ -141,8 +142,9 @@ void staged_phi_update(std::uint64_t seed, std::uint64_t iteration,
     scratch.exact[k] += set.sampled_scale * scratch.sampled[k];
   }
   std::copy(row_a.begin(), row_a.end(), out.begin());
-  fast_update_phi_row(seed, iteration, a, out, scratch.exact, /*scale=*/1.0,
-                      eps, alpha, noise_factor, form, scratch.noise);
+  return fast_update_phi_row(seed, iteration, a, out, scratch.exact,
+                             /*scale=*/1.0, eps, alpha, noise_factor, form,
+                             scratch.noise);
 }
 
 /// Encoded-row variant for the distributed sampler: neighbor rows stay in
@@ -153,8 +155,9 @@ void staged_phi_update(std::uint64_t seed, std::uint64_t iteration,
 /// update writes in place. `row_of(i)` must return the *encoded* row of
 /// set.samples[i].b (quant::encoded_bytes(codec, k + 1) bytes). Under
 /// quant::RowCodec::kFloat32 this is bit-identical to staged_phi_update.
+/// Returns false when the step diverged, as staged_phi_update does.
 template <typename EncRowOf>
-void staged_phi_update_enc(quant::RowCodec codec, std::uint64_t seed,
+bool staged_phi_update_enc(quant::RowCodec codec, std::uint64_t seed,
                            std::uint64_t iteration, graph::Vertex a,
                            std::span<const std::byte> row_a_enc,
                            const graph::NeighborSet& set, EncRowOf&& row_of,
@@ -193,17 +196,17 @@ void staged_phi_update_enc(quant::RowCodec codec, std::uint64_t seed,
     scratch.exact_acc.ceps[1] +=
         set.sampled_scale * scratch.sampled_acc.ceps[1];
     sparse_phi_epilogue(scratch.exact_acc, terms, scratch.exact);
-    fast_update_phi_row(seed, iteration, a, out, scratch.exact,
-                        /*scale=*/1.0, eps, alpha, noise_factor, form,
-                        scratch.noise);
-    return;
+    return fast_update_phi_row(seed, iteration, a, out, scratch.exact,
+                               /*scale=*/1.0, eps, alpha, noise_factor, form,
+                               scratch.noise);
   }
   accumulate_phi_grad_set_enc(codec, out, set, row_of, terms, scratch);
   for (std::size_t k = 0; k < scratch.exact.size(); ++k) {
     scratch.exact[k] += set.sampled_scale * scratch.sampled[k];
   }
-  fast_update_phi_row(seed, iteration, a, out, scratch.exact, /*scale=*/1.0,
-                      eps, alpha, noise_factor, form, scratch.noise);
+  return fast_update_phi_row(seed, iteration, a, out, scratch.exact,
+                             /*scale=*/1.0, eps, alpha, noise_factor, form,
+                             scratch.noise);
 }
 
 }  // namespace scd::core

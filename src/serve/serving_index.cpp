@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <climits>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
@@ -25,23 +27,56 @@ constexpr std::uint32_t kRankCountLimit = 64;
 /// interval that holds the k-th key into kPivots + 1 parts.
 constexpr std::uint32_t kPivots = 3;
 
-/// The key array is padded with ~0u keys to a multiple of this, the width
-/// of the collect pass's winner bitmask. Keys are counted and collected
-/// by `key < pivot` and `key < threshold`, and ~0u is under no value, so
-/// padding never counts and never wins.
-constexpr std::uint32_t kMaskBits = 32;
+/// Eight 32-bit lanes: one AVX2 register. The collect and rank steps are
+/// written on these (GCC vector extensions), so each clone lowers the same
+/// integer lane operations to its own instructions.
+using Lanes = std::int32_t __attribute__((vector_size(32)));
+using HalfLanes = std::int32_t __attribute__((vector_size(16)));
+constexpr std::uint32_t kLanes = 8;
+
+/// The key array is padded with ~0u keys to a multiple of this: the collect
+/// pass reads kGroup keys (four Lanes) per step and folds their winner
+/// lanes into one 32-bit mask. Keys are counted and collected by
+/// `key < pivot`, `key < threshold` and `key == threshold`, and ~0u is
+/// under no finite key and equal to none, so padding never counts and
+/// never wins.
+constexpr std::uint32_t kGroup = 32;
 
 /// The padded length of a key array for a row of `num` weights.
 constexpr std::uint32_t padded_length(std::uint32_t num) {
-  return (num + kMaskBits - 1) / kMaskBits * kMaskBits;
+  return (num + kGroup - 1) / kGroup * kGroup;
 }
 
+/// The collect pass's lane compress: for each 8-bit lane mask, the indices
+/// of its set lanes in ascending order, then zeros, and how many are set.
+/// One permute by `index[mask]` moves the selected lanes of eight keys to
+/// the front, in id order.
+struct CompressTable {
+  std::int32_t index[256][kLanes];
+  std::uint32_t count[256];
+};
+constexpr CompressTable make_compress_table() {
+  CompressTable table{};
+  for (std::uint32_t mask = 0; mask < 256; ++mask) {
+    std::uint32_t n = 0;
+    for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+      if ((mask >> lane & 1u) != 0) {
+        table.index[mask][n++] = static_cast<std::int32_t>(lane);
+      }
+    }
+    table.count[mask] = n;
+  }
+  return table;
+}
+alignas(32) constexpr CompressTable kCompress = make_compress_table();
+
 /// select_top's working memory, grown once per thread: the padded order
-/// keys and their winner bitmasks; per winner, its signed key and its id;
-/// and, for the sort path, one packed (key, id) word per winner.
+/// keys; per winner, its signed key and its id, with room for a
+/// compress's spill past the last winner and for the rank count's
+/// INT32_MAX padding; and, for the sort path, one packed (key, id) word
+/// per winner.
 struct SelectScratch {
   std::vector<std::uint32_t> keys;
-  std::vector<std::uint32_t> masks;  // one per kMaskBits keys
   std::vector<std::int32_t> winner_keys;
   std::vector<std::uint32_t> winner_ids;
   std::vector<std::uint64_t> words;
@@ -50,12 +85,116 @@ thread_local SelectScratch t_select;
 
 /// An order key with its top bit flipped: signed compares of these order
 /// them as unsigned compares order the keys, and AVX2 compares signed
-/// 32-bit lanes eight at a time.
+/// 32-bit lanes eight at a time. The padding key ~0u becomes INT32_MAX.
 inline std::int32_t signed_key(std::uint32_t key) {
   return static_cast<std::int32_t>(key ^ 0x80000000u);
 }
 inline std::uint32_t unsigned_key(std::int32_t key) {
   return static_cast<std::uint32_t>(key) ^ 0x80000000u;
+}
+
+inline Lanes load_lanes(const void* from) {
+  Lanes v;
+  std::memcpy(&v, from, sizeof v);
+  return v;
+}
+inline void store_lanes(void* to, Lanes v) { std::memcpy(to, &v, sizeof v); }
+
+/// The OR of a vector's eight lanes.
+inline std::uint32_t or_lanes(Lanes v) {
+  HalfLanes h = __builtin_shufflevector(v, v, 0, 1, 2, 3) |
+                __builtin_shufflevector(v, v, 4, 5, 6, 7);
+  h |= __builtin_shufflevector(h, h, 2, 3, 0, 1);
+  h |= __builtin_shufflevector(h, h, 1, 0, 3, 2);
+  return static_cast<std::uint32_t>(h[0]);
+}
+
+/// Appends, in id order, the keys of `keys[0..padded)` that `select`
+/// picks, as signed keys with their ids, to `winner_keys`/`winner_ids`
+/// from entry n on, and returns the new count. It stops after the first
+/// group of kGroup keys that brings the count to `stop` or more (and
+/// after the last group), so up to kGroup - 1 entries past `stop` may be
+/// written. Per group: one compare per eight keys, their lanes' bits
+/// folded into one 32-bit mask (group lane 8q + i at bit 8q + i), then
+/// per eight keys one compress-table permute of the keys and of the ids
+/// and one store of each, all eight lanes wide.
+template <typename Select>
+inline std::uint32_t collect(const std::uint32_t* keys, std::uint32_t padded,
+                             Select select, std::uint32_t n, std::uint32_t stop,
+                             std::int32_t* winner_keys,
+                             std::uint32_t* winner_ids) {
+  const Lanes lane_bit = {1, 2, 4, 8, 16, 32, 64, 128};
+  const Lanes lane_id = {0, 1, 2, 3, 4, 5, 6, 7};
+  constexpr std::uint32_t kBlocks = kGroup / kLanes;
+  for (std::uint32_t base = 0; base < padded && n < stop; base += kGroup) {
+    Lanes key[kBlocks];
+    Lanes bits = {};
+    for (std::uint32_t q = 0; q < kBlocks; ++q) {
+      key[q] = load_lanes(keys + base + q * kLanes) ^ INT32_MIN;
+      bits |= select(key[q]) & (lane_bit << static_cast<int>(q * kLanes));
+    }
+    const std::uint32_t mask = or_lanes(bits);
+    for (std::uint32_t q = 0; q < kBlocks; ++q) {
+      const std::uint32_t lanes = mask >> (q * kLanes) & 0xffu;
+      const Lanes index = load_lanes(kCompress.index[lanes]);
+      const Lanes id = lane_id + static_cast<std::int32_t>(base + q * kLanes);
+      store_lanes(winner_keys + n, __builtin_shuffle(key[q], index));
+      store_lanes(winner_ids + n, __builtin_shuffle(id, index));
+      n += kCompress.count[lanes];
+    }
+  }
+  return n;
+}
+
+/// The rank of each of `keys[0..kWidth)` among them, in `rank`: the number
+/// of smaller keys, plus with kById the number of equal keys before it.
+/// Counted in registers: per key, one broadcast, then per eight lanes one
+/// compare (two with kById) and one subtract. The trip count is the fixed
+/// kWidth, so callers pad the keys past the winners with INT32_MAX,
+/// which is under no key and equal to no real one (a real key would be
+/// the order key of a NaN).
+template <std::uint32_t kWidth, bool kById>
+inline void count_ranks(const std::int32_t* keys, std::int32_t* rank) {
+  constexpr std::uint32_t kBlocks = kWidth / kLanes;
+  Lanes key[kBlocks];
+  Lanes count[kBlocks] = {};
+  for (std::uint32_t q = 0; q < kBlocks; ++q) {
+    key[q] = load_lanes(keys + q * kLanes);
+  }
+  for (std::uint32_t j = 0; j < kWidth; ++j) {
+    const Lanes other = Lanes{} + keys[j];
+    for (std::uint32_t q = 0; q < kBlocks; ++q) {
+      Lanes before = other < key[q];
+      if constexpr (kById) {
+        const Lanes id = Lanes{0, 1, 2, 3, 4, 5, 6, 7} +
+                         static_cast<std::int32_t>(q * kLanes);
+        before |= (other == key[q]) & (static_cast<std::int32_t>(j) < id);
+      }
+      count[q] += before;  // -1 per key before
+    }
+  }
+  for (std::uint32_t q = 0; q < kBlocks; ++q) {
+    store_lanes(rank + q * kLanes, -count[q]);
+  }
+}
+
+/// The rank of each of the k winners (k <= kWidth), ties broken by
+/// collection order: a first count by key alone, and a second by key
+/// then position only when some ranks tie, that is when they are not a
+/// permutation of 0..k-1 (their sum is not k(k-1)/2). Pads the winners'
+/// keys to kWidth.
+template <std::uint32_t kWidth>
+inline void rank_winners(std::int32_t* winner_keys, std::uint32_t k,
+                         std::int32_t* rank) {
+  std::fill(winner_keys + k, winner_keys + kWidth, INT32_MAX);
+  count_ranks<kWidth, false>(winner_keys, rank);
+  std::uint32_t rank_sum = 0;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    rank_sum += static_cast<std::uint32_t>(rank[i]);
+  }
+  if (rank_sum != k * (k - 1) / 2) {
+    count_ranks<kWidth, true>(winner_keys, rank);
+  }
 }
 
 /// The seed select_top passes: no row's key range holds ~0u strictly
@@ -165,74 +304,35 @@ bool select_top_kernel(const float* row, std::uint32_t num, std::uint32_t k,
     if (p < kPivots) hi = pivot[p] - 1;
   }
 
-  // 3. Collect the winners in id order, as signed keys and ids. The
-  // k - need keys below the threshold are marked in one bitmask per
-  // kMaskBits keys, then read off in a loop of known length (one
-  // unpredictable loop exit per row, not one per bitmask); the first
-  // `need` keys equal to the threshold follow (ties go to the smaller
-  // id).
-  std::uint32_t* masks = scratch.masks.data();
-  for (std::uint32_t base = 0; base < padded; base += kMaskBits) {
-    std::uint32_t mask = 0;
-    for (std::uint32_t i = 0; i < kMaskBits; ++i) {
-      mask |= (keys[base + i] < threshold ? 1u : 0u) << i;
-    }
-    masks[base / kMaskBits] = mask;
-  }
+  // 3. Collect the winners in id order, as signed keys and ids: the
+  // k - need keys below the threshold by a packed compress, then by the
+  // same compress on `key == threshold` the first `need` keys equal to it
+  // (ties go to the smaller id).
   std::int32_t* winner_keys = scratch.winner_keys.data();
   std::uint32_t* winner_ids = scratch.winner_ids.data();
-  std::uint32_t n = 0;
-  for (std::uint32_t word = 0, mask = masks[0]; n < k - need; ++n) {
-    while (mask == 0) mask = masks[++word];
-    const std::uint32_t c =
-        word * kMaskBits + static_cast<std::uint32_t>(std::countr_zero(mask));
-    mask &= mask - 1;
-    winner_keys[n] = signed_key(keys[c]);
-    winner_ids[n] = c;
-  }
-  for (std::uint32_t c = 0; need > 0; ++c) {
-    if (keys[c] == threshold) {
-      winner_keys[n] = signed_key(threshold);
-      winner_ids[n++] = c;
-      --need;
-    }
-  }
+  const Lanes cut = Lanes{} + signed_key(threshold);
+  const std::uint32_t n = collect(
+      keys, padded, [cut](Lanes key) { return key < cut; }, 0, k - need,
+      winner_keys, winner_ids);
+  collect(keys, padded, [cut](Lanes key) { return key == cut; }, n, k,
+          winner_keys, winner_ids);
 
-  // 4. Order the winners. Up to kRankCountLimit, a winner's rank is the
-  // number of smaller keys, counted branch-free on 32-bit lanes. Those
-  // ranks are a permutation exactly when they sum to k(k-1)/2, that is
-  // when no two winners tie; otherwise a second count breaks ties by
-  // collection order, which is id order within equal keys. Above the
-  // limit, the packed (key, id) words are sorted. The last winner's key
-  // is the row's k-th key.
+  // 4. Order the winners. Up to kRankCountLimit, by counted ranks (see
+  // rank_winners); above it, by sorting the packed (key, id) words. The
+  // last winner's key is the row's k-th key.
   if (k <= kRankCountLimit) {
-    std::uint32_t rank[kRankCountLimit] = {};
-    std::uint32_t rank_sum = 0;
-    for (std::uint32_t i = 0; i < k; ++i) {
-      const std::int32_t key = winner_keys[i];
-      std::uint32_t r = 0;
-      for (std::uint32_t j = 0; j < k; ++j) {
-        r += winner_keys[j] < key ? 1u : 0u;
-      }
-      rank[i] = r;
-      rank_sum += r;
-    }
-    if (rank_sum != k * (k - 1) / 2) {
-      for (std::uint32_t i = 0; i < k; ++i) {
-        const std::int32_t key = winner_keys[i];
-        std::uint32_t r = 0;
-        for (std::uint32_t j = 0; j < k; ++j) {
-          r += winner_keys[j] < key || (winner_keys[j] == key && j < i) ? 1u
-                                                                        : 0u;
-        }
-        rank[i] = r;
-      }
+    std::int32_t rank[kRankCountLimit];
+    if (k <= kRankCountLimit / 2) {
+      rank_winners<kRankCountLimit / 2>(winner_keys, k, rank);
+    } else {
+      rank_winners<kRankCountLimit>(winner_keys, k, rank);
     }
     std::uint32_t kth = 0;
     for (std::uint32_t i = 0; i < k; ++i) {
       const std::uint32_t c = winner_ids[i];
-      out[rank[i]] = TopEntry{c, row[c]};
-      kth = rank[i] == k - 1 ? unsigned_key(winner_keys[i]) : kth;
+      const auto r = static_cast<std::uint32_t>(rank[i]);
+      out[r] = TopEntry{c, row[c]};
+      kth = r == k - 1 ? unsigned_key(winner_keys[i]) : kth;
     }
     result = {kth, passes};
     return true;
@@ -273,9 +373,8 @@ SelectTopResult select_top_seeded(std::span<const float> row,
   if (const std::uint32_t padded = padded_length(num);
       scratch.keys.size() < padded) {
     scratch.keys.resize(padded);
-    scratch.masks.resize(padded / kMaskBits);
-    scratch.winner_keys.resize(padded);
-    scratch.winner_ids.resize(padded);
+    scratch.winner_keys.resize(padded + kRankCountLimit);
+    scratch.winner_ids.resize(padded + kRankCountLimit);
     scratch.words.resize(padded);
   }
   SelectTopResult result{seed, 0};

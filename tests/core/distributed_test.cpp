@@ -291,6 +291,29 @@ TEST(DistributedSamplerTest, RunIsOneShot) {
   EXPECT_THROW(dist.run(2), scd::UsageError);
 }
 
+// On the sim backend a worker whose phi step diverges refuses it; the
+// cluster stops the other ranks and run() rethrows the worker's
+// UsageError, which names the iteration.
+TEST(DistributedSamplerTest, DivergingStepIsRefusedNamingTheIteration) {
+  auto f = small_planted_fixture(3, 80, 3, 40);
+  f.options.step.a = 1e30;
+  sim::SimCluster cluster(cluster_config(2));
+  DistributedOptions options;
+  options.base = f.options;
+  DistributedSampler dist(cluster, f.split->training(), f.split.get(),
+                          f.hyper, options);
+  try {
+    dist.run(20);
+    ADD_FAILURE() << "diverging step accepted";
+  } catch (const scd::UsageError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("iteration ", 0), 0u) << what;
+    EXPECT_NE(what.find("diverged at the phi row of vertex"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(DistributedSamplerTest, NeedsAtLeastOneWorker) {
   auto f = small_planted_fixture(3, 80, 3, 40);
   sim::SimCluster cluster(cluster_config(0));  // 1 rank: master only

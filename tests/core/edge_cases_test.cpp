@@ -2,6 +2,8 @@
 // must run without crashing or corrupting state.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/parallel_sampler.h"
 #include "graph/builder.h"
 #include "graph/heldout.h"
@@ -119,6 +121,42 @@ TEST(EdgeCasesTest, LargeKOnSmallGraph) {
   EXPECT_NO_THROW(sampler.run(50));
   for (std::uint32_t v = 0; v < 20; ++v) {
     EXPECT_GT(sampler.pi().phi_sum(v), 0.0f);
+  }
+}
+
+// A finite step size too large for the model overflows a phi row within a
+// few iterations. The sampler refuses the step with a UsageError that
+// names the iteration and the first diverging vertex in minibatch order,
+// the same at 1 and 3 threads, where the next gradient kernel used to
+// abort the process.
+TEST(EdgeCasesTest, DivergingStepIsRefusedNamingTheIteration) {
+  graph::GraphBuilder builder(40);
+  for (graph::Vertex v = 0; v < 40; ++v) {
+    builder.add_edge(v, (v + 1) % 40);
+    builder.add_edge(v, (v + 7) % 40);
+  }
+  const graph::Graph g = std::move(builder).build();
+  Hyper hyper;
+  hyper.num_communities = 4;
+  hyper.delta = 0.01;
+  for (const double a : {1e308, 1e30}) {
+    SamplerOptions options = tiny_options();
+    options.step.a = a;
+    std::string messages[2];
+    for (const unsigned threads : {1u, 3u}) {
+      ParallelSampler sampler(g, nullptr, hyper, options, threads);
+      try {
+        sampler.run(50);
+        ADD_FAILURE() << "a=" << a << ": diverging step accepted";
+      } catch (const scd::UsageError& e) {
+        messages[threads == 1 ? 0 : 1] = e.what();
+      }
+    }
+    SCOPED_TRACE(messages[0]);
+    EXPECT_EQ(messages[0], messages[1]);
+    EXPECT_EQ(messages[0].rfind("iteration ", 0), 0u);
+    EXPECT_NE(messages[0].find("diverged at the phi row of vertex"),
+              std::string::npos);
   }
 }
 

@@ -261,5 +261,17 @@ TEST(UpdateThetaTest, StaysPositiveAndRefreshesBeta) {
   EXPECT_NE(g.beta(0), beta_before);
 }
 
+// A step size too large for the model overflows theta; update_theta
+// reports it instead of handing inf to the next likelihood.
+TEST(UpdateThetaTest, ReportsADivergingStep) {
+  GlobalState g(4);
+  Hyper hyper;
+  hyper.num_communities = 4;
+  g.init_random(3, hyper);
+  std::vector<double> grad(8, 50.0);
+  EXPECT_TRUE(update_theta(3, 0, g, grad, /*eps=*/0.05, 1.0, 1.0));
+  EXPECT_FALSE(update_theta(3, 1, g, grad, /*eps=*/1e308, 1.0, 1.0));
+}
+
 }  // namespace
 }  // namespace scd::core

@@ -619,6 +619,90 @@ TEST(ServingIndexTest, ListsAreStable) {
   }
 }
 
+/// A row whose k-th best weight sits in a run of `run` equal weights that
+/// straddles a multiple of 8 ids, with `need` of the run among the k
+/// best: k - need weights above the run (themselves tied in places), the
+/// rest below it. With `zeros` the run alternates +0.0f and -0.0f, the
+/// weights above are positive and those below negative; otherwise the
+/// run is 0.5f over weights in (0, 0.5).
+std::vector<float> tie_run_row(std::uint32_t num, std::uint32_t k,
+                               std::uint32_t run, std::uint32_t need,
+                               bool zeros, rng::Xoshiro256& rng) {
+  const std::uint32_t boundary =
+      8 * (1 + static_cast<std::uint32_t>(rng() % (num / 8 + 1)));
+  const std::uint32_t start =
+      std::min(boundary > run / 2 ? boundary - run / 2 : 0u, num - run);
+  std::vector<float> row(num);
+  std::vector<std::uint32_t> rest;
+  for (std::uint32_t c = 0; c < num; ++c) {
+    if (c >= start && c < start + run) {
+      row[c] = zeros ? (c % 2 == 0 ? 0.0f : -0.0f) : 0.5f;
+    } else {
+      rest.push_back(c);
+    }
+  }
+  for (auto i = static_cast<std::uint32_t>(rest.size()); i > 1; --i) {
+    std::swap(rest[i - 1], rest[rng() % i]);
+  }
+  for (std::uint32_t i = 0; i < rest.size(); ++i) {
+    const float u = 0.01f + 0.48f * rng.next_float();
+    const float step = zeros ? 1.0f : u;
+    row[rest[i]] = i < k - need ? 1.0f + static_cast<float>(rng() % 4) * step
+                                : (zeros ? -u : u);
+  }
+  return row;
+}
+
+// The collect step's packed compress and the rank count's padding, against
+// the brute-force ranking: at every K around the 8-lane and 64-entry
+// boundaries and every k from 1 to K, rows whose k-th best weight is in a
+// tied run across an 8-id boundary, with one, half or all of the run
+// among the winners (runs of 12 need more ties than one 8-lane block
+// holds), and rows mixing +-0.0f with a few +-denorm_min and ones. Each
+// row's search is seeded with the k-th key of the row before, as the
+// index build does. The k-th key must be the row's, and the pass counts,
+// which the search decides before any winner is collected, hash to the
+// value pinned when the collect step read winners off bitmasks.
+TEST(SelectTopTest, PackedCollectMatchesBruteForceAtTiedCuts) {
+  const float kMix[] = {0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+                        -std::numeric_limits<float>::denorm_min(), 1.0f};
+  rng::Xoshiro256 rng(20261025);
+  Fnv1a64 passes;
+  std::uint32_t seed = ~0u;
+  std::uint64_t rows = 0;
+  for (const std::uint32_t num : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 256u}) {
+    for (std::uint32_t k = 1; k <= num; ++k) {
+      std::vector<std::vector<float>> cases;
+      for (const std::uint32_t run : {3u, 12u}) {
+        if (run > num) continue;
+        for (const std::uint32_t need : {1u, (run + 1) / 2, run}) {
+          if (need > k || k - need + run > num) continue;
+          for (const bool zeros : {false, true}) {
+            cases.push_back(tie_run_row(num, k, run, need, zeros, rng));
+          }
+        }
+      }
+      std::vector<float> mix(num);
+      for (float& w : mix) w = kMix[rng() % std::size(kMix)];
+      cases.push_back(mix);
+      for (const std::vector<float>& row : cases) {
+        SCOPED_TRACE(::testing::Message() << "K=" << num << " k=" << k
+                                          << " case=" << rows);
+        const auto expected = testing::brute_force_top(row, num, k);
+        std::vector<TopEntry> got(k);
+        const SelectTopResult result = select_top_seeded(row, k, got, seed);
+        ASSERT_TRUE(testing::same_entries(got, expected));
+        ASSERT_EQ(result.kth_key, order_key(expected[k - 1].weight));
+        passes.add(result.passes);
+        seed = result.kth_key;
+        ++rows;
+      }
+    }
+  }
+  EXPECT_EQ(rows, 5645u);
+  EXPECT_EQ(passes.h, 0x126021caf58a9c6fULL) << std::hex << passes.h;
+}
+
 TEST(ServingIndexTest, InvertedListsRespectThresholdAndOrder) {
   const std::uint32_t n = 120;
   const std::uint32_t k = 10;

@@ -12,6 +12,7 @@
 
 #include "core/checkpoint.h"
 #include "random/xoshiro.h"
+#include "tests/util/byte_mutator.h"
 #include "threading/thread_pool.h"
 
 namespace scd::serve {
@@ -118,6 +119,42 @@ TEST(QueryScriptTest, ParsesReadmeExample) {
 
 TEST(QueryScriptTest, MissingFileRejected) {
   EXPECT_THROW(load_query_script("/no/such/queries.txt"), scd::DataError);
+}
+
+// Every byte-level mutant of a script using all three ops either loads
+// or is refused with a DataError, never another exception or undefined
+// behaviour (the test also runs under ASan). Both outcomes occur often,
+// so the mutants reach the accept paths as well as each refusal.
+TEST(TrafficTest, MutatedScriptsParseOrThrowDataError) {
+  const std::string script =
+      "# warm-up mix\n"
+      "top 17 5          # 5 strongest communities of vertex 17\n"
+      "link 17 42\n"
+      "\n"
+      "members 3 10      # 10 strongest members of community 3\n"
+      "  top 4294967295 1\n"
+      "link 0 0 #\n";
+  ASSERT_EQ([&] {
+    std::istringstream in(script);
+    return parse_query_script(in).size();
+  }(), 5u);
+  rng::Xoshiro256 rng(3401);
+  int parsed = 0;
+  int refused = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string mutant = scd::testing::mutate_bytes(rng, script);
+    std::istringstream in(mutant);
+    try {
+      (void)parse_query_script(in);
+      ++parsed;
+    } catch (const DataError&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << i << " threw " << e.what() << ":\n" << mutant;
+    }
+  }
+  EXPECT_GT(parsed, 100) << refused;
+  EXPECT_GT(refused, 100) << parsed;
 }
 
 TEST(ZipfSamplerTest, SkewsTowardLowRanks) {

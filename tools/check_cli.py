@@ -318,6 +318,22 @@ def main():
                   f"exit={r.returncode} {r.stderr[:160]!r}")
             check(f"fit --step-a {value} names a on stderr",
                   "step-size a" in r.stderr, repr(r.stderr[:160]))
+        # A finite step too large for the model diverges within a few
+        # iterations: the sampler refuses it as a usage error (1) naming
+        # the iteration (it used to abort inside a kernel, exit 134).
+        big = os.path.join(tmp, "g200.txt")
+        r = run([scd, "generate", "--vertices", "200", "--communities", "4",
+                 "--out", big])
+        check("generate 200-vertex graph exits 0", r.returncode == 0,
+              f"exit={r.returncode}")
+        for value in ("1e308", "1e30"):
+            r = run([scd, "fit", "--graph", big, "--communities", "4",
+                     "--step-a", value])
+            check(f"fit --step-a {value} exits 1", r.returncode == 1,
+                  f"exit={r.returncode} {r.stderr[:160]!r}")
+            check(f"fit --step-a {value} names the iteration on stderr",
+                  "iteration " in r.stderr and "diverged" in r.stderr,
+                  repr(r.stderr[:160]))
         for junk in ("1 2x", "1 2.5", "1 0x10"):
             bad = os.path.join(tmp, "bad.txt")
             with open(bad, "w") as f:

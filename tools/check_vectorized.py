@@ -8,8 +8,9 @@ Disassembles LIBRARY with OBJDUMP, finds the body of FUNCTION's CLONE
 (e.g. `[clone .avx2]`), and requires every MNEMONIC to appear in it with
 a 256-bit (%ymm) operand. Exits 0 when all are present, 1 otherwise.
 The AVX2 clone of rng::sample_standard_normals must run its polar
-transform (log, divide, sqrt) four lanes wide; a flag or code change
-that makes GCC keep it scalar fails here.
+transform (log, divide, sqrt) four lanes wide, and that of select_top's
+kernel must collect its winners with a lane permute (vpermd); a flag or
+code change that makes GCC keep either scalar fails here.
 """
 import subprocess
 import sys
