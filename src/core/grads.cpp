@@ -189,7 +189,7 @@ void update_phi_row(std::uint64_t seed, std::uint64_t iteration,
 }
 
 bool update_theta(std::uint64_t seed, std::uint64_t iteration,
-                  GlobalState& global, std::span<const double> grad,
+                  GlobalState& global, std::span<double> grad,
                   double eps, double eta0, double eta1,
                   double noise_factor, GradientForm form) {
   const std::uint32_t k = global.num_communities();
@@ -220,11 +220,13 @@ bool update_theta(std::uint64_t seed, std::uint64_t iteration,
       updated = std::abs(updated);
       updated = std::max(updated, kParamFloor);
       finite = finite && std::isfinite(updated);
-      global.set_theta(c, i, updated);
+      grad[base + j] = updated;  // theta_flat()[base + j] is theta(c, i)
     }
   }
+  if (!finite) return false;
+  std::copy(grad.begin(), grad.end(), global.theta_flat().begin());
   global.update_beta_from_theta();
-  return finite;
+  return true;
 }
 
 void refuse_diverged_step(std::uint64_t iteration, const std::string& what,

@@ -139,10 +139,12 @@ void update_phi_row(std::uint64_t seed, std::uint64_t iteration,
 
 /// SGRLD update of theta (Eqn 3): grad must already include the h(E_n)
 /// scale. Noise stream: (seed, kThetaNoise, iteration). Refreshes beta.
-/// Returns false when an updated theta is not finite (a diverging step);
-/// the caller refuses the step.
+/// The new theta is staged in `grad` (overwritten, in theta_flat order)
+/// and written to `global` only when every value is finite. Returns
+/// false, leaving theta and beta as they were, for a diverging step; the
+/// caller refuses it.
 bool update_theta(std::uint64_t seed, std::uint64_t iteration,
-                  GlobalState& global, std::span<const double> grad,
+                  GlobalState& global, std::span<double> grad,
                   double eps, double eta0, double eta1,
                   double noise_factor = 1.0,
                   GradientForm form = GradientForm::kRawEqn3);

@@ -40,6 +40,9 @@ struct alignas(threading::kCacheLineBytes) ThreadSlot {
   PhiScratch phi;
   graph::NeighborSet set;
   graph::NeighborScratch nbr;
+  /// The first minibatch index whose phi step diverged on this thread in
+  /// the current iteration, or ~0 for none.
+  std::uint64_t first_diverged = ~std::uint64_t{0};
 
   explicit ThreadSlot(std::uint32_t k) : phi(k) {}
 };

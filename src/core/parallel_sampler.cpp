@@ -3,7 +3,6 @@
 #include "core/phi_kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -79,11 +78,11 @@ void ParallelSampler::one_iteration() {
   // --- update_phi: minibatch vertices claimed dynamically. A vertex's
   // step depends only on (seed, iteration, vertex) and the previous pi,
   // and it writes its own staged slot, so any thread may take any vertex.
-  // A diverging step is refused once the stage is done, naming the first
-  // such vertex in minibatch order whatever the thread count.
+  // A diverging step is refused before anything is committed, naming the
+  // first such vertex in minibatch order whatever the thread count: each
+  // thread keeps the first it ran into, and the least of those is it.
   ws_.staged.resize(mb.vertices.size() * pi_.row_width());
-  constexpr std::uint64_t kNone = ~std::uint64_t{0};
-  std::atomic<std::uint64_t> diverged{kNone};
+  for (ThreadSlot& slot : ws_.slots) slot.first_diverged = ~std::uint64_t{0};
   pool_.parallel_for_dynamic(
       0, mb.vertices.size(), kPhiGrain,
       [&](unsigned thread, std::uint64_t lo, std::uint64_t hi) {
@@ -104,16 +103,18 @@ void ParallelSampler::one_iteration() {
                   [&](std::size_t i) { return pi_.row(set.samples[i].b); },
                   terms_, eps, hyper_.normalized_alpha(), out, slot.phi,
                   options_.noise_factor, options_.gradient_form)) {
-            std::uint64_t first = diverged.load();
-            while (vi < first && !diverged.compare_exchange_weak(first, vi)) {
-            }
+            slot.first_diverged = std::min(slot.first_diverged, vi);
           }
         }
       });
-  if (const std::uint64_t vi = diverged.load(); vi != kNone) {
+  std::uint64_t diverged = ~std::uint64_t{0};
+  for (const ThreadSlot& slot : ws_.slots) {
+    diverged = std::min(diverged, slot.first_diverged);
+  }
+  if (diverged != ~std::uint64_t{0}) {
     refuse_diverged_step(iteration_,
                          "the phi row of vertex " +
-                             std::to_string(mb.vertices[vi]),
+                             std::to_string(mb.vertices[diverged]),
                          eps);
   }
   record_stage(trace::Stage::kUpdatePhi);

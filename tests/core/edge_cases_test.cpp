@@ -2,6 +2,7 @@
 // must run without crashing or corrupting state.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "core/parallel_sampler.h"
@@ -150,6 +151,12 @@ TEST(EdgeCasesTest, DivergingStepIsRefusedNamingTheIteration) {
         ADD_FAILURE() << "a=" << a << ": diverging step accepted";
       } catch (const scd::UsageError& e) {
         messages[threads == 1 ? 0 : 1] = e.what();
+      }
+      // The refused step committed nothing: every row is still usable.
+      for (graph::Vertex v = 0; v < 40; ++v) {
+        EXPECT_TRUE(std::isfinite(sampler.pi().row(v)[4]) &&
+                    sampler.pi().row(v)[4] > 0.0f)
+            << "vertex " << v;
       }
     }
     SCOPED_TRACE(messages[0]);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -262,7 +263,8 @@ TEST(UpdateThetaTest, StaysPositiveAndRefreshesBeta) {
 }
 
 // A step size too large for the model overflows theta; update_theta
-// reports it instead of handing inf to the next likelihood.
+// reports it instead of handing inf to the next likelihood, and leaves
+// theta and beta as they were.
 TEST(UpdateThetaTest, ReportsADivergingStep) {
   GlobalState g(4);
   Hyper hyper;
@@ -270,7 +272,14 @@ TEST(UpdateThetaTest, ReportsADivergingStep) {
   g.init_random(3, hyper);
   std::vector<double> grad(8, 50.0);
   EXPECT_TRUE(update_theta(3, 0, g, grad, /*eps=*/0.05, 1.0, 1.0));
+  const std::vector<double> theta(g.theta_flat().begin(),
+                                  g.theta_flat().end());
+  const std::vector<float> beta(g.beta_all().begin(), g.beta_all().end());
+  grad.assign(8, 50.0);
   EXPECT_FALSE(update_theta(3, 1, g, grad, /*eps=*/1e308, 1.0, 1.0));
+  EXPECT_TRUE(std::equal(theta.begin(), theta.end(),
+                         g.theta_flat().begin()));
+  EXPECT_TRUE(std::equal(beta.begin(), beta.end(), g.beta_all().begin()));
 }
 
 }  // namespace
